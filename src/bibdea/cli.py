@@ -16,9 +16,8 @@ import dataclasses
 import sys
 
 from . import io
-from .model import DataError
+from .model import DataError, SolverError
 from .report import AssessmentReport, ScoreRow, run_assessment
-from .simplex import SolverError
 
 EXIT_OK = 0
 EXIT_DATA = 1

@@ -19,6 +19,7 @@ Emission is deterministic: identical inputs produce byte-identical output.
 
 import csv
 import json
+import math
 import os
 import re
 import statistics
@@ -65,9 +66,12 @@ def _open_reader(path: Path, required: tuple[str, ...]):
 
 def _parse_float(raw: str, path: Path, line: int, column: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
-        raise DataError(f"{path.name} line {line}: bad {column} value {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise DataError(f"{path.name} line {line}: bad {column} value {raw!r}")
+    return value
 
 
 def _parse_int(raw: str, path: Path, line: int, column: str) -> int:
@@ -90,14 +94,9 @@ def _read_staff(path: Path):
                 raise DataError(f"{path.name} line {line}: empty dmu_id or sds_id")
             if key in staff:
                 raise DataError(f"{path.name} line {line}: duplicate staff row for {key}")
+            years = [_parse_float(row[c], path, line, c) for c in _STAFF_COLUMNS[2:]]
             try:
-                staff[key] = DmuInput(
-                    dmu_id=row["dmu_id"],
-                    sds_id=row["sds_id"],
-                    fp_years=_parse_float(row["fp_years"], path, line, "fp_years"),
-                    ap_years=_parse_float(row["ap_years"], path, line, "ap_years"),
-                    rf_years=_parse_float(row["rf_years"], path, line, "rf_years"),
-                )
+                staff[key] = DmuInput(row["dmu_id"], row["sds_id"], *years)
             except DataError as exc:
                 raise DataError(f"{path.name} line {line}: {exc}") from None
             if has_ss:
@@ -253,22 +252,17 @@ def load_config(path: str | os.PathLike | None = None) -> AssessmentConfig:
     if unknown:
         raise DataError(f"{path.name}: unknown config keys {unknown}")
     kwargs = dict(raw)
-    if "costs" in kwargs:
-        costs = kwargs.pop("costs")
-        if not isinstance(costs, dict):
-            raise DataError(f"{path.name}: costs must be an object with fp/ap/rf keys")
-        extra = sorted(set(costs) - {"fp", "ap", "rf"})
-        if extra:
-            raise DataError(f"{path.name}: unknown cost keys {extra}")
-        defaults = CostVector()
-        kwargs["costs"] = CostVector(
-            fp_cost=costs.get("fp", defaults.fp_cost),
-            ap_cost=costs.get("ap", defaults.ap_cost),
-            rf_cost=costs.get("rf", defaults.rf_cost),
-        )
+    costs = kwargs.pop("costs", {})
+    if not isinstance(costs, dict):
+        raise DataError(f"{path.name}: costs must be an object with fp/ap/rf keys")
+    extra = sorted(set(costs) - {"fp", "ap", "rf"})
+    if extra:
+        raise DataError(f"{path.name}: unknown cost keys {extra}")
     try:
+        if costs:
+            kwargs["costs"] = CostVector(**{f"{k}_cost": v for k, v in costs.items()})
         return AssessmentConfig(**kwargs)
-    except TypeError as exc:
+    except (TypeError, DataError) as exc:
         raise DataError(f"{path.name}: {exc}") from None
 
 

@@ -4,11 +4,17 @@ Everything in this module is an immutable container validated at
 construction time; the actual computations live in the sibling modules.
 """
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 
 class DataError(Exception):
     """Invalid or inconsistent input data."""
+
+
+class SolverError(Exception):
+    """A score came out inconsistent in a way valid inputs should never trigger."""
 
 
 class MedianLookupError(DataError):
@@ -103,8 +109,9 @@ class DmuInput:
     rf_years: float  # assistant professors
 
     def __post_init__(self):
-        if min(self.fp_years, self.ap_years, self.rf_years) < 0:
-            raise DataError(f"{self.dmu_id}/{self.sds_id}: negative staff-years")
+        years = (self.fp_years, self.ap_years, self.rf_years)
+        if not all(isinstance(v, Real) and 0 <= v < math.inf for v in years):
+            raise DataError(f"{self.dmu_id}/{self.sds_id}: staff-years must be finite and >= 0")
         if self.total_years() <= 0:
             raise DataError(f"{self.dmu_id}/{self.sds_id}: zero total staff input")
 
@@ -121,8 +128,9 @@ class CostVector:
     rf_cost: float = 56.650
 
     def __post_init__(self):
-        if min(self.fp_cost, self.ap_cost, self.rf_cost) <= 0:
-            raise DataError("all staff costs must be strictly positive")
+        costs = (self.fp_cost, self.ap_cost, self.rf_cost)
+        if not all(isinstance(v, Real) and 0 < v < math.inf for v in costs):
+            raise DataError("all staff costs must be finite and strictly positive")
 
 
 DEFAULT_COSTS = CostVector()
@@ -210,7 +218,9 @@ def dataset_violations(ds: SdsDataset) -> list[str]:
         if dmu.dmu_id in seen:
             violations.append(f"{ds.sds_id}: duplicate dmu_id {dmu.dmu_id!r}")
         seen.add(dmu.dmu_id)
-        if ss < 0:
+        if not math.isfinite(ss):
+            violations.append(f"{ds.sds_id}/{dmu.dmu_id}: non-finite output {ss}")
+        elif ss < 0:
             violations.append(f"{ds.sds_id}/{dmu.dmu_id}: negative output {ss}")
         if dmu.total_years() <= 0:
             violations.append(f"{ds.sds_id}/{dmu.dmu_id}: zero total staff input")

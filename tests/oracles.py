@@ -1,8 +1,10 @@
-"""Independent oracles used to cross-check the solver and the DEA scores.
+"""Independent oracles used to cross-check the DEA scores.
 
-Nothing here goes through the package's simplex; the LP oracle enumerates
-basic solutions of the standard form directly, and the efficiency oracles
-are closed forms of the constant-returns geometry.
+The package computes the scores from the frontier geometry without solving
+any LP. The oracles here solve the envelopment LPs instead: by enumerating
+basic solutions of the standard form directly, or with HiGHS from scipy
+(a test-only dependency, imported on first use). The closed forms of the
+constant-returns geometry are kept as a further reference.
 """
 
 import itertools
@@ -77,6 +79,54 @@ def te_by_enumeration(dmu0: int, inputs: np.ndarray, outputs: np.ndarray) -> flo
     value = lp_minimum_by_enumeration(objective, constraints, senses, rhs)
     assert value is not None, "envelopment program cannot be infeasible"
     return value
+
+
+def ce_by_enumeration(
+    dmu0: int, inputs: np.ndarray, outputs: np.ndarray, prices: np.ndarray
+) -> float:
+    """Cost efficiency via basic-solution enumeration of the cost LP.
+
+    Variables [x_1..x_k, lam_1..lam_n]: the cheapest free input bundle x
+    that lets the peers cover the DMU's output, over the DMU's actual cost.
+    """
+    n, k = inputs.shape
+    objective = list(prices[:k]) + [0.0] * n
+    constraints = [[0.0] * k + list(outputs)]
+    senses = [">="]
+    rhs = [outputs[dmu0]]
+    for col in range(k):
+        indicator = [0.0] * k
+        indicator[col] = -1.0
+        constraints.append(indicator + list(inputs[:, col]))
+        senses.append("<=")
+        rhs.append(0.0)
+    value = lp_minimum_by_enumeration(objective, constraints, senses, rhs)
+    assert value is not None, "cost program cannot be infeasible"
+    return value / float(inputs[dmu0] @ prices[:k])
+
+
+def highs_scores(inputs: np.ndarray, outputs: np.ndarray, prices: np.ndarray):
+    """te and ce of every DMU, one HiGHS LP for each score."""
+    from scipy.optimize import linprog
+
+    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    n, k = inputs.shape
+
+    def minimum(cost, a_ub, b_ub):
+        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, method="highs", options=options)
+        assert res.status == 0, res.message
+        return res.fun
+
+    te, ce = np.zeros(n), np.zeros(n)
+    for i in range(n):
+        b_ub = np.r_[-outputs[i], np.zeros(k)]
+        # min theta: peers cover y_i from at most theta * x_i
+        a_ub = np.vstack([np.r_[0.0, -outputs], np.column_stack([-inputs[i], inputs.T])])
+        te[i] = minimum(np.r_[1.0, np.zeros(n)], a_ub, b_ub)
+        # min p.x: peers cover y_i from the free bundle x
+        a_ub = np.vstack([np.r_[np.zeros(k), -outputs], np.column_stack([-np.eye(k), inputs.T])])
+        ce[i] = minimum(np.r_[prices[:k], np.zeros(n)], a_ub, b_ub) / float(inputs[i] @ prices[:k])
+    return te, ce
 
 
 def ce_closed_form(

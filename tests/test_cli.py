@@ -217,3 +217,38 @@ def test_deterministic_across_processes(fixtures_dir, tmp_path):
         assert result.returncode == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "row, config, location",
+    [
+        ("U1,S,nan,1,0,1.0", None, "staff.csv line 2"),
+        ("U1,S,1,1,0,inf", None, "staff.csv line 2"),
+        ("U1,S,1,1,0,1.0", '{"costs": {"fp": NaN}}', "cfg.json"),
+        ("U1,S,1,1,0,1.0", '{"costs": {"fp": "x"}}', "cfg.json"),
+    ],
+)
+def test_malformed_numbers_exit_1_naming_the_location(tmp_path, row, config, location):
+    import os
+
+    staff = tmp_path / "staff.csv"
+    staff.write_text("dmu_id,sds_id,fp_years,ap_years,rf_years,ss\n" + row + "\n")
+    args = ["assess", "--staff", str(staff), "--out", str(tmp_path / "out")]
+    if config:
+        (tmp_path / "cfg.json").write_text(config)
+        args += ["--config", str(tmp_path / "cfg.json")]
+    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+    result = subprocess.run(
+        [sys.executable, "-m", "bibdea.cli", *args], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 1, result.stderr
+    assert location in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would slow every run
+    code = "import sys, bibdea.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,11 +14,20 @@ from bibdea import (
     allocative_efficiency,
     cost_efficiency,
     evaluate_sds,
+    percentile_scores,
     technical_efficiency,
 )
 
 from benchmarks import PHARM_CHEM
-from oracles import ce_closed_form, te_by_enumeration, te_single_input_closed_form
+from oracles import (
+    ce_by_enumeration,
+    ce_closed_form,
+    highs_scores,
+    te_by_enumeration,
+    te_single_input_closed_form,
+)
+
+PRICES = np.array([DEFAULT_COSTS.fp_cost, DEFAULT_COSTS.ap_cost, DEFAULT_COSTS.rf_cost])
 
 
 def dataset(inputs, outputs, sds_id="S"):
@@ -96,14 +108,14 @@ class TestCostEfficiency:
 
     def test_matches_closed_form_on_random_instances(self):
         rng = np.random.default_rng(11)
-        prices = np.array([DEFAULT_COSTS.fp_cost, DEFAULT_COSTS.ap_cost, DEFAULT_COSTS.rf_cost])
         for _ in range(30):
             ds, _, _ = random_dataset(rng, n_inputs=3)
             inputs = np.array([[d.fp_years, d.ap_years, d.rf_years] for d, _ in ds.members])
             outputs = np.array(ds.ss_values())
             for i in range(len(ds)):
-                expected = ce_closed_form(i, inputs, outputs, prices)
-                assert cost_efficiency(i, ds) == pytest.approx(expected, abs=1e-9)
+                got = cost_efficiency(i, ds)
+                for oracle in (ce_closed_form, ce_by_enumeration):
+                    assert got == pytest.approx(oracle(i, inputs, outputs, PRICES), abs=1e-9)
 
 
 class TestAllocativeEfficiency:
@@ -143,6 +155,27 @@ class TestEvaluateSds:
             assert any(s.te == pytest.approx(1.0, abs=1e-7) for s in scores.values())
             assert any(s.ce == pytest.approx(1.0, abs=1e-7) for s in scores.values())
 
+    def test_efficient_units_score_exactly_one_and_tie(self, pharm_chem_scores):
+        efficient = [d for d, s in pharm_chem_scores.items() if s.te >= 1 - 1e-9]
+        assert len(efficient) == 6
+        assert all(pharm_chem_scores[d].te == 1.0 for d in efficient)
+        names = list(pharm_chem_scores)
+        pct = percentile_scores([pharm_chem_scores[d].te for d in names])
+        assert len({pct[names.index(d)].r_pct for d in efficient}) == 1
+
+    @pytest.mark.parametrize(
+        "inputs, outputs",
+        [
+            ([[0.2, 5.9, 2.1], [0.7, 2.2, 4.3], [1.3, 1.5, 0.3]], [4.12, 5.88, 5.72]),
+            ([[1.0, 1.3, 8.1], [0.3, 3.0, 0.8], [3.4, 0.6, 0.9]], [9.07, 8.51, 3.86]),
+        ],
+    )
+    def test_frontier_units_score_exactly_one(self, inputs, outputs):
+        # every unit is a vertex of the frontier; as a ratio of two rounded
+        # dot products one of them would come out at 1 - 1.1e-16
+        scores = evaluate_sds(dataset(inputs, outputs))
+        assert [s.te for s in scores.values()] == [1.0, 1.0, 1.0]
+
     def test_score_ordering_and_identity(self, pharm_chem_scores):
         for s in pharm_chem_scores.values():
             assert -1e-7 <= s.ce <= s.te + 1e-7 <= 1 + 2e-7
@@ -166,16 +199,16 @@ class TestInvariances:
         rng = np.random.default_rng(31)
         ds, inputs, outputs = random_dataset(rng, n_dmus=6, n_inputs=3)
         before = [technical_efficiency(i, ds)[0] for i in range(len(ds))]
-        scale = (4.0, 0.25, 10.0)
-        scaled = dataset(
-            [
-                [d.fp_years * scale[0], d.ap_years * scale[1], d.rf_years * scale[2]]
-                for d, _ in ds.members
-            ],
-            list(outputs),
-        )
-        after = [technical_efficiency(i, scaled)[0] for i in range(len(ds))]
-        assert after == pytest.approx(before, abs=1e-9)
+        for scale in ((4.0, 0.25, 10.0), (1e150, 1e-150, 1.0), (1e-200, 1e-200, 1e-200)):
+            scaled = dataset(
+                [
+                    [d.fp_years * scale[0], d.ap_years * scale[1], d.rf_years * scale[2]]
+                    for d, _ in ds.members
+                ],
+                list(outputs),
+            )
+            after = [technical_efficiency(i, scaled)[0] for i in range(len(ds))]
+            assert after == pytest.approx(before, abs=1e-9), scale
 
     def test_cost_invariance_under_compensating_rescale(self):
         rng = np.random.default_rng(37)
@@ -235,8 +268,7 @@ class TestInvariances:
 
 def test_large_sds_stays_fast_and_consistent():
     # 80 DMUs is the upper end of what one SDS realistically holds
-    import time
-
+    pytest.importorskip("scipy")
     rng = np.random.default_rng(99)
     n = 80
     inputs = rng.uniform(0.5, 60.0, size=(n, 3))
@@ -247,13 +279,126 @@ def test_large_sds_stays_fast_and_consistent():
     scores = evaluate_sds(ds)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"80-DMU evaluation took {elapsed:.2f}s"
-    prices = np.array([DEFAULT_COSTS.fp_cost, DEFAULT_COSTS.ap_cost, DEFAULT_COSTS.rf_cost])
+    _, highs_ce = highs_scores(inputs, outputs, PRICES)
     for j in range(n):
         s = scores[f"D{j}"]
         assert 0 <= s.ce <= s.te + 1e-7 <= 1 + 2e-7
         if outputs[j] == 0:
             assert s.as_triple() == (0.0, 0.0, 0.0)
         else:
-            assert s.ce == pytest.approx(
-                ce_closed_form(j, inputs, outputs, prices), abs=1e-9
+            assert s.ce == pytest.approx(highs_ce[j], abs=1e-9)
+
+
+def pareto_minimal_units(rng, n, convex):
+    """Units whose points z = x / y are all Pareto-minimal.
+
+    On the unit sphere around the origin most of them lie inside the
+    frontier; on the sphere around (1, 1, 1) every one is a vertex of it.
+    """
+    u = np.abs(rng.normal(size=(n, 3)))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    outputs = rng.uniform(1.0, 10.0, size=n)
+    return ((1.0 - u) if convex else u) * outputs[:, None], outputs
+
+
+def degenerate_case(name, n, rng):
+    inputs = rng.uniform(0.5, 60.0, size=(n, 3))
+    outputs = rng.uniform(0.1, 150.0, size=n)
+    if name == "duplicates":
+        # an exact copy, and a copy at twice the scale with the same ratios
+        inputs = np.vstack([inputs, inputs[:1], 2.0 * inputs[1:2]])
+        outputs = np.r_[outputs, outputs[:1], 2.0 * outputs[1:2]]
+    elif name == "zero_rf_column":
+        inputs[:, 2] = 0.0
+    elif name == "zero_output":
+        outputs[[1, 3]] = 0.0
+    elif name == "single_unit":
+        inputs, outputs = inputs[:1], outputs[:1]
+    elif name == "one_plane":
+        # every z = x / y satisfies z . (1, 2, 3) = 1
+        z = rng.uniform(0.05, 0.3, size=(n, 2))
+        z = np.column_stack([z, (1.0 - z[:, 0] - 2.0 * z[:, 1]) / 3.0])
+        inputs = z * outputs[:, None]
+    elif name == "above_one_plane":
+        # half the units on the plane z . (1, 2, 3) = 1, the rest above it
+        z = rng.uniform(0.05, 0.3, size=(n, 2))
+        z = np.column_stack([z, (1.0 - z[:, 0] - 2.0 * z[:, 1]) / 3.0])
+        z[n // 2 :] *= rng.uniform(1.05, 1.5, size=(n - n // 2, 1))
+        inputs = z * outputs[:, None]
+    elif name == "all_pareto_minimal":
+        inputs, outputs = pareto_minimal_units(rng, n, convex=False)
+    return inputs, outputs
+
+
+def check_scores(inputs, outputs, enumerate_too):
+    """te and ce against the oracles to 1e-9, and every unit's peers valid."""
+    ds = dataset(inputs.tolist(), outputs.tolist())
+    scores = evaluate_sds(ds)
+    ids = ds.dmu_ids()
+    te = np.array([scores[d].te for d in ids])
+    ce = np.array([scores[d].ce for d in ids])
+    highs_te, highs_ce = highs_scores(inputs, outputs, PRICES)
+    assert te == pytest.approx(highs_te, abs=1e-9)
+    assert ce == pytest.approx(highs_ce, abs=1e-9)
+    if enumerate_too:
+        for i in range(len(ids)):
+            assert te[i] == pytest.approx(te_by_enumeration(i, inputs, outputs), abs=1e-9)
+            assert ce[i] == pytest.approx(
+                ce_by_enumeration(i, inputs, outputs, PRICES), abs=1e-9
             )
+    tol = 1e-8 * max(1.0, inputs.max(), outputs.max())
+    for i, d in enumerate(ids):
+        lam = np.array([scores[d].reference_weights.get(p, 0.0) for p in ids])
+        assert lam @ outputs >= outputs[i] - tol, d
+        assert np.all(lam @ inputs <= te[i] * inputs[i] + tol), d
+
+
+class TestOracleAgreement:
+    """The frontier scores against two LP oracles that share no code with it."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_scipy(self):
+        pytest.importorskip("scipy")
+
+    @pytest.mark.parametrize("n", [24, 37, 52, 80, 100])
+    def test_seeded_sdss(self, n):
+        rng = np.random.default_rng(n)
+        inputs = rng.uniform(0.5, 60.0, size=(n, 3))
+        outputs = rng.uniform(0.1, 150.0, size=n)
+        outputs[rng.integers(0, n, 3)] = 0.0
+        check_scores(inputs, outputs, enumerate_too=False)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "duplicates",
+            "zero_rf_column",
+            "zero_output",
+            "single_unit",
+            "one_plane",
+            "above_one_plane",
+            "all_pareto_minimal",
+        ],
+    )
+    def test_degenerate_cases(self, name):
+        rng = np.random.default_rng(len(name))
+        check_scores(*degenerate_case(name, 7, rng), enumerate_too=True)
+        check_scores(*degenerate_case(name, 40, rng), enumerate_too=False)
+
+
+def test_worst_case_sds_stays_within_time_and_memory():
+    # every one of 100 units a vertex of the frontier: the most candidate
+    # facets an SDS of this size can have
+    inputs, outputs = pareto_minimal_units(np.random.default_rng(5), 100, convex=True)
+    ds = dataset(inputs.tolist(), outputs.tolist())
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        scores = evaluate_sds(ds)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(s.te == 1.0 for s in scores.values())
+    assert elapsed < 5.0, f"100-DMU worst case took {elapsed:.2f}s"
+    assert peak < 32 * 2**20, f"100-DMU worst case peaked at {peak / 2**20:.1f} MiB"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bibdea import (
@@ -50,6 +50,7 @@ class TestStaffCost:
     def test_linearity(self, scale, fp, ap, rf):
         if fp + ap + rf == 0:
             fp = 1.0
+        assume(scale * fp + scale * ap + scale * rf > 0)
         base = staff_cost(dmu(fp=fp, ap=ap, rf=rf))
         scaled = staff_cost(dmu(fp=scale * fp, ap=scale * ap, rf=scale * rf))
         assert scaled == pytest.approx(scale * base, rel=1e-9)
@@ -71,6 +72,16 @@ class TestDomainTypes:
     def test_negative_staff_years_rejected(self):
         with pytest.raises(DataError):
             dmu(fp=-1, ap=5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "1.5", None])
+    def test_staff_years_must_be_finite_numbers(self, bad):
+        with pytest.raises(DataError):
+            dmu(fp=1, ap=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x", None])
+    def test_cost_vector_must_be_finite_numbers(self, bad):
+        with pytest.raises(DataError):
+            CostVector(fp_cost=bad)
 
     def test_publication_position_out_of_range(self):
         with pytest.raises(DataError):
@@ -128,6 +139,12 @@ class TestValidateDataset:
         ds = SdsDataset("S", ((dmu(fp=1, dmu_id="X"), -1.0),))
         violations = dataset_violations(ds)
         assert violations and "negative output" in violations[0]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_output(self, bad):
+        ds = SdsDataset("S", ((dmu(fp=1, dmu_id="X"), bad),))
+        violations = dataset_violations(ds)
+        assert violations and "non-finite output" in violations[0]
 
     def test_wrong_sds_membership_flagged(self):
         ds = SdsDataset("S", ((dmu(fp=1, dmu_id="X", sds_id="OTHER"), 1.0),))
