@@ -70,11 +70,11 @@ def _technical(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     """te of every unit, and its peers: up to three unit indices per row with
     their intensity weights (zero where a slot is unused).
 
-    Zero-output units score 0 with no peers: they can only be covered by
-    a zero contraction, and as peers they add input without output.
+    Units with zero output, or too little for ``x / y`` to be finite, score
+    0 with no peers; as peers they would add input for next to no output.
     """
     te, peer, weight = np.zeros(len(y)), np.zeros((len(y), 3), dtype=int), np.zeros((len(y), 3))
-    pos = np.flatnonzero(y > 0)
+    pos = np.flatnonzero(y > x.max(axis=1) / np.finfo(float).max)
     if not pos.size:
         return te, peer, weight
     z = x[pos] / y[pos, None]
@@ -116,7 +116,7 @@ def _technical(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 def _cost(x: np.ndarray, y: np.ndarray, costs: CostVector) -> np.ndarray:
     """ce of every unit: its output at the lowest cost per unit of output."""
     cost = x @ np.array([costs.fp_cost, costs.ap_cost, costs.rf_cost])
-    pos = y > 0
+    pos = y > cost / np.finfo(float).max
     if not pos.any():
         return np.zeros(len(y))
     return np.minimum(y * (cost[pos] / y[pos]).min() / cost, 1.0)

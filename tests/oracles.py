@@ -47,7 +47,7 @@ def lp_minimum_by_enumeration(objective, constraints, senses, rhs) -> float | No
             xb = np.linalg.solve(basis, b)
         except np.linalg.LinAlgError:
             continue
-        if np.any(xb < -_FEAS_TOL):
+        if not np.all(np.isfinite(xb)) or np.any(xb < -_FEAS_TOL):
             continue
         x = np.zeros(total_cols)
         x[list(cols)] = xb

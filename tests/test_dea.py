@@ -311,7 +311,8 @@ def degenerate_case(name, n, rng):
     elif name == "zero_rf_column":
         inputs[:, 2] = 0.0
     elif name == "zero_output":
-        outputs[[1, 3]] = 0.0
+        # two nil outputs, and one so small that x / y overflows
+        outputs[[1, 3]], outputs[5] = 0.0, 1e-320
     elif name == "single_unit":
         inputs, outputs = inputs[:1], outputs[:1]
     elif name == "one_plane":
