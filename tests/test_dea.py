@@ -315,16 +315,12 @@ def degenerate_case(name, n, rng):
         outputs[[1, 3]], outputs[5] = 0.0, 1e-320
     elif name == "single_unit":
         inputs, outputs = inputs[:1], outputs[:1]
-    elif name == "one_plane":
-        # every z = x / y satisfies z . (1, 2, 3) = 1
+    elif name in ("one_plane", "above_one_plane"):
+        # every z = x / y on the plane z . (1, 2, 3) = 1, or half of them above it
         z = rng.uniform(0.05, 0.3, size=(n, 2))
         z = np.column_stack([z, (1.0 - z[:, 0] - 2.0 * z[:, 1]) / 3.0])
-        inputs = z * outputs[:, None]
-    elif name == "above_one_plane":
-        # half the units on the plane z . (1, 2, 3) = 1, the rest above it
-        z = rng.uniform(0.05, 0.3, size=(n, 2))
-        z = np.column_stack([z, (1.0 - z[:, 0] - 2.0 * z[:, 1]) / 3.0])
-        z[n // 2 :] *= rng.uniform(1.05, 1.5, size=(n - n // 2, 1))
+        if name == "above_one_plane":
+            z[n // 2 :] *= rng.uniform(1.05, 1.5, size=(n - n // 2, 1))
         inputs = z * outputs[:, None]
     elif name == "all_pareto_minimal":
         inputs, outputs = pareto_minimal_units(rng, n, convex=False)
