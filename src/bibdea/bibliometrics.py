@@ -8,7 +8,6 @@ position-weighted scheme used for the life sciences, where first and last
 authors carry most of the credit.
 """
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .model import DataError, MedianTable, PublicationRecord
@@ -22,20 +21,6 @@ _INTRAMURAL_POOL = 0.20
 _EXTRAMURAL_END = 0.30
 _EXTRAMURAL_NEXT = 0.15
 _EXTRAMURAL_POOL = 0.10
-
-
-@dataclass(frozen=True)
-class StandardizedPublication:
-    """Per-publication breakdown of the output indicator."""
-
-    pub_id: str
-    c_bar: float
-    f: float
-    contribution: float
-
-    @classmethod
-    def build(cls, pub_id: str, c_bar: float, f: float) -> "StandardizedPublication":
-        return cls(pub_id=pub_id, c_bar=c_bar, f=f, contribution=c_bar * f)
 
 
 def standardize_citations(
@@ -141,15 +126,11 @@ def fractional_count(record: PublicationRecord) -> float:
     return fractional_count_standard(record.total_authors, record.dmu_author_positions)
 
 
-def standardized_publication(
-    record: PublicationRecord, medians: MedianTable
-) -> StandardizedPublication:
-    c_bar = standardize_citations(record.citations, record.year, record.categories, medians)
-    return StandardizedPublication.build(record.pub_id, c_bar, fractional_count(record))
-
-
 def scientific_strength(
     publications: Iterable[PublicationRecord], medians: MedianTable
 ) -> float:
     """Output indicator of one unit: sum of standardized, fractioned citations."""
-    return sum(standardized_publication(p, medians).contribution for p in publications)
+    return sum(
+        standardize_citations(p.citations, p.year, p.categories, medians) * fractional_count(p)
+        for p in publications
+    )

@@ -181,10 +181,9 @@ def _cmd_institution_report(args) -> int:
 
 def _cmd_validate(args) -> int:
     dataset, _ = _load(args)
-    n_pubs = sum(len(records) for records in dataset.publications.values())
     print(
         f"ok: {len(dataset.dmu_ids())} universities, {len(dataset.sds_ids())} SDSs, "
-        f"{len(dataset.staff)} staff rows, {n_pubs} publications, "
+        f"{len(dataset.staff)} staff rows, {dataset.publication_count} publications, "
         f"output mode {dataset.ss_mode}"
     )
     return EXIT_OK

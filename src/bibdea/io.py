@@ -10,7 +10,8 @@ separators:
   medians:      year, category, median [, mean]
 
 The optional ``ss`` column switches the whole dataset to passthrough mode;
-otherwise output values are computed from publications and medians. The
+otherwise output values are computed from publications and medians as the
+publications are read, so every later stage sees one SS per staff row. The
 optional ``mean`` column feeds the zero-median fallback. Unknown extra
 columns are ignored, which lets emitted score tables be re-ingested.
 
@@ -26,6 +27,7 @@ import statistics
 from pathlib import Path
 from typing import Iterable
 
+from .bibliometrics import scientific_strength
 from .model import (
     AssessmentDataset,
     CostVector,
@@ -114,7 +116,7 @@ def _read_staff(path: Path):
 
 
 def _read_publications(path: Path):
-    publications: dict[tuple[str, str], list[PublicationRecord]] = {}
+    """Yield ``(line, (dmu_id, sds_id), record)`` per row, in file order."""
     handle, reader = _open_reader(path, _PUB_COLUMNS)
     with handle:
         for row in reader:
@@ -129,20 +131,22 @@ def _read_publications(path: Path):
             flag = row["life_science"].strip()
             if flag not in ("0", "1"):
                 raise DataError(f"{path.name} line {line}: life_science must be 0 or 1")
+            year = _parse_int(row["year"], path, line, "year")
+            citations = _parse_int(row["citations"], path, line, "citations")
+            total_authors = _parse_int(row["total_authors"], path, line, "total_authors")
             try:
                 record = PublicationRecord(
                     pub_id=row["pub_id"],
-                    year=_parse_int(row["year"], path, line, "year"),
-                    citations=_parse_int(row["citations"], path, line, "citations"),
+                    year=year,
+                    citations=citations,
                     categories=categories,
-                    total_authors=_parse_int(row["total_authors"], path, line, "total_authors"),
+                    total_authors=total_authors,
                     dmu_author_positions=positions,
                     life_science=flag == "1",
                 )
             except DataError as exc:
                 raise DataError(f"{path.name} line {line}: {exc}") from None
-            publications.setdefault((row["dmu_id"], row["sds_id"]), []).append(record)
-    return {key: tuple(records) for key, records in publications.items()}
+            yield line, (row["dmu_id"], row["sds_id"]), record
 
 
 def _read_medians(path: Path) -> MedianTable:
@@ -172,20 +176,17 @@ def ingest(
 ) -> AssessmentDataset:
     """Load and cross-reference the input files into one validated dataset.
 
+    This is where the output source is settled. Without an ``ss`` column,
+    each publication row is added to its staff row's SS as it is read, so
+    no record outlives its row; staff rows without publications get 0.0.
+
     Referential checks: every publication's (dmu_id, sds_id) must match a
     staff row, and the median table must cover every (year, category) pair
     occurring in the publications.
     """
     staff, ss = _read_staff(Path(staff_path))
-    publications = (
-        _read_publications(Path(publications_path)) if publications_path else {}
-    )
     medians = _read_medians(Path(medians_path)) if medians_path else None
-
-    orphans = sorted(key for key in publications if key not in staff)
-    if orphans:
-        raise DataError(f"publications reference unknown staff rows: {orphans}")
-
+    ss_mode = "passthrough" if ss is not None else "computed"
     if ss is None:
         if publications_path is None:
             raise DataError(
@@ -194,20 +195,38 @@ def ingest(
             )
         if medians is None:
             raise DataError("computed output mode requires a medians file")
-    if medians is not None:
-        missing = sorted(
-            {
-                (record.year, category)
-                for records in publications.values()
-                for record in records
-                for category in record.categories
-                if not medians.covers(record.year, category)
-            }
-        )
-        if missing:
-            raise DataError(f"median table does not cover: {missing}")
+        ss = dict.fromkeys(staff, 0.0)
 
-    return AssessmentDataset(staff=staff, ss=ss, publications=publications, medians=medians)
+    orphans: set[tuple[str, str]] = set()
+    missing: set[tuple[int, str]] = set()
+    publication_count = 0
+    if publications_path:
+        path = Path(publications_path)
+        for line, key, record in _read_publications(path):
+            publication_count += 1
+            if key not in staff:
+                orphans.add(key)
+            if medians is not None:
+                missing.update(
+                    (record.year, c)
+                    for c in record.categories
+                    if not medians.covers(record.year, c)
+                )
+            # Once a row is orphaned or uncovered, ingest fails with that
+            # error below, so scoring stops.
+            if ss_mode == "computed" and not (orphans or missing):
+                try:
+                    ss[key] += scientific_strength((record,), medians)
+                except DataError as exc:
+                    raise DataError(f"{path.name} line {line}: {exc}") from None
+    if orphans:
+        raise DataError(f"publications reference unknown staff rows: {sorted(orphans)}")
+    if missing:
+        raise DataError(f"median table does not cover: {sorted(missing)}")
+
+    return AssessmentDataset(
+        staff=staff, ss=ss, ss_mode=ss_mode, publication_count=publication_count
+    )
 
 
 def build_median_table(

@@ -243,28 +243,23 @@ def validate_dataset(ds: SdsDataset) -> SdsDataset:
 class AssessmentDataset:
     """Cross-referenced multi-SDS input bundle produced by ingestion.
 
-    Exactly one output source is present: either ``ss`` (precomputed values
-    per staff row, "passthrough" mode) or ``publications`` plus ``medians``
-    ("computed" mode).
+    ``ss`` holds one output value per staff row, wherever it came from:
+    the staff file's ``ss`` column ("passthrough" mode) or the publications
+    scored at ingest ("computed" mode). ``publication_count`` is the number
+    of publication rows read.
     """
 
     staff: dict[tuple[str, str], DmuInput]  # (dmu_id, sds_id) -> input row
-    ss: dict[tuple[str, str], float] | None = None
-    publications: dict[tuple[str, str], tuple[PublicationRecord, ...]] = field(
-        default_factory=dict
-    )
-    medians: MedianTable | None = None
+    ss: dict[tuple[str, str], float]  # (dmu_id, sds_id) -> output value
+    ss_mode: str = "passthrough"
+    publication_count: int = 0
 
-    @property
-    def ss_mode(self) -> str:
-        return "passthrough" if self.ss is not None else "computed"
+    def __post_init__(self):
+        if self.ss.keys() != self.staff.keys():
+            raise DataError("ss must hold exactly one value per staff row")
 
     def sds_ids(self) -> list[str]:
         return sorted({sds_id for _, sds_id in self.staff})
 
     def dmu_ids(self) -> list[str]:
         return sorted({dmu_id for dmu_id, _ in self.staff})
-
-    def staff_for_sds(self, sds_id: str) -> list[DmuInput]:
-        rows = [dmu for (_, sds), dmu in self.staff.items() if sds == sds_id]
-        return sorted(rows, key=lambda d: d.dmu_id)

@@ -2,10 +2,10 @@
 
 import dataclasses
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 from . import analytics
 from .analytics import AggregateScores, Histogram, QuadrantSummary
-from .bibliometrics import scientific_strength
 from .dea import evaluate_sds
 from .model import (
     DEFAULT_COSTS,
@@ -27,6 +27,17 @@ class AssessmentConfig:
     census_date: str = ""  # metadata only, echoed into reports
 
     def __post_init__(self):
+        for name, kind, label in (
+            ("min_active_universities", Integral, "an integer"),
+            ("reporting_precision", Integral, "an integer"),
+            ("quadrant_threshold", Real, "a number"),
+            ("min_fraction_publishing", Real, "a number"),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise DataError(f"{name} must be {label}, not {value!r}")
+        if not isinstance(self.census_date, str):
+            raise DataError(f"census_date must be a string, not {self.census_date!r}")
         if not 0 <= self.quadrant_threshold <= 1:
             raise DataError("quadrant_threshold must lie in [0, 1]")
         if not 0 <= self.min_fraction_publishing <= 1:
@@ -126,25 +137,6 @@ class AssessmentReport:
         }
 
 
-def _resolve_ss(dataset: AssessmentDataset, dmu_key: tuple[str, str]) -> float:
-    if dataset.ss is not None:
-        return dataset.ss[dmu_key]
-    publications = dataset.publications.get(dmu_key, ())
-    if not publications:
-        return 0.0
-    if dataset.medians is None:
-        raise DataError("publications supplied without a reference median table")
-    return scientific_strength(publications, dataset.medians)
-
-
-def build_sds_dataset(dataset: AssessmentDataset, sds_id: str) -> SdsDataset:
-    """Assemble one SDS's inputs and output values, resolving the SS mode."""
-    members = []
-    for dmu in dataset.staff_for_sds(sds_id):
-        members.append((dmu, _resolve_ss(dataset, (dmu.dmu_id, sds_id))))
-    return SdsDataset(sds_id=sds_id, members=tuple(members))
-
-
 def _percentiles(values: list[float]) -> list[float | None]:
     if len(values) < 2:
         return [None] * len(values)
@@ -161,10 +153,14 @@ def run_assessment(
     if not dataset.staff:
         raise DataError("cannot assess an empty dataset")
 
+    by_sds: dict[str, list] = {}
+    for (dmu_id, sds_id), dmu in sorted(dataset.staff.items()):
+        by_sds.setdefault(sds_id, []).append((dmu, dataset.ss[dmu_id, sds_id]))
+
     eligibility: list[EligibilityEntry] = []
     sds_results: dict[str, SdsResult] = {}
-    for sds_id in dataset.sds_ids():
-        sds = build_sds_dataset(dataset, sds_id)
+    for sds_id, members in sorted(by_sds.items()):
+        sds = SdsDataset(sds_id=sds_id, members=tuple(members))
         active = len(sds)
         publishing = sum(1 for _, ss in sds.members if ss > 0) / active
         decision = analytics.eligibility_filter(

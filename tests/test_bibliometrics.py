@@ -15,7 +15,6 @@ from bibdea import (
     scientific_strength,
     standardize_citations,
 )
-from bibdea.bibliometrics import standardized_publication
 
 MEDIANS = MedianTable(entries={(2005, "A"): 4.0, (2005, "B"): 6.0, (2005, "C"): 7.0})
 
@@ -166,5 +165,6 @@ class TestScientificStrength:
     def test_contribution_is_exact_product(self):
         table = MedianTable(entries={(2005, "A"): 3.0})
         pub = PublicationRecord("p", 2005, 7, ("A",), 3, (1, 2))
-        sp = standardized_publication(pub, table)
-        assert sp.contribution == sp.c_bar * sp.f
+        assert scientific_strength([pub], table) == standardize_citations(
+            7, 2005, ("A",), table
+        ) * fractional_count(pub)

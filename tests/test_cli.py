@@ -37,6 +37,29 @@ class TestValidate:
         assert main(["validate", *lab_args]) == 0
         assert "computed" in capsys.readouterr().out
 
+    def test_publication_parse_error_names_its_location_once(
+        self, lab_args, tmp_path, capsys
+    ):
+        pubs = tmp_path / "p.csv"
+        pubs.write_text(
+            "pub_id,dmu_id,sds_id,year,citations,categories,total_authors,"
+            "dmu_positions,life_science\np1,UnivA,TEST/01,20x5,1,CatA,1,1,0\n"
+        )
+        lab_args[lab_args.index("--publications") + 1] = str(pubs)
+        assert main(["validate", *lab_args]) == 1
+        err = capsys.readouterr().err
+        assert "bad year value '20x5'" in err
+        assert err.count("p.csv line 2:") == 1
+
+    def test_zero_median_without_means_is_a_located_data_error(
+        self, lab_args, tmp_path, capsys
+    ):
+        medians = tmp_path / "medians.csv"
+        medians.write_text("year,category,median\n2005,CatA,0\n2005,CatB,0\n")
+        lab_args[lab_args.index("--medians") + 1] = str(medians)
+        assert main(["validate", *lab_args]) == 1
+        assert "lab_pubs.csv line 2: zero median divisor" in capsys.readouterr().err
+
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["validate", "--staff", str(tmp_path / "nope.csv")]) == 3
         assert "i/o error" in capsys.readouterr().err
@@ -226,6 +249,8 @@ def test_deterministic_across_processes(fixtures_dir, tmp_path):
         ("U1,S,1,1,0,inf", None, "staff.csv line 2"),
         ("U1,S,1,1,0,1.0", '{"costs": {"fp": NaN}}', "cfg.json"),
         ("U1,S,1,1,0,1.0", '{"costs": {"fp": "x"}}', "cfg.json"),
+        ("U1,S,1,1,0,1.0", '{"reporting_precision": 2.5}', "cfg.json"),
+        ("U1,S,1,1,0,1.0", '{"reporting_precision": true}', "cfg.json"),
     ],
 )
 def test_malformed_numbers_exit_1_naming_the_location(tmp_path, row, config, location):

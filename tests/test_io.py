@@ -7,11 +7,14 @@ from bibdea import (
     AssessmentConfig,
     CostVector,
     DataError,
+    MedianTable,
+    PublicationRecord,
     build_median_table,
     emit,
     ingest,
     load_config,
     run_assessment,
+    scientific_strength,
 )
 from bibdea.io import CONFIG_ENV_VAR
 
@@ -54,7 +57,36 @@ class TestIngest:
             fixtures_dir / "lab_medians.csv",
         )
         assert dataset.ss_mode == "computed"
-        assert len(dataset.publications[("UnivA", "TEST/01")]) == 2
+        assert dataset.publication_count == 3
+
+    def test_computed_ss_is_scientific_strength_in_file_order(self, tmp_path, fixtures_dir):
+        with open(fixtures_dir / "lab_pubs.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        records: dict[tuple[str, str], list[PublicationRecord]] = {}
+        for row in rows:
+            records.setdefault((row["dmu_id"], row["sds_id"]), []).append(
+                PublicationRecord(
+                    pub_id=row["pub_id"],
+                    year=int(row["year"]),
+                    citations=int(row["citations"]),
+                    categories=tuple(row["categories"].split(";")),
+                    total_authors=int(row["total_authors"]),
+                    dmu_author_positions=tuple(
+                        int(p) for p in row["dmu_positions"].split(";")
+                    ),
+                    life_science=row["life_science"] == "1",
+                )
+            )
+        medians = MedianTable(entries={(2005, "CatA"): 5.0, (2005, "CatB"): 7.0})
+        staff = tmp_path / "staff.csv"
+        staff.write_text(
+            (fixtures_dir / "lab_staff.csv").read_text() + "UnivC,TEST/01,0,0,1\n"
+        )
+        dataset = ingest(staff, fixtures_dir / "lab_pubs.csv", fixtures_dir / "lab_medians.csv")
+        assert set(records) == {("UnivA", "TEST/01"), ("UnivB", "TEST/01")}
+        for key, unit_records in records.items():
+            assert dataset.ss[key] == scientific_strength(unit_records, medians)
+        assert dataset.ss[("UnivC", "TEST/01")] == 0.0
 
     def test_orphan_publication(self, tmp_path, fixtures_dir):
         pubs = write_csv(
@@ -70,7 +102,7 @@ class TestIngest:
         pubs = write_csv(tmp_path / "pubs.csv", PUB_HEADER, [])
         dataset = ingest(fixtures_dir / "pharm_chem_staff.csv", pubs)
         assert dataset.ss_mode == "passthrough"
-        assert dataset.publications == {}
+        assert dataset.publication_count == 0
 
     def test_no_output_source(self, tmp_path):
         staff = write_csv(tmp_path / "staff.csv", STAFF_HEADER, [["U", "S", 1, 0, 0]])
@@ -208,6 +240,24 @@ class TestLoadConfig:
         with pytest.raises(DataError):
             AssessmentConfig(reporting_precision=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("reporting_precision", 2.5),
+            ("reporting_precision", True),
+            ("min_active_universities", 24.0),
+            ("min_active_universities", False),
+            ("quadrant_threshold", True),
+            ("quadrant_threshold", "0.5"),
+            ("min_fraction_publishing", None),
+            ("census_date", 2009),
+        ],
+    )
+    def test_mistyped_field_rejected(self, field, value):
+        with pytest.raises(DataError) as err:
+            AssessmentConfig(**{field: value})
+        assert field in str(err.value)
+
 
 class TestRunAssessment:
     def test_benchmark_report(self, fixtures_dir):
@@ -268,6 +318,15 @@ class TestRunAssessment:
 
         with pytest.raises(DataError):
             run_assessment(AssessmentDataset(staff={}, ss={}))
+
+    def test_dataset_needs_one_ss_per_staff_row(self):
+        from bibdea import AssessmentDataset, DmuInput
+
+        staff = {("U", "S"): DmuInput("U", "S", 1, 0, 0)}
+        with pytest.raises(DataError):
+            AssessmentDataset(staff=staff, ss={})
+        with pytest.raises(DataError):
+            AssessmentDataset(staff=staff, ss={("U", "S"): 1.0, ("V", "S"): 1.0})
 
     def test_report_covers_exactly_the_included_staff(self, tmp_path, fixtures_dir):
         rows = [
