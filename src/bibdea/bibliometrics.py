@@ -23,6 +23,50 @@ _EXTRAMURAL_NEXT = 0.15
 _EXTRAMURAL_POOL = 0.10
 
 
+def citation_divisor(
+    year: int, categories: Sequence[str], medians: MedianTable
+) -> float | None:
+    """Reference divisor of a (year, categories) cell, for :func:`divide_citations`.
+
+    The arithmetic mean of the categories' medians. When that is zero, the
+    mean of their reference means, or None when the table lacks a mean for
+    one of them; whether that is an error depends on the citations, so the
+    division step decides.
+    """
+    if not categories:
+        raise DataError("publication without subject categories")
+    meds = [medians.median(year, c) for c in categories]
+    divisor = sum(meds) / len(meds)
+    if divisor > 0:
+        return divisor
+    fallback = [medians.mean(year, c) for c in categories]
+    if any(m is None for m in fallback):
+        return None
+    return sum(fallback) / len(fallback)
+
+
+def divide_citations(
+    citations: int, divisor: float | None, year: int, categories: Sequence[str]
+) -> float:
+    """Citations over the divisor of their (year, categories) cell.
+
+    Zero citations standardize to 0.0 whatever the divisor; otherwise a
+    missing or zero fallback divisor is an error naming the cell.
+    """
+    if citations == 0:
+        return 0.0
+    if divisor is None:
+        raise DataError(
+            f"zero median divisor for year {year} categories {list(categories)} "
+            "and no reference means available"
+        )
+    if divisor <= 0:
+        raise DataError(
+            f"zero mean fallback divisor for year {year} categories {list(categories)}"
+        )
+    return citations / divisor
+
+
 def standardize_citations(
     citations: int,
     year: int,
@@ -36,26 +80,8 @@ def standardize_citations(
     citations of the reference set when the table carries means; a zero
     divisor with zero citations is simply 0.
     """
-    if not categories:
-        raise DataError("publication without subject categories")
-    meds = [medians.median(year, c) for c in categories]
-    divisor = sum(meds) / len(meds)
-    if divisor > 0:
-        return citations / divisor
-    if citations == 0:
-        return 0.0
-    fallback = [medians.mean(year, c) for c in categories]
-    if any(m is None for m in fallback):
-        raise DataError(
-            f"zero median divisor for year {year} categories {list(categories)} "
-            "and no reference means available"
-        )
-    mean_divisor = sum(fallback) / len(fallback)
-    if mean_divisor <= 0:
-        raise DataError(
-            f"zero mean fallback divisor for year {year} categories {list(categories)}"
-        )
-    return citations / mean_divisor
+    divisor = citation_divisor(year, categories, medians)
+    return divide_citations(citations, divisor, year, categories)
 
 
 def fractional_count_standard(
@@ -115,15 +141,17 @@ def first_last_share_dmu(total_authors: int, dmu_author_positions: Sequence[int]
     return 1 in positions and total_authors in positions
 
 
-def fractional_count(record: PublicationRecord) -> float:
-    """Fractional count of a record, dispatching on its counting scheme."""
-    if record.life_science:
+def fractional_count(
+    total_authors: int, dmu_author_positions: Sequence[int], life_science: bool
+) -> float:
+    """Fractional count of a byline, dispatching on its counting scheme."""
+    if life_science:
         return fractional_count_life_science(
-            record.total_authors,
-            record.dmu_author_positions,
-            first_last_share_dmu(record.total_authors, record.dmu_author_positions),
+            total_authors,
+            dmu_author_positions,
+            first_last_share_dmu(total_authors, dmu_author_positions),
         )
-    return fractional_count_standard(record.total_authors, record.dmu_author_positions)
+    return fractional_count_standard(total_authors, dmu_author_positions)
 
 
 def scientific_strength(
@@ -131,6 +159,7 @@ def scientific_strength(
 ) -> float:
     """Output indicator of one unit: sum of standardized, fractioned citations."""
     return sum(
-        standardize_citations(p.citations, p.year, p.categories, medians) * fractional_count(p)
+        standardize_citations(p.citations, p.year, p.categories, medians)
+        * fractional_count(p.total_authors, p.dmu_author_positions, p.life_science)
         for p in publications
     )

@@ -127,13 +127,19 @@ def technical_efficiency(dmu0: int, ds: SdsDataset) -> tuple[float, dict[str, fl
 
     The peers are the intensity weights of units whose combination
     produces at least the DMU's output from at most ``te`` times its inputs.
+    Each call validates and scores the whole SDS through :func:`evaluate_sds`,
+    so to score every unit call that once instead.
     """
     scores = evaluate_sds(ds)[ds.members[dmu0][0].dmu_id]
     return scores.te, scores.reference_weights
 
 
 def cost_efficiency(dmu0: int, ds: SdsDataset, costs: CostVector = DEFAULT_COSTS) -> float:
-    """Minimum-cost-to-actual-cost ratio of ``ds.members[dmu0]``."""
+    """Minimum-cost-to-actual-cost ratio of ``ds.members[dmu0]``.
+
+    Each call validates and scores the whole SDS through :func:`evaluate_sds`,
+    so to score every unit call that once instead.
+    """
     return evaluate_sds(ds, costs)[ds.members[dmu0][0].dmu_id].ce
 
 

@@ -13,11 +13,22 @@ The optional ``ss`` column switches the whole dataset to passthrough mode;
 otherwise output values are computed from publications and medians as the
 publications are read, so every later stage sees one SS per staff row. The
 optional ``mean`` column feeds the zero-median fallback. Unknown extra
-columns are ignored, which lets emitted score tables be re-ingested.
+columns and cells past the header's width are ignored, which lets emitted
+score tables be re-ingested; blank lines are skipped. A row with fewer cells
+than the header, bytes that are not UTF-8 and a cell over the csv module's
+field limit (131,072 characters) are data errors naming the file and line.
+
+The publications file is read in one ``csv.reader`` pass. Per row only the
+citations are parsed and the staff key is looked up; the divisor of each
+distinct (year, categories) cell and the fractional count of each distinct
+(total_authors, dmu_positions, life_science) byline are validated and
+computed once, on the first row that has them, so a bad row is still
+reported at its own line with its own message.
 
 Emission is deterministic: identical inputs produce byte-identical output.
 """
 
+import contextlib
 import csv
 import json
 import math
@@ -27,8 +38,9 @@ import statistics
 from pathlib import Path
 from typing import Iterable
 
-from .bibliometrics import scientific_strength
+from .bibliometrics import citation_divisor, divide_citations, fractional_count
 from .model import (
+    MAX_CITATIONS,
     AssessmentDataset,
     CostVector,
     DataError,
@@ -55,21 +67,61 @@ _PUB_COLUMNS = (
 _MEDIAN_COLUMNS = ("year", "category", "median")
 
 
-def _open_reader(path: Path, required: tuple[str, ...]):
-    handle = open(path, newline="", encoding="utf-8")
-    reader = csv.DictReader(handle)
-    header = reader.fieldnames or []
-    missing = [c for c in required if c not in header]
-    if missing:
-        handle.close()
-        raise DataError(f"{path.name}: missing columns {missing}")
-    return handle, reader
+@contextlib.contextmanager
+def _open_csv(path: Path, required: tuple[str, ...]):
+    """Open a CSV file, check its header and yield ``(reader, column)``.
+
+    ``column`` maps each header name to its cell index; a repeated name maps
+    to its last cell. Bytes that are not UTF-8 and cells over the csv
+    module's field limit are data errors naming the file and the line.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, [])
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise DataError(f"{path.name}: missing columns {missing}")
+            yield reader, {name: i for i, name in enumerate(header)}
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{path.name} line {_undecodable_line(path)}: not UTF-8 ({exc.reason})"
+            ) from None
+        except csv.Error as exc:
+            raise DataError(f"{path.name} line {reader.line_num}: {exc}") from None
+
+
+def _undecodable_line(path: Path) -> int:
+    # The decoder reads ahead in blocks, so the line is found from the bytes.
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 0
+
+
+def _rows(reader, column: dict[str, int], path: Path):
+    """Yield ``(line, cells)`` per row of a CSV file opened by :func:`_open_csv`.
+
+    Blank lines are skipped. A row with fewer cells than the header is a
+    data error, so every column index is safe to use.
+    """
+    width = max(column.values()) + 1
+    for row in reader:
+        if len(row) < width:
+            if not row:
+                continue
+            raise DataError(
+                f"{path.name} line {reader.line_num}: {len(row)} cells, header has {width}"
+            )
+        yield reader.line_num, row
 
 
 def _parse_float(raw: str, path: Path, line: int, column: str) -> float:
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise DataError(f"{path.name} line {line}: bad {column} value {raw!r}")
@@ -79,90 +131,158 @@ def _parse_float(raw: str, path: Path, line: int, column: str) -> float:
 def _parse_int(raw: str, path: Path, line: int, column: str) -> int:
     try:
         return int(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise DataError(f"{path.name} line {line}: bad {column} value {raw!r}") from None
 
 
 def _read_staff(path: Path):
     staff: dict[tuple[str, str], DmuInput] = {}
     ss: dict[tuple[str, str], float] = {}
-    handle, reader = _open_reader(path, _STAFF_COLUMNS)
-    has_ss = "ss" in (reader.fieldnames or [])
-    with handle:
-        for row in reader:
-            line = reader.line_num
-            key = (row["dmu_id"], row["sds_id"])
+    with _open_csv(path, _STAFF_COLUMNS) as (reader, column):
+        i_dmu, i_sds, *i_years = (column[c] for c in _STAFF_COLUMNS)
+        i_ss = column.get("ss")
+        for line, row in _rows(reader, column, path):
+            key = (row[i_dmu], row[i_sds])
             if not key[0] or not key[1]:
                 raise DataError(f"{path.name} line {line}: empty dmu_id or sds_id")
             if key in staff:
                 raise DataError(f"{path.name} line {line}: duplicate staff row for {key}")
-            years = [_parse_float(row[c], path, line, c) for c in _STAFF_COLUMNS[2:]]
+            years = [
+                _parse_float(row[i], path, line, c)
+                for i, c in zip(i_years, _STAFF_COLUMNS[2:])
+            ]
             try:
-                staff[key] = DmuInput(row["dmu_id"], row["sds_id"], *years)
+                staff[key] = DmuInput(*key, *years)
             except DataError as exc:
                 raise DataError(f"{path.name} line {line}: {exc}") from None
-            if has_ss:
-                if not (row.get("ss") or "").strip():
+            if i_ss is not None:
+                if not row[i_ss].strip():
                     raise DataError(
                         f"{path.name} line {line}: ss column present but value missing"
                     )
-                value = _parse_float(row["ss"], path, line, "ss")
+                value = _parse_float(row[i_ss], path, line, "ss")
                 if value < 0:
                     raise DataError(f"{path.name} line {line}: negative ss {value}")
                 ss[key] = value
     if not staff:
         raise DataError(f"{path.name}: no staff rows")
-    return staff, (ss if has_ss else None)
+    return staff, (ss if i_ss is not None else None)
 
 
-def _read_publications(path: Path):
-    """Yield ``(line, (dmu_id, sds_id), record)`` per row, in file order."""
-    handle, reader = _open_reader(path, _PUB_COLUMNS)
-    with handle:
-        for row in reader:
-            line = reader.line_num
-            categories = tuple(c for c in row["categories"].split(";") if c)
-            raw_positions = row["dmu_positions"]
-            positions = tuple(
-                _parse_int(p, path, line, "dmu_positions")
-                for p in raw_positions.split(";")
-                if p
-            )
-            flag = row["life_science"].strip()
-            if flag not in ("0", "1"):
-                raise DataError(f"{path.name} line {line}: life_science must be 0 or 1")
-            year = _parse_int(row["year"], path, line, "year")
-            citations = _parse_int(row["citations"], path, line, "citations")
-            total_authors = _parse_int(row["total_authors"], path, line, "total_authors")
+def _parse_publication(
+    row: list[str], column: dict[str, int], path: Path, line: int
+) -> PublicationRecord:
+    """Validate one publications row in full, as its own record."""
+
+    def value(name: str) -> str:
+        return row[column[name]]
+
+    categories = tuple(c for c in value("categories").split(";") if c)
+    positions = tuple(
+        _parse_int(p, path, line, "dmu_positions") for p in value("dmu_positions").split(";") if p
+    )
+    flag = value("life_science").strip()
+    if flag not in ("0", "1"):
+        raise DataError(f"{path.name} line {line}: life_science must be 0 or 1")
+    year = _parse_int(value("year"), path, line, "year")
+    citations = _parse_int(value("citations"), path, line, "citations")
+    total_authors = _parse_int(value("total_authors"), path, line, "total_authors")
+    try:
+        return PublicationRecord(
+            pub_id=value("pub_id"),
+            year=year,
+            citations=citations,
+            categories=categories,
+            total_authors=total_authors,
+            dmu_author_positions=positions,
+            life_science=flag == "1",
+        )
+    except DataError as exc:
+        raise DataError(f"{path.name} line {line}: {exc}") from None
+
+
+def _scan_publications(
+    path: Path,
+    staff: dict[tuple[str, str], DmuInput],
+    medians: MedianTable | None,
+    ss: dict[tuple[str, str], float] | None,
+):
+    """Validate the publications file; with ``ss``, also add each row's
+    contribution to its staff row's SS, in file order.
+
+    Returns the row count, the keys without a staff row and the (year,
+    category) pairs the medians do not cover. A row whose (year, categories)
+    cell or byline is new, or whose citations are not a valid count, is
+    validated in full as a ``PublicationRecord``, so the first bad row
+    raises what a row-by-row check would.
+    """
+    cells: dict[tuple[str, str], tuple] = {}  # -> (divisor, year, categories)
+    bylines: dict[tuple[str, str, str], float] = {}  # -> fractional count
+    orphans: set[tuple[str, str]] = set()
+    missing: set[tuple[int, str]] = set()
+    count = 0
+    with _open_csv(path, _PUB_COLUMNS) as (reader, column):
+        i_dmu, i_sds, i_year, i_cit, i_cat, i_authors, i_pos, i_life = (
+            column[c] for c in _PUB_COLUMNS[1:]
+        )
+        for line, row in _rows(reader, column, path):
+            count += 1
+            key = (row[i_dmu], row[i_sds])
+            cell = cells.get((row[i_year], row[i_cat]))
+            share = bylines.get((row[i_authors], row[i_pos], row[i_life]))
             try:
-                record = PublicationRecord(
-                    pub_id=row["pub_id"],
-                    year=year,
-                    citations=citations,
-                    categories=categories,
-                    total_authors=total_authors,
-                    dmu_author_positions=positions,
-                    life_science=flag == "1",
-                )
-            except DataError as exc:
-                raise DataError(f"{path.name} line {line}: {exc}") from None
-            yield line, (row["dmu_id"], row["sds_id"]), record
+                citations = int(row[i_cit])
+            except ValueError:
+                citations = -1
+            if cell is None or share is None or not 0 <= citations <= MAX_CITATIONS:
+                record = _parse_publication(row, column, path, line)
+                if cell is None:
+                    cell = cells[row[i_year], row[i_cat]] = _cell_entry(record, medians, missing)
+                if share is None:
+                    share = bylines[row[i_authors], row[i_pos], row[i_life]] = (
+                        fractional_count(
+                            record.total_authors,
+                            record.dmu_author_positions,
+                            record.life_science,
+                        )
+                    )
+            if key not in staff:
+                orphans.add(key)
+            # Once a row is orphaned or uncovered, ingest fails with that
+            # error after the file, so scoring stops.
+            if ss is not None and not (orphans or missing):
+                try:
+                    ss[key] += divide_citations(citations, *cell) * share
+                except DataError as exc:
+                    raise DataError(f"{path.name} line {line}: {exc}") from None
+    return count, orphans, missing
+
+
+def _cell_entry(record: PublicationRecord, medians: MedianTable | None, missing: set) -> tuple:
+    """``(divisor, year, categories)`` of a record's (year, categories) cell,
+    noting its uncovered pairs in ``missing``."""
+    year, categories = record.year, record.categories
+    if medians is None:
+        return None, year, categories
+    uncovered = [(year, c) for c in categories if not medians.covers(year, c)]
+    missing.update(uncovered)
+    divisor = None if uncovered else citation_divisor(year, categories, medians)
+    return divisor, year, categories
 
 
 def _read_medians(path: Path) -> MedianTable:
     entries: dict[tuple[int, str], float] = {}
     means: dict[tuple[int, str], float] = {}
-    handle, reader = _open_reader(path, _MEDIAN_COLUMNS)
-    has_mean = "mean" in (reader.fieldnames or [])
-    with handle:
-        for row in reader:
-            line = reader.line_num
-            key = (_parse_int(row["year"], path, line, "year"), row["category"])
+    with _open_csv(path, _MEDIAN_COLUMNS) as (reader, column):
+        i_year, i_category, i_median = (column[c] for c in _MEDIAN_COLUMNS)
+        i_mean = column.get("mean")
+        for line, row in _rows(reader, column, path):
+            key = (_parse_int(row[i_year], path, line, "year"), row[i_category])
             if key in entries:
                 raise DataError(f"{path.name} line {line}: duplicate median for {key}")
-            entries[key] = _parse_float(row["median"], path, line, "median")
-            if has_mean and (row.get("mean") or "").strip():
-                means[key] = _parse_float(row["mean"], path, line, "mean")
+            entries[key] = _parse_float(row[i_median], path, line, "median")
+            if i_mean is not None and row[i_mean].strip():
+                means[key] = _parse_float(row[i_mean], path, line, "mean")
     try:
         return MedianTable(entries=entries, means=means)
     except DataError as exc:
@@ -178,7 +298,7 @@ def ingest(
 
     This is where the output source is settled. Without an ``ss`` column,
     each publication row is added to its staff row's SS as it is read, so
-    no record outlives its row; staff rows without publications get 0.0.
+    no publication is kept; staff rows without publications get 0.0.
 
     Referential checks: every publication's (dmu_id, sds_id) must match a
     staff row, and the median table must cover every (year, category) pair
@@ -197,32 +317,15 @@ def ingest(
             raise DataError("computed output mode requires a medians file")
         ss = dict.fromkeys(staff, 0.0)
 
-    orphans: set[tuple[str, str]] = set()
-    missing: set[tuple[int, str]] = set()
     publication_count = 0
     if publications_path:
-        path = Path(publications_path)
-        for line, key, record in _read_publications(path):
-            publication_count += 1
-            if key not in staff:
-                orphans.add(key)
-            if medians is not None:
-                missing.update(
-                    (record.year, c)
-                    for c in record.categories
-                    if not medians.covers(record.year, c)
-                )
-            # Once a row is orphaned or uncovered, ingest fails with that
-            # error below, so scoring stops.
-            if ss_mode == "computed" and not (orphans or missing):
-                try:
-                    ss[key] += scientific_strength((record,), medians)
-                except DataError as exc:
-                    raise DataError(f"{path.name} line {line}: {exc}") from None
-    if orphans:
-        raise DataError(f"publications reference unknown staff rows: {sorted(orphans)}")
-    if missing:
-        raise DataError(f"median table does not cover: {sorted(missing)}")
+        publication_count, orphans, missing = _scan_publications(
+            Path(publications_path), staff, medians, ss if ss_mode == "computed" else None
+        )
+        if orphans:
+            raise DataError(f"publications reference unknown staff rows: {sorted(orphans)}")
+        if missing:
+            raise DataError(f"median table does not cover: {sorted(missing)}")
 
     return AssessmentDataset(
         staff=staff, ss=ss, ss_mode=ss_mode, publication_count=publication_count
@@ -255,7 +358,13 @@ def load_config(path: str | os.PathLike | None = None) -> AssessmentConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path.name} line {_undecodable_line(path)}: not UTF-8 ({exc.reason})"
+        ) from None
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, or an integer past int()'s digit limit, or nesting
+        # past the recursion limit
         raise DataError(f"{path.name}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise DataError(f"{path.name}: config must be a JSON object")

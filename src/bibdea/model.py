@@ -5,8 +5,16 @@ construction time; the actual computations live in the sibling modules.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Real
+
+# Citations are divided as floats, so a count must fit one.
+MAX_CITATIONS = sys.float_info.max
+# Longest byline accepted. The life-science scheme builds one weight per
+# author, so an absurd author count would exhaust memory; real bylines stay
+# far below this.
+MAX_AUTHORS = 100_000
 
 
 class DataError(Exception):
@@ -55,10 +63,14 @@ class PublicationRecord:
         object.__setattr__(self, "dmu_author_positions", tuple(self.dmu_author_positions))
         if self.citations < 0:
             raise DataError(f"{self.pub_id}: citations must be >= 0")
+        if self.citations > MAX_CITATIONS:
+            raise DataError(f"{self.pub_id}: citations too large for a float")
         if not self.categories:
             raise DataError(f"{self.pub_id}: at least one subject category required")
         if self.total_authors < 1:
             raise DataError(f"{self.pub_id}: total_authors must be >= 1")
+        if self.total_authors > MAX_AUTHORS:
+            raise DataError(f"{self.pub_id}: total_authors must be at most {MAX_AUTHORS}")
         positions = self.dmu_author_positions
         if len(set(positions)) != len(positions):
             raise DataError(f"{self.pub_id}: duplicate author positions")
@@ -129,7 +141,10 @@ class CostVector:
 
     def __post_init__(self):
         costs = (self.fp_cost, self.ap_cost, self.rf_cost)
-        if not all(isinstance(v, Real) and 0 < v < math.inf for v in costs):
+        if not all(
+            isinstance(v, Real) and not isinstance(v, bool) and 0 < v < math.inf
+            for v in costs
+        ):
             raise DataError("all staff costs must be finite and strictly positive")
 
 

@@ -16,6 +16,11 @@ from .model import (
     staff_cost,
 )
 
+# A double carries at most 17 significant digits, and report.json keeps full
+# precision; a larger precision would only pad the tables (or, past 2**31,
+# fail in the formatter).
+MAX_REPORTING_PRECISION = 17
+
 
 @dataclass(frozen=True)
 class AssessmentConfig:
@@ -44,8 +49,10 @@ class AssessmentConfig:
             raise DataError("min_fraction_publishing must lie in [0, 1]")
         if self.min_active_universities < 0:
             raise DataError("min_active_universities must be >= 0")
-        if self.reporting_precision < 1:
-            raise DataError("reporting_precision must be at least 1 decimal")
+        if not 1 <= self.reporting_precision <= MAX_REPORTING_PRECISION:
+            raise DataError(
+                f"reporting_precision must lie in 1..{MAX_REPORTING_PRECISION} decimals"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,23 @@
-"""Independent oracles used to cross-check the DEA scores.
+"""Independent oracles used to cross-check the DEA scores and the ingest.
 
 The package computes the scores from the frontier geometry without solving
 any LP. The oracles here solve the envelopment LPs instead: by enumerating
 basic solutions of the standard form directly, or with HiGHS from scipy
 (a test-only dependency, imported on first use). The closed forms of the
 constant-returns geometry are kept as a further reference.
+
+``reference_ingest_ss`` scores a publications file row by row, the way
+ingest did before it read the file by columns and cached per distinct key.
 """
 
+import csv
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
+
+from bibdea import DataError, PublicationRecord, scientific_strength
 
 _FEAS_TOL = 1e-9
 
@@ -176,3 +183,69 @@ def integer_cost_triples(
                 ):
                     hits.append((fp, ap, candidate))
     return sorted(set(hits))
+
+
+def _parse_int(raw, path, line, column):
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise DataError(f"{path.name} line {line}: bad {column} value {raw!r}") from None
+
+
+def reference_ingest_ss(staff_keys, publications_path, medians):
+    """``(ss, publication_count)`` of a computed-mode ingest, row by row.
+
+    Every row becomes a validated ``PublicationRecord``, and
+    ``scientific_strength((record,), medians)`` is added to its staff row in
+    file order. Raises the same ``DataError`` as ingest on the first bad row,
+    then for unknown staff rows and uncovered (year, category) pairs.
+    """
+    path = Path(publications_path)
+    ss = dict.fromkeys(staff_keys, 0.0)
+    orphans, missing = set(), set()
+    count = 0
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        for row in reader:
+            line = reader.line_num
+            categories = tuple(c for c in row["categories"].split(";") if c)
+            positions = tuple(
+                _parse_int(p, path, line, "dmu_positions")
+                for p in row["dmu_positions"].split(";")
+                if p
+            )
+            flag = row["life_science"].strip()
+            if flag not in ("0", "1"):
+                raise DataError(f"{path.name} line {line}: life_science must be 0 or 1")
+            year = _parse_int(row["year"], path, line, "year")
+            citations = _parse_int(row["citations"], path, line, "citations")
+            total_authors = _parse_int(row["total_authors"], path, line, "total_authors")
+            try:
+                record = PublicationRecord(
+                    pub_id=row["pub_id"],
+                    year=year,
+                    citations=citations,
+                    categories=categories,
+                    total_authors=total_authors,
+                    dmu_author_positions=positions,
+                    life_science=flag == "1",
+                )
+            except DataError as exc:
+                raise DataError(f"{path.name} line {line}: {exc}") from None
+            count += 1
+            key = (row["dmu_id"], row["sds_id"])
+            if key not in ss:
+                orphans.add(key)
+            missing.update(
+                (record.year, c) for c in record.categories if not medians.covers(record.year, c)
+            )
+            if not (orphans or missing):
+                try:
+                    ss[key] += scientific_strength((record,), medians)
+                except DataError as exc:
+                    raise DataError(f"{path.name} line {line}: {exc}") from None
+    if orphans:
+        raise DataError(f"publications reference unknown staff rows: {sorted(orphans)}")
+    if missing:
+        raise DataError(f"median table does not cover: {sorted(missing)}")
+    return ss, count

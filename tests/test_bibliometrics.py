@@ -15,6 +15,7 @@ from bibdea import (
     scientific_strength,
     standardize_citations,
 )
+from bibdea.bibliometrics import citation_divisor, divide_citations
 
 MEDIANS = MedianTable(entries={(2005, "A"): 4.0, (2005, "B"): 6.0, (2005, "C"): 7.0})
 
@@ -46,6 +47,30 @@ class TestStandardizeCitations:
         table = MedianTable(entries={(2005, "Z"): 0.0})
         with pytest.raises(DataError):
             standardize_citations(8, 2005, ["Z"], table)
+
+    def test_divisor_step_defers_the_fallback_error_to_the_division(self):
+        table = MedianTable(
+            entries={(2005, "Z"): 0.0, (2005, "Y"): 0.0}, means={(2005, "Y"): 0.0}
+        )
+        for cell, message in ((["Z"], "no reference means"), (["Y"], "zero mean fallback")):
+            divisor = citation_divisor(2005, cell, table)
+            assert divide_citations(0, divisor, 2005, cell) == 0.0
+            with pytest.raises(DataError) as err:
+                divide_citations(8, divisor, 2005, cell)
+            assert message in str(err.value)
+
+    @given(
+        st.integers(min_value=0, max_value=500),
+        st.sampled_from([["A"], ["A", "B"], ["C", "B", "A"], ["Z"], ["Z", "Y"]]),
+    )
+    def test_two_steps_equal_standardize(self, citations, cell):
+        table = MedianTable(
+            entries={**MEDIANS.entries, (2005, "Z"): 0.0, (2005, "Y"): 0.0},
+            means={(2005, "Z"): 3.0, (2005, "Y"): 1.5},
+        )
+        divisor = citation_divisor(2005, cell, table)
+        expected = standardize_citations(citations, 2005, cell, table)
+        assert divide_citations(citations, divisor, 2005, cell).hex() == expected.hex()
 
     @given(st.integers(min_value=0, max_value=500), st.floats(min_value=0.5, max_value=50))
     def test_homogeneous_in_scale(self, citations, median):
@@ -120,8 +145,9 @@ class TestSchemeSelection:
     def test_dispatch_uses_record_flag(self):
         plain = PublicationRecord("p", 2005, 4, ("A",), 6, (1, 6), life_science=False)
         life = PublicationRecord("p", 2005, 4, ("A",), 6, (1, 6), life_science=True)
-        assert fractional_count(plain) == pytest.approx(2 / 6)
-        assert fractional_count(life) == pytest.approx(0.80)
+        for record, expected in ((plain, 2 / 6), (life, 0.80)):
+            fields = (record.total_authors, record.dmu_author_positions, record.life_science)
+            assert fractional_count(*fields) == pytest.approx(expected)
 
 
 class TestScientificStrength:
@@ -167,4 +193,4 @@ class TestScientificStrength:
         pub = PublicationRecord("p", 2005, 7, ("A",), 3, (1, 2))
         assert scientific_strength([pub], table) == standardize_citations(
             7, 2005, ("A",), table
-        ) * fractional_count(pub)
+        ) * fractional_count(3, (1, 2), False)

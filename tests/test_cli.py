@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibdea.cli import main
 from bibdea.io import CONFIG_ENV_VAR
@@ -277,3 +283,162 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+# --- malformed input, by property ---
+
+_CSV_BASE = {
+    "staff.csv": [
+        ["dmu_id", "sds_id", "fp_years", "ap_years", "rf_years", "ss"],
+        ["UnivA", "TEST/01", "1", "0", "0.5", "3.2"],
+        ["UnivB", "TEST/01", "0", "1", "0", "0.5"],
+    ],
+    "pubs.csv": [
+        ["pub_id", "dmu_id", "sds_id", "year", "citations", "categories",
+         "total_authors", "dmu_positions", "life_science"],
+        ["p1", "UnivA", "TEST/01", "2005", "10", "CatA", "1", "1", "0"],
+        ["p2", "UnivA", "TEST/01", "2005", "8", "CatA", "6", "1;6", "1"],
+        ["p3", "UnivB", "TEST/01", "2005", "6", "CatA;CatB", "4", "1;2", "0"],
+    ],
+    "medians.csv": [
+        ["year", "category", "median", "mean"],
+        ["2005", "CatA", "5", "6.5"],
+        ["2005", "CatB", "7", "8"],
+    ],
+}
+_REQUIRED = {
+    "staff.csv": {"dmu_id", "sds_id", "fp_years", "ap_years", "rf_years"},
+    "pubs.csv": set(_CSV_BASE["pubs.csv"][0]),
+    "medians.csv": {"year", "category", "median"},
+}
+_HUGE_INT = "1" + "0" * 400
+# Stands for a cell one character over the csv module's field limit; it is
+# expanded only when the file is written, to keep failure reports short.
+_OVERSIZED = "<oversized>"
+_BAD_FLOAT = ["abc", "nan", "inf", "-inf", "-1", "1e400"]
+_BAD_INT = ["abc", "nan", "inf", "-1", "1.5", "1e400", _HUGE_INT]
+_BAD_YEAR = ["", "abc", "nan", "inf", "1.5", "1e400"]
+# Cells by column, each with the values that its format rules out. A year
+# is a key: a negative or huge one is a valid key that the medians do not
+# cover, reported by pair rather than by file, so only unparsable years
+# are drawn. An empty dmu_positions or mean cell is valid.
+_BAD_CELLS = {
+    ("staff.csv", "fp_years"): [""] + _BAD_FLOAT,
+    ("staff.csv", "ap_years"): [""] + _BAD_FLOAT,
+    ("staff.csv", "rf_years"): [""] + _BAD_FLOAT,
+    ("staff.csv", "ss"): [""] + _BAD_FLOAT,
+    ("staff.csv", "dmu_id"): [""],
+    ("staff.csv", "sds_id"): [""],
+    ("pubs.csv", "year"): _BAD_YEAR,
+    ("pubs.csv", "citations"): [""] + _BAD_INT,
+    ("pubs.csv", "categories"): ["", ";"],
+    ("pubs.csv", "total_authors"): ["", "0"] + _BAD_INT,
+    ("pubs.csv", "dmu_positions"): ["0", "1;1"] + _BAD_INT,
+    ("pubs.csv", "life_science"): ["", "2", "true"] + _BAD_INT,
+    ("medians.csv", "year"): _BAD_YEAR,
+    ("medians.csv", "median"): [""] + _BAD_FLOAT,
+    ("medians.csv", "mean"): _BAD_FLOAT,
+}
+_WRONG_TYPE = ["true", "false", "null", '"0.5"', "[0.5]", "{}"]
+_BAD_CONFIG = {
+    "fp": _WRONG_TYPE + ["NaN", "Infinity", "-1", "0", "1e400"],
+    "ap": _WRONG_TYPE + ["NaN", "-Infinity", "-0.5", "1e400"],
+    "rf": _WRONG_TYPE + ["NaN", "Infinity", "-1", "1e400"],
+    "quadrant_threshold": _WRONG_TYPE + ["NaN", "Infinity", "-0.1", "1.5", "1e400"],
+    "min_fraction_publishing": _WRONG_TYPE + ["NaN", "-0.1", "2", "1e400"],
+    # a huge min_active_universities is a valid threshold that nothing meets
+    "min_active_universities": _WRONG_TYPE + ["2.5", "-1", "1e400"],
+    "reporting_precision": _WRONG_TYPE + ["2.5", "0", "-3", "18", "1e400", _HUGE_INT],
+    "census_date": ["1", "true", "null", "[]", "{}"],
+}
+_CONFIG_BASE = {
+    "fp": "111.7",
+    "ap": "79.7",
+    "rf": "56.65",
+    "quadrant_threshold": "0.5",
+    "min_fraction_publishing": "0.5",
+    "min_active_universities": "24",
+    "reporting_precision": "3",
+    "census_date": '"2009-06-30"',
+}
+
+
+def _config_text(values: dict) -> str:
+    costs = ", ".join(f'"{k}": {values[k]}' for k in ("fp", "ap", "rf"))
+    rest = ", ".join(f'"{k}": {v}' for k, v in values.items() if k not in ("fp", "ap", "rf"))
+    return f'{{"costs": {{{costs}}}, {rest}}}\n'
+
+
+@st.composite
+def _malformed_inputs(draw):
+    """A valid input set with one fault, and the name of the faulty file."""
+    tables = {name: [list(row) for row in rows] for name, rows in _CSV_BASE.items()}
+    if draw(st.booleans()):  # computed mode: no ss column
+        tables["staff.csv"] = [row[:-1] for row in tables["staff.csv"]]
+    config = dict(_CONFIG_BASE)
+    names = sorted(tables) + ["cfg.json"]
+    target = draw(st.sampled_from(names))
+    kinds = ["undecodable"] + (
+        ["value", "truncated"] if target == "cfg.json"
+        else ["value", "missing column", "truncated row", "oversized cell"]
+    )
+    kind = draw(st.sampled_from(kinds))
+    if target == "cfg.json" and kind == "value":
+        key = draw(st.sampled_from(sorted(_BAD_CONFIG)))
+        config[key] = draw(st.sampled_from(_BAD_CONFIG[key]))
+    elif target != "cfg.json":
+        rows = tables[target]
+        header = rows[0]
+        if kind == "value":
+            columns = [c for c in header if (target, c) in _BAD_CELLS]
+            column = draw(st.sampled_from(columns))
+            row = draw(st.integers(1, len(rows) - 1))
+            rows[row][header.index(column)] = draw(st.sampled_from(_BAD_CELLS[target, column]))
+        elif kind == "missing column":
+            index = header.index(draw(st.sampled_from(sorted(_REQUIRED[target] & set(header)))))
+            for row in rows:
+                del row[index]
+        elif kind == "truncated row":
+            row = draw(st.integers(1, len(rows) - 1))
+            rows[row] = rows[row][: draw(st.integers(1, len(header) - 1))]
+        elif kind == "oversized cell":
+            row = draw(st.integers(1, len(rows) - 1))
+            rows[row][draw(st.integers(0, len(header) - 1))] = _OVERSIZED
+    files = {name: "".join(",".join(row) + "\n" for row in rows).encode()
+             for name, rows in tables.items()}
+    files["cfg.json"] = _config_text(config).encode()
+    if kind == "undecodable":
+        data = files[target]
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3(", b"\x80abc"]))
+        files[target] = data[:at] + bad + data[at:]
+    elif kind == "truncated":
+        files[target] = files[target][: draw(st.integers(0, len(files[target]) - 2))]
+    return files, target
+
+
+@settings(max_examples=150, deadline=None)
+@given(_malformed_inputs())
+def test_malformed_input_exits_1_naming_the_file(case):
+    files, target = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in files.items():
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "wb") as fh:
+                fh.write(data.replace(_OVERSIZED.encode(), b"7" * 131073))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(
+                [
+                    "validate",
+                    "--staff", paths["staff.csv"],
+                    "--publications", paths["pubs.csv"],
+                    "--medians", paths["medians.csv"],
+                    "--config", paths["cfg.json"],
+                ]
+            )
+    message = err.getvalue()
+    assert code == 1, message
+    assert target in message
+    assert "Traceback" not in message

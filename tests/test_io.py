@@ -1,5 +1,6 @@
 import csv
 import json
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from bibdea import (
 from bibdea.io import CONFIG_ENV_VAR
 
 from benchmarks import PHARM_CHEM
+from oracles import reference_ingest_ss
 
 
 def write_csv(path, header, rows):
@@ -172,6 +174,189 @@ class TestIngest:
             ingest(tmp_path / "nope.csv")
 
 
+class TestMalformedCsv:
+    """Structural faults in any input CSV are data errors naming file and line."""
+
+    FILES = {
+        "staff": ("lab_staff.csv", "UnivC,TEST/01,1,0,0\n"),
+        "publications": ("lab_pubs.csv", "p4,UnivB,TEST/01,2005,1,CatA,1,1,0\n"),
+        "medians": ("lab_medians.csv", "2006,CatA,5\n"),
+    }
+
+    def _ingest(self, tmp_path, fixtures_dir, role, extra: bytes):
+        paths = {}
+        for name, (fixture, _) in self.FILES.items():
+            paths[name] = tmp_path / fixture
+            paths[name].write_bytes((fixtures_dir / fixture).read_bytes())
+        with open(paths[role], "ab") as fh:
+            fh.write(extra)
+        return ingest(paths["staff"], paths["publications"], paths["medians"])
+
+    @pytest.mark.parametrize("role", sorted(FILES))
+    def test_valid_extra_row_is_accepted(self, tmp_path, fixtures_dir, role):
+        row = self.FILES[role][1]
+        self._ingest(tmp_path, fixtures_dir, role, b"\n" + row.encode())
+
+    @staticmethod
+    def _fault(kind: str, row: str) -> tuple[bytes, str]:
+        """The row with the fault, and the message that names it."""
+        if kind == "short row":
+            return (",".join(row.split(",")[:2]) + "\n").encode(), "2 cells, header has"
+        if kind == "undecodable":
+            return b"\xff" + row.encode(), "not UTF-8"
+        cells = row.rstrip("\n").split(",")
+        cells[-1] = "9" * (csv.field_size_limit() + 1)
+        return (",".join(cells) + "\n").encode(), "field larger than field limit"
+
+    @pytest.mark.parametrize("kind", ["short row", "undecodable", "oversized cell"])
+    @pytest.mark.parametrize("role", sorted(FILES))
+    def test_fault_names_file_and_line(self, tmp_path, fixtures_dir, role, kind):
+        fixture, row = self.FILES[role]
+        extra, message = self._fault(kind, row)
+        with pytest.raises(DataError) as err:
+            self._ingest(tmp_path, fixtures_dir, role, extra)
+        line = (fixtures_dir / fixture).read_text().count("\n") + 1
+        assert f"{fixture} line {line}: {message}" in str(err.value)
+        assert csv.field_size_limit() == 131072
+
+    def test_extra_cells_and_blank_lines_are_ignored(self, tmp_path, fixtures_dir):
+        rows = "\n".join(
+            ["p4,UnivB,TEST/01,2005,1,CatA,1,1,0,extra", "", "p5,UnivB,TEST/01,2005,0,CatA,1,1,0"]
+        )
+        dataset = self._ingest(tmp_path, fixtures_dir, "publications", rows.encode() + b"\n")
+        assert dataset.publication_count == 5
+
+    def test_repeated_column_name_reads_the_last_cell(self, tmp_path):
+        staff = tmp_path / "staff.csv"
+        staff.write_text(
+            "dmu_id,sds_id,fp_years,ap_years,rf_years,ss,ss\nU,S,1,0,0,bad,2.5\n"
+        )
+        assert ingest(staff).ss[("U", "S")] == 2.5
+
+
+def _synthetic_census(rng, out):
+    """Small computed-mode input files covering every case that ingest caches.
+
+    Few units, years and categories, so units, (year, categories) cells and
+    bylines repeat. Each year has a zero median with a positive mean, one
+    with a zero mean and one without a mean, and each of these is the cell
+    of at least one publication (cells without a usable divisor only get
+    uncited ones). Also multi-category cells in file order, life-science
+    bylines of 1-3 authors, and staff rows without publications.
+    """
+    years, cats = (2004, 2005), [f"C{i}" for i in range(5)]
+    medians, means = {}, {}
+    for year in years:
+        kinds = ["plain", "plain", "zero_mean", "zero_zero_mean", "zero_no_mean"]
+        rng.shuffle(kinds)
+        for cat, kind in zip(cats, kinds):
+            medians[year, cat] = rng.choice((0.5, 1.5, 4.0, 7.5)) if kind == "plain" else 0.0
+            if kind == "zero_mean" or kind == "plain" and rng.random() < 0.5:
+                means[year, cat] = rng.choice((1.25, 3.3, 9.1))
+            elif kind == "zero_zero_mean":
+                means[year, cat] = 0.0
+    units = [(f"U{i}", f"S/0{i % 2}") for i in range(8)]
+    published = units[:6]
+    cells = [(year, [cat]) for year, cat in medians if medians[year, cat] == 0]
+    cells += [(rng.choice(years), rng.sample(cats, rng.randint(1, 3))) for _ in range(300)]
+    pubs = []
+    for n, (year, cell) in enumerate(cells):
+        life = rng.random() < 0.5
+        authors = rng.randint(1, 3) if life and rng.random() < 0.7 else rng.randint(1, 8)
+        positions = rng.sample(range(1, authors + 1), rng.randint(0, min(3, authors)))
+        fallback = [means.get((year, c)) for c in cell]
+        usable = sum(medians[year, c] for c in cell) > 0 or (
+            None not in fallback and sum(fallback) > 0
+        )
+        citations = rng.choice((1, 3, 12, 40)) if usable else 0
+        dmu, sds = rng.choice(published)
+        pubs.append(
+            [f"P{n}", dmu, sds, year, citations, ";".join(cell), authors,
+             ";".join(map(str, positions)), int(life)]
+        )
+    write_csv(out / "staff.csv", STAFF_HEADER, [[d, s, 1, 2, 0.5] for d, s in units])
+    write_csv(out / "pubs.csv", PUB_HEADER, pubs)
+    write_csv(
+        out / "medians.csv",
+        ["year", "category", "median", "mean"],
+        [[y, c, m, means.get((y, c), "")] for (y, c), m in medians.items()],
+    )
+    return out / "staff.csv", out / "pubs.csv", out / "medians.csv"
+
+
+def _outcome(run):
+    """``("ok", {key: ss.hex()}, publication_count)`` or ``("error", message)``."""
+    try:
+        ss, count = run()
+    except DataError as exc:
+        return ("error", str(exc))
+    return ("ok", {key: value.hex() for key, value in ss.items()}, count)
+
+
+def _both_outcomes(staff, pubs, medians_path):
+    with open(staff, newline="", encoding="utf-8") as fh:
+        staff_keys = [(r["dmu_id"], r["sds_id"]) for r in csv.DictReader(fh)]
+    with open(medians_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    table = MedianTable(
+        entries={(int(r["year"]), r["category"]): float(r["median"]) for r in rows},
+        means={(int(r["year"]), r["category"]): float(r["mean"]) for r in rows if r["mean"]},
+    )
+
+    def columnar():
+        dataset = ingest(staff, pubs, medians_path)
+        return dataset.ss, dataset.publication_count
+
+    return _outcome(columnar), _outcome(lambda: reference_ingest_ss(staff_keys, pubs, table))
+
+
+class TestColumnarIngestOracle:
+    """``ingest`` against a row-by-row copy of the loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ss_is_bit_identical(self, tmp_path, seed):
+        staff, pubs, medians = _synthetic_census(random.Random(seed), tmp_path)
+        columnar, reference = _both_outcomes(staff, pubs, medians)
+        assert columnar == reference
+        assert columnar[0] == "ok" and columnar[2] == 306
+        assert columnar[1][("U7", "S/01")] == (0.0).hex()  # unpublished
+
+    CORRUPTIONS = {
+        "pub_id": ["", "P0"],
+        "dmu_id": ["Ghost", "U7"],
+        "year": ["2006", "20x5", "", "2004"],
+        "citations": ["0", "5", "-3", "x", "", "40"],
+        "categories": ["", "C1;C9", "C0;C0", ";C1", "C4;C3"],
+        "total_authors": ["0", "1", "2", "20", "x"],
+        "dmu_positions": ["", "1;1", "9", "0", "2;1", "x"],
+        "life_science": ["1", "0", "2", ""],
+        "median": ["0", "3.5"],
+        "mean": ["", "0", "2.2"],
+    }
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_single_cell_corruptions_fail_alike(self, tmp_path, seed):
+        rng = random.Random(f"corrupt:{seed}")
+        staff, pubs, medians = _synthetic_census(rng, tmp_path)
+        clean = {path: path.read_text() for path in (pubs, medians)}
+        errors = 0
+        for _ in range(40):
+            column = rng.choice(sorted(self.CORRUPTIONS))
+            path = medians if column in ("median", "mean") else pubs
+            lines = clean[path].splitlines()
+            header = lines[0].split(",")
+            row = rng.randrange(1, len(lines))
+            cells = lines[row].split(",")
+            cells[header.index(column)] = rng.choice(self.CORRUPTIONS[column])
+            lines[row] = ",".join(cells)
+            path.write_text("\n".join(lines) + "\n")
+            columnar, reference = _both_outcomes(staff, pubs, medians)
+            assert columnar == reference, (column, lines[row])
+            errors += columnar[0] == "error"
+            path.write_text(clean[path])
+        assert errors >= 10
+
+
 class TestMedianTableBuilder:
     def test_even_count_midpoint(self):
         table = build_median_table(
@@ -239,6 +424,29 @@ class TestLoadConfig:
     def test_precision_floor(self):
         with pytest.raises(DataError):
             AssessmentConfig(reporting_precision=0)
+
+    @pytest.mark.parametrize("precision", [18, 2**31])
+    def test_precision_ceiling(self, precision):
+        # past 2**31 the formatter itself fails, in emit
+        with pytest.raises(DataError):
+            AssessmentConfig(reporting_precision=precision)
+        AssessmentConfig(reporting_precision=17)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"census_date": "\xff"}', "cfg.json line 1: not UTF-8"),
+            (b'{"reporting_precision": 1' + b"0" * 5000 + b"}", "cfg.json: invalid JSON"),
+            (b"[" * 100_000, "cfg.json: invalid JSON"),
+        ],
+        ids=["undecodable", "past_int_digit_limit", "past_recursion_limit"],
+    )
+    def test_unreadable_json_is_a_data_error(self, tmp_path, content, message):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        with pytest.raises(DataError) as err:
+            load_config(path)
+        assert message in str(err.value)
 
     @pytest.mark.parametrize(
         "field, value",

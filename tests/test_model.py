@@ -18,6 +18,8 @@ from bibdea import (
     validate_dataset,
 )
 
+from bibdea.model import MAX_AUTHORS
+
 from benchmarks import COST_RECONSTRUCTIONS
 from oracles import integer_cost_triples
 
@@ -78,7 +80,7 @@ class TestDomainTypes:
         with pytest.raises(DataError):
             dmu(fp=1, ap=bad)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x", None])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x", None, True])
     def test_cost_vector_must_be_finite_numbers(self, bad):
         with pytest.raises(DataError):
             CostVector(fp_cost=bad)
@@ -98,6 +100,17 @@ class TestDomainTypes:
     def test_publication_negative_citations(self):
         with pytest.raises(DataError):
             PublicationRecord("p", 2005, -1, ("A",), total_authors=1)
+
+    def test_publication_citations_must_fit_a_float(self):
+        with pytest.raises(DataError) as err:
+            PublicationRecord("p", 2005, 10**400, ("A",), total_authors=1)
+        assert "citations too large" in str(err.value)
+
+    def test_publication_byline_length_is_bounded(self):
+        PublicationRecord("p", 2005, 3, ("A",), total_authors=MAX_AUTHORS)
+        with pytest.raises(DataError) as err:
+            PublicationRecord("p", 2005, 3, ("A",), total_authors=MAX_AUTHORS + 1)
+        assert f"at most {MAX_AUTHORS}" in str(err.value)
 
     def test_median_table_rejects_negative(self):
         with pytest.raises(DataError):
