@@ -321,6 +321,30 @@ class TestColumnarIngestOracle:
         assert columnar[0] == "ok" and columnar[2] == 306
         assert columnar[1][("U7", "S/01")] == (0.0).hex()  # unpublished
 
+    def test_records_are_built_only_for_new_cells_and_bylines(self, tmp_path, monkeypatch):
+        import bibdea.io
+
+        staff, pubs, medians = _synthetic_census(random.Random(0), tmp_path)
+        built = []
+
+        def counting_record(**fields):
+            built.append(fields["pub_id"])
+            return PublicationRecord(**fields)
+
+        monkeypatch.setattr(bibdea.io, "PublicationRecord", counting_record)
+        ingest(staff, pubs, medians)
+        cells, bylines, expected = set(), set(), []
+        with open(pubs, newline="", encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                cell = (row["year"], row["categories"])
+                byline = (row["total_authors"], row["dmu_positions"], row["life_science"])
+                if cell not in cells or byline not in bylines:
+                    expected.append(row["pub_id"])
+                cells.add(cell)
+                bylines.add(byline)
+        assert built == expected
+        assert len(built) < 306
+
     CORRUPTIONS = {
         "pub_id": ["", "P0"],
         "dmu_id": ["Ghost", "U7"],
