@@ -100,6 +100,12 @@ def _technical(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         r = c[s : s + _BLOCK] / (z @ v[s : s + _BLOCK].T)
         u, f = np.nonzero((r >= ratio[:, None] * (1 - _TOL)) & (best_low[:, None] < -_TOL))
         t = triples[s + f]
+        # A triple with two points a few ulps apart, such as a unit and a
+        # scaled copy of it, is (near) singular. Skip it: the facets through
+        # those points have well-conditioned triples too.
+        g = gens[t]
+        solvable = np.abs(np.linalg.det(g)) > _TOL * np.linalg.norm(g, axis=2).prod(axis=1)
+        u, f, t = u[solvable], f[solvable], t[solvable]
         w = np.linalg.solve(gens[t].transpose(0, 2, 1), (r[u, f, None] * z[u])[..., None])[..., 0]
         low = w.min(axis=1)
         order = np.lexsort((-low, u))

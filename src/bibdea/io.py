@@ -30,11 +30,14 @@ Emission is deterministic: identical inputs produce byte-identical output.
 
 import contextlib
 import csv
+import dataclasses
 import json
 import math
+import operator
 import os
 import re
 import statistics
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
@@ -48,7 +51,7 @@ from .model import (
     MedianTable,
     PublicationRecord,
 )
-from .report import AssessmentConfig, AssessmentReport, SdsResult
+from .report import AssessmentConfig, AssessmentReport, ScoreRow, SdsResult
 
 CONFIG_ENV_VAR = "BIBDEA_CONFIG"
 
@@ -210,16 +213,17 @@ def _scan_publications(
     """Validate the publications file; with ``ss``, also add each row's
     contribution to its staff row's SS, in file order.
 
-    Returns the row count, the keys without a staff row and the (year,
-    category) pairs the medians do not cover. A row whose (year, categories)
-    cell or byline is new, or whose citations are not a valid count, is
-    validated in full as a ``PublicationRecord``, so the first bad row
-    raises what a row-by-row check would.
+    Returns the row count. A row whose (year, categories) cell or byline is
+    new, or whose citations are not a valid count, is validated in full as
+    a ``PublicationRecord``, so the first bad row raises what a row-by-row
+    check would. The row whose contribution makes its unit's SS overflow is
+    an error. After the file, keys without a staff row and (year, category)
+    pairs the medians do not cover are an error naming each one's first line.
     """
     cells: dict[tuple[str, str], tuple] = {}  # -> (divisor, year, categories)
     bylines: dict[tuple[str, str, str], float] = {}  # -> fractional count
-    orphans: set[tuple[str, str]] = set()
-    missing: set[tuple[int, str]] = set()
+    orphans: dict[tuple[str, str], int] = {}  # -> first line
+    missing: dict[tuple[int, str], int] = {}  # -> first line
     count = 0
     with _open_csv(path, _PUB_COLUMNS) as (reader, column):
         i_dmu, i_sds, i_year, i_cit, i_cat, i_authors, i_pos, i_life = (
@@ -237,7 +241,9 @@ def _scan_publications(
             if cell is None or share is None or not 0 <= citations <= MAX_CITATIONS:
                 record = _parse_publication(row, column, path, line)
                 if cell is None:
-                    cell = cells[row[i_year], row[i_cat]] = _cell_entry(record, medians, missing)
+                    cell = cells[row[i_year], row[i_cat]] = _cell_entry(
+                        record, medians, missing, line
+                    )
                 if share is None:
                     share = bylines[row[i_authors], row[i_pos], row[i_life]] = (
                         fractional_count(
@@ -247,25 +253,41 @@ def _scan_publications(
                         )
                     )
             if key not in staff:
-                orphans.add(key)
+                orphans.setdefault(key, line)
             # Once a row is orphaned or uncovered, ingest fails with that
             # error after the file, so scoring stops.
             if ss is not None and not (orphans or missing):
                 try:
-                    ss[key] += divide_citations(citations, *cell) * share
+                    total = ss[key] + divide_citations(citations, *cell) * share
                 except DataError as exc:
                     raise DataError(f"{path.name} line {line}: {exc}") from None
-    return count, orphans, missing
+                if not total < math.inf:
+                    raise DataError(
+                        f"{path.name} line {line}: scientific strength of {key} "
+                        "overflows a float"
+                    )
+                ss[key] = total
+    for found, message in (
+        (orphans, "publications reference unknown staff rows"),
+        (missing, "median table does not cover"),
+    ):
+        if found:
+            located = (f"{key} at {path.name} line {line}" for key, line in sorted(found.items()))
+            raise DataError(f"{message}: {'; '.join(located)}")
+    return count
 
 
-def _cell_entry(record: PublicationRecord, medians: MedianTable | None, missing: set) -> tuple:
+def _cell_entry(
+    record: PublicationRecord, medians: MedianTable | None, missing: dict, line: int
+) -> tuple:
     """``(divisor, year, categories)`` of a record's (year, categories) cell,
-    noting its uncovered pairs in ``missing``."""
+    noting its uncovered pairs in ``missing`` at ``line`` unless seen before."""
     year, categories = record.year, record.categories
     if medians is None:
         return None, year, categories
     uncovered = [(year, c) for c in categories if not medians.covers(year, c)]
-    missing.update(uncovered)
+    for pair in uncovered:
+        missing.setdefault(pair, line)
     divisor = None if uncovered else citation_divisor(year, categories, medians)
     return divisor, year, categories
 
@@ -302,7 +324,8 @@ def ingest(
 
     Referential checks: every publication's (dmu_id, sds_id) must match a
     staff row, and the median table must cover every (year, category) pair
-    occurring in the publications.
+    occurring in the publications. Their errors name the first line of each
+    unknown key and uncovered pair.
     """
     staff, ss = _read_staff(Path(staff_path))
     medians = _read_medians(Path(medians_path)) if medians_path else None
@@ -319,13 +342,9 @@ def ingest(
 
     publication_count = 0
     if publications_path:
-        publication_count, orphans, missing = _scan_publications(
+        publication_count = _scan_publications(
             Path(publications_path), staff, medians, ss if ss_mode == "computed" else None
         )
-        if orphans:
-            raise DataError(f"publications reference unknown staff rows: {sorted(orphans)}")
-        if missing:
-            raise DataError(f"median table does not cover: {sorted(missing)}")
 
     return AssessmentDataset(
         staff=staff, ss=ss, ss_mode=ss_mode, publication_count=publication_count
@@ -430,14 +449,112 @@ def emit(
     written: list[Path] = []
     if "json" in formats:
         path = out / "report.json"
-        payload = json.dumps(report.to_dict(), sort_keys=True, indent=2)
-        path.write_text(payload + "\n", encoding="utf-8")
+        path.write_text(_report_json(report), encoding="utf-8")
         written.append(path)
     if "csv" in formats:
         written.extend(_emit_csv(report, out))
     if "svg" in formats:
         written.extend(_emit_svg(report, out))
     return written
+
+
+# report.json is the report's fields as ``json.dumps(..., sort_keys=True,
+# indent=2)`` lays them out, byte for byte. The stdlib encodes indented JSON
+# in pure Python, so the layout is written here directly: each score row
+# once, from a template of its sorted field names, and the rest through a
+# short generic writer.
+
+_ROW_FIELDS = tuple(sorted(f.name for f in dataclasses.fields(ScoreRow)))
+_row_values = operator.attrgetter(*_ROW_FIELDS)
+# Score rows sit at the same depth under "sds" and under "institutions".
+_ROW_TEMPLATE = (
+    "{\n" + ",\n".join(f'          "{name}": %s' for name in _ROW_FIELDS) + "\n        }"
+)
+
+
+class _Encoded(str):
+    """JSON text already laid out for its place in the document."""
+
+
+def _json_scalar(value) -> str:
+    """A string, number, boolean or None as ``json.dumps`` writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _json(value, indent: str) -> str:
+    """``value`` laid out as ``json.dumps(value, sort_keys=True, indent=2)``
+    does at the nesting depth ``indent``. A dataclass stands for the dict of
+    its fields, and :class:`_Encoded` text is taken as it is."""
+    if isinstance(value, _Encoded):
+        return value
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            f"{inner}{encode_basestring_ascii(key)}: {_json(item, inner)}"
+            for key, item in sorted(value.items())
+        )
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = (inner + _json(item, inner) for item in value)
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return _json_scalar(value)
+
+
+def _report_json(report: AssessmentReport) -> str:
+    """The text of report.json; institutions repeat their SDS rows' text."""
+    rows: dict[int, _Encoded] = {}
+
+    def encoded(row: ScoreRow) -> _Encoded:
+        if id(row) not in rows:
+            rows[id(row)] = _Encoded(_ROW_TEMPLATE % tuple(map(_json_scalar, _row_values(row))))
+        return rows[id(row)]
+
+    document = {
+        "ss_mode": report.ss_mode,
+        "census_date": report.census_date,
+        "quadrant_threshold": report.quadrant_threshold,
+        "reporting_precision": report.reporting_precision,
+        "eligibility": report.eligibility,
+        "sds": {
+            sds_id: {
+                "rows": [encoded(row) for row in res.rows],
+                "histograms": res.histograms,
+                "quadrants": res.quadrants,
+            }
+            for sds_id, res in report.sds_results.items()
+        },
+        "institutions": [
+            {
+                "dmu_id": inst.dmu_id,
+                "rows": [encoded(row) for row in inst.rows],
+                "aggregate": inst.aggregate,
+            }
+            for inst in report.institutions
+        ],
+    }
+    return _json(document, "") + "\n"
 
 
 _SCORE_HEADER = (

@@ -209,12 +209,6 @@ class SdsDataset:
     def ss_values(self) -> list[float]:
         return [ss for _, ss in self.members]
 
-    def index_of(self, dmu_id: str) -> int:
-        for i, (dmu, _) in enumerate(self.members):
-            if dmu.dmu_id == dmu_id:
-                return i
-        raise KeyError(dmu_id)
-
 
 def staff_cost(dmu: DmuInput, costs: CostVector = DEFAULT_COSTS) -> float:
     """Total cost of the unit's staff-years in k EUR."""

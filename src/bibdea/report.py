@@ -1,6 +1,7 @@
 """Assessment configuration, the report structure, and the pipeline driver."""
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -116,38 +117,11 @@ class AssessmentReport:
                 return inst
         raise DataError(f"no assessed institution {dmu_id!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "ss_mode": self.ss_mode,
-            "census_date": self.census_date,
-            "quadrant_threshold": self.quadrant_threshold,
-            "reporting_precision": self.reporting_precision,
-            "eligibility": [dataclasses.asdict(e) for e in self.eligibility],
-            "sds": {
-                sds_id: {
-                    "rows": [dataclasses.asdict(r) for r in res.rows],
-                    "histograms": {
-                        key: dataclasses.asdict(h) for key, h in sorted(res.histograms.items())
-                    },
-                    "quadrants": dataclasses.asdict(res.quadrants),
-                }
-                for sds_id, res in sorted(self.sds_results.items())
-            },
-            "institutions": [
-                {
-                    "dmu_id": inst.dmu_id,
-                    "rows": [dataclasses.asdict(r) for r in inst.rows],
-                    "aggregate": dataclasses.asdict(inst.aggregate),
-                }
-                for inst in self.institutions
-            ],
-        }
-
 
 def _percentiles(values: list[float]) -> list[float | None]:
     if len(values) < 2:
         return [None] * len(values)
-    return [p.r_pct for p in analytics.percentile_scores(values)]
+    return analytics.percentile_ranks(values)
 
 
 def run_assessment(
@@ -189,6 +163,11 @@ def run_assessment(
         )
         if not included:
             continue
+        costs = [staff_cost(dmu, config.costs) for dmu, _ in sds.members]
+        for (dmu, _), cost in zip(sds.members, costs):
+            # an infinite weight would turn the institution aggregates into NaN
+            if not cost < math.inf:
+                raise DataError(f"{sds_id}/{dmu.dmu_id}: staff cost overflows a float")
         scores = evaluate_sds(sds, config.costs)
         te_pct = _percentiles([scores[d].te for d in sds.dmu_ids()])
         ae_pct = _percentiles([scores[d].ae for d in sds.dmu_ids()])
@@ -207,7 +186,7 @@ def run_assessment(
                     te=s.te,
                     ae=s.ae,
                     ce=s.ce,
-                    staff_cost=staff_cost(dmu, config.costs),
+                    staff_cost=costs[i],
                     ss_per_staff_year=analytics.productivity_ratio(ss, dmu),
                     te_pct=te_pct[i],
                     ae_pct=ae_pct[i],
@@ -258,15 +237,13 @@ def _institution_results(
     # Percentile-rank each institution's aggregates against all institutions.
     results = []
     if len(aggregates) >= 2:
-        te_all = [agg.te for _, agg in aggregates.values()]
-        ae_all = [agg.ae for _, agg in aggregates.values()]
-        ce_all = [agg.ce for _, agg in aggregates.values()]
-        for dmu_id, (rows, agg) in aggregates.items():
+        te_pct, ae_pct, ce_pct = (
+            analytics.percentile_ranks([getattr(agg, key) for _, agg in aggregates.values()])
+            for key in ("te", "ae", "ce")
+        )
+        for i, (dmu_id, (rows, agg)) in enumerate(aggregates.items()):
             ranked = dataclasses.replace(
-                agg,
-                te_pct=analytics.percentile_rank(te_all, agg.te),
-                ae_pct=analytics.percentile_rank(ae_all, agg.ae),
-                ce_pct=analytics.percentile_rank(ce_all, agg.ce),
+                agg, te_pct=te_pct[i], ae_pct=ae_pct[i], ce_pct=ce_pct[i]
             )
             results.append(InstitutionResult(dmu_id=dmu_id, rows=rows, aggregate=ranked))
     else:

@@ -12,7 +12,7 @@ its first 22 rows only; the source table's average row is internally
 inconsistent (see the aggregation tests).
 """
 
-from bibdea import DmuInput, SdsDataset
+from bibdea import DmuInput, EfficiencyScores, SdsDataset
 
 PHARM_CHEM_SDS = "CHIM/08"
 
@@ -126,3 +126,11 @@ def pharm_chem_dataset() -> SdsDataset:
         for name, ss, fp, ap, rf, _te, _ae, _ce in PHARM_CHEM
     )
     return SdsDataset(sds_id=PHARM_CHEM_SDS, members=members)
+
+
+def pharm_chem_printed_scores() -> dict[str, EfficiencyScores]:
+    """The printed te and ae of every PHARM_CHEM unit, with ce = te * ae."""
+    return {
+        name: EfficiencyScores(te=te, ae=ae, ce=te * ae)
+        for name, _ss, _fp, _ap, _rf, te, ae, _ce in PHARM_CHEM
+    }

@@ -8,10 +8,13 @@ constant-returns geometry are kept as a further reference.
 
 ``reference_ingest_ss`` scores a publications file row by row, the way
 ingest did before it read the file by columns and cached per distinct key.
+``reference_report_json`` is report.json as the standard library encodes it.
 """
 
 import csv
+import dataclasses
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -197,12 +200,13 @@ def reference_ingest_ss(staff_keys, publications_path, medians):
 
     Every row becomes a validated ``PublicationRecord``, and
     ``scientific_strength((record,), medians)`` is added to its staff row in
-    file order. Raises the same ``DataError`` as ingest on the first bad row,
-    then for unknown staff rows and uncovered (year, category) pairs.
+    file order. Raises the same ``DataError`` as ingest on the first bad row
+    or SS overflow, then for unknown staff rows and uncovered (year, category)
+    pairs, each named with the first line that has it.
     """
     path = Path(publications_path)
     ss = dict.fromkeys(staff_keys, 0.0)
-    orphans, missing = set(), set()
+    orphans, missing = {}, {}
     count = 0
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -235,17 +239,56 @@ def reference_ingest_ss(staff_keys, publications_path, medians):
             count += 1
             key = (row["dmu_id"], row["sds_id"])
             if key not in ss:
-                orphans.add(key)
-            missing.update(
-                (record.year, c) for c in record.categories if not medians.covers(record.year, c)
-            )
+                orphans.setdefault(key, line)
+            for c in record.categories:
+                if not medians.covers(record.year, c):
+                    missing.setdefault((record.year, c), line)
             if not (orphans or missing):
                 try:
                     ss[key] += scientific_strength((record,), medians)
                 except DataError as exc:
                     raise DataError(f"{path.name} line {line}: {exc}") from None
-    if orphans:
-        raise DataError(f"publications reference unknown staff rows: {sorted(orphans)}")
-    if missing:
-        raise DataError(f"median table does not cover: {sorted(missing)}")
+                if not math.isfinite(ss[key]):
+                    raise DataError(
+                        f"{path.name} line {line}: scientific strength of {key} "
+                        "overflows a float"
+                    )
+    for found, message in (
+        (orphans, "publications reference unknown staff rows"),
+        (missing, "median table does not cover"),
+    ):
+        if found:
+            located = [f"{key} at {path.name} line {line}" for key, line in sorted(found.items())]
+            raise DataError(f"{message}: {'; '.join(located)}")
     return ss, count
+
+
+def reference_report_json(report) -> str:
+    """report.json's text: the report's fields through ``dataclasses.asdict``
+    and the standard library's indented, key-sorted encoder."""
+    document = {
+        "ss_mode": report.ss_mode,
+        "census_date": report.census_date,
+        "quadrant_threshold": report.quadrant_threshold,
+        "reporting_precision": report.reporting_precision,
+        "eligibility": [dataclasses.asdict(e) for e in report.eligibility],
+        "sds": {
+            sds_id: {
+                "rows": [dataclasses.asdict(r) for r in res.rows],
+                "histograms": {
+                    key: dataclasses.asdict(h) for key, h in sorted(res.histograms.items())
+                },
+                "quadrants": dataclasses.asdict(res.quadrants),
+            }
+            for sds_id, res in sorted(report.sds_results.items())
+        },
+        "institutions": [
+            {
+                "dmu_id": inst.dmu_id,
+                "rows": [dataclasses.asdict(r) for r in inst.rows],
+                "aggregate": dataclasses.asdict(inst.aggregate),
+            }
+            for inst in report.institutions
+        ],
+    }
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"

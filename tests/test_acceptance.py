@@ -40,6 +40,7 @@ from benchmarks import (
     SMALL_UNIVERSITY,
     SMALL_UNIVERSITY_AVERAGE,
     pharm_chem_dataset,
+    pharm_chem_printed_scores,
 )
 from oracles import ce_by_enumeration, ce_closed_form, integer_cost_triples, te_by_enumeration
 
@@ -80,7 +81,7 @@ def test_criterion_2_ce_spot_checks(pharm_chem, pharm_chem_scores):
     prices = np.array([DEFAULT_COSTS.fp_cost, DEFAULT_COSTS.ap_cost, DEFAULT_COSTS.rf_cost])
     expected = {"Piemonte Orientale Avogadro": 0.948, "Bologna": 0.945, "Ferrara": 1.000}
     for name, printed in expected.items():
-        i = pharm_chem.index_of(name)
+        i = pharm_chem.dmu_ids().index(name)
         oracle = ce_closed_form(i, inputs, outputs, prices)
         got = pharm_chem_scores[name].ce
         assert got == pytest.approx(oracle, abs=0.002), f"{name} vs oracle"
@@ -112,8 +113,7 @@ def test_criterion_4_distributions(pharm_chem_scores):
 
 @criterion(5, "efficiency-matrix quadrants")
 def test_criterion_5_quadrants():
-    printed = {row[0]: (row[5], row[6]) for row in PHARM_CHEM}
-    q = efficiency_matrix(printed, threshold=0.5)
+    q = efficiency_matrix(pharm_chem_printed_scores(), threshold=0.5)
     assert (q.both_low, q.high_ae_low_te, q.both_high, q.high_te_low_ae) == (1, 14, 13, 0)
 
 

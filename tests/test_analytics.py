@@ -1,27 +1,39 @@
 import statistics
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bibdea import (
     DataError,
     DmuInput,
+    EfficiencyScores,
     aggregate_weighted,
     efficiency_matrix,
     eligibility_filter,
     histogram,
     percentile_rank,
+    percentile_ranks,
     productivity_ratio,
     rank_divergence,
     staff_cost,
 )
+
+from bibdea.analytics import TIE_TOL
 
 from benchmarks import (
     BIOLOGY_AREA,
     BIOLOGY_AREA_AVERAGE,
     PHARM_CHEM,
     PRODUCTIVITY_SPOTS,
+    pharm_chem_printed_scores,
+)
+
+# Ties are likely: a few pooled values, zero of both signs among them.
+tied_scores = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0]), st.floats(allow_nan=False)),
+    min_size=2,
+    max_size=30,
 )
 
 distinct_scores = st.lists(
@@ -64,12 +76,26 @@ class TestPercentileRank:
                 percentile_rank(transformed, t), abs=1e-9
             )
 
-    def test_percentile_scores_annotates_the_whole_list(self):
-        from bibdea import percentile_scores
+    def test_percentile_ranks_rank_the_whole_list(self):
+        assert percentile_ranks([0.2, 0.8, 0.5]) == [0.0, 100.0, 50.0]
 
-        ranked = percentile_scores([0.2, 0.8, 0.5])
-        assert [p.score for p in ranked] == [0.2, 0.8, 0.5]
-        assert [p.r_pct for p in ranked] == [0.0, 100.0, 50.0]
+    @settings(max_examples=300)
+    @given(tied_scores)
+    @example([0.0, -0.0])
+    @example([1.0, 0.5])
+    @example([-0.0, 0.5, 0.0, 0.5, 0.5 + TIE_TOL / 2, 1.0])
+    def test_column_ranks_are_the_scalar_ranks(self, scores):
+        expected = [percentile_rank(scores, s).hex() for s in scores]
+        assert [r.hex() for r in percentile_ranks(scores)] == expected
+
+    def test_column_ranks_need_two_scores(self):
+        with pytest.raises(DataError):
+            percentile_ranks([0.5])
+
+    def test_scores_within_the_tolerance_tie(self):
+        near = 0.5 - TIE_TOL / 10
+        assert percentile_ranks([0.5, near, 0.1, 0.9]) == percentile_ranks([0.5, 0.5, 0.1, 0.9])
+        assert percentile_ranks([0.5, 0.5 - 2 * TIE_TOL]) == [100.0, 0.0]
 
 
 class TestAggregateWeighted:
@@ -175,8 +201,7 @@ class TestHistogram:
 
 class TestEfficiencyMatrix:
     def test_reference_quadrants(self):
-        scores = {row[0]: (row[5], row[6]) for row in PHARM_CHEM}
-        q = efficiency_matrix(scores, threshold=0.5)
+        q = efficiency_matrix(pharm_chem_printed_scores(), threshold=0.5)
         assert (q.both_low, q.high_ae_low_te, q.both_high, q.high_te_low_ae) == (
             1,
             14,
@@ -186,12 +211,12 @@ class TestEfficiencyMatrix:
         assert q.total() == 28
 
     def test_all_perfect(self):
-        q = efficiency_matrix({"a": (1.0, 1.0), "b": (1.0, 1.0)})
+        perfect = EfficiencyScores(te=1.0, ae=1.0, ce=1.0)
+        q = efficiency_matrix({"a": perfect, "b": perfect})
         assert q.both_high == 2 and q.total() == 2
 
     def test_zero_threshold_sends_everyone_high(self):
-        scores = {row[0]: (row[5], row[6]) for row in PHARM_CHEM}
-        q = efficiency_matrix(scores, threshold=0.0)
+        q = efficiency_matrix(pharm_chem_printed_scores(), threshold=0.0)
         assert q.both_high == 28
 
     def test_empty_map(self):
@@ -199,12 +224,20 @@ class TestEfficiencyMatrix:
             efficiency_matrix({})
 
     def test_raising_threshold_shrinks_both_high(self):
-        scores = {row[0]: (row[5], row[6]) for row in PHARM_CHEM}
+        scores = pharm_chem_printed_scores()
         counts = [
             efficiency_matrix(scores, threshold=t).both_high
             for t in (0.0, 0.25, 0.5, 0.75, 1.0)
         ]
         assert counts == sorted(counts, reverse=True)
+
+    def test_score_within_the_tolerance_reaches_the_threshold(self):
+        te = 0.5 - TIE_TOL / 10
+        q = efficiency_matrix({"a": EfficiencyScores(te=te, ae=1.0, ce=te)}, threshold=0.5)
+        assert q.both_high == 1
+        te = 0.5 - 2 * TIE_TOL
+        q = efficiency_matrix({"a": EfficiencyScores(te=te, ae=1.0, ce=te)}, threshold=0.5)
+        assert q.high_ae_low_te == 1
 
     def test_accepts_efficiency_scores_objects(self, pharm_chem_scores):
         q = efficiency_matrix(pharm_chem_scores, threshold=0.5)

@@ -66,6 +66,27 @@ class TestValidate:
         assert main(["validate", *lab_args]) == 1
         assert "lab_pubs.csv line 2: zero median divisor" in capsys.readouterr().err
 
+    def test_uncovered_year_names_its_line(self, lab_args, tmp_path, capsys):
+        pubs = tmp_path / "pubs.csv"
+        with open(lab_args[lab_args.index("--publications") + 1], encoding="utf-8") as fh:
+            pubs.write_text(fh.read().replace(",2005,", ",-1,", 1), encoding="utf-8")
+        lab_args[lab_args.index("--publications") + 1] = str(pubs)
+        assert main(["validate", *lab_args]) == 1
+        err = capsys.readouterr().err
+        assert "median table does not cover: (-1, 'CatA') at pubs.csv line 2" in err
+
+    def test_overflowing_ss_is_a_located_data_error(self, lab_args, tmp_path, capsys):
+        # 10**308 citations over a median of 5, nine times, overflow UnivA's SS
+        pubs = tmp_path / "pubs.csv"
+        with open(lab_args[lab_args.index("--publications") + 1], encoding="utf-8") as fh:
+            header, first = fh.read().splitlines()[:2]
+        big = first.replace(",10,", f",{10**308},")
+        pubs.write_text("\n".join([header] + [big] * 9) + "\n", encoding="utf-8")
+        lab_args[lab_args.index("--publications") + 1] = str(pubs)
+        assert main(["validate", *lab_args]) == 1
+        err = capsys.readouterr().err
+        assert "pubs.csv line 10: scientific strength of ('UnivA', 'TEST/01') overflows" in err
+
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["validate", "--staff", str(tmp_path / "nope.csv")]) == 3
         assert "i/o error" in capsys.readouterr().err
@@ -318,10 +339,12 @@ _OVERSIZED = "<oversized>"
 _BAD_FLOAT = ["abc", "nan", "inf", "-inf", "-1", "1e400"]
 _BAD_INT = ["abc", "nan", "inf", "-1", "1.5", "1e400", _HUGE_INT]
 _BAD_YEAR = ["", "abc", "nan", "inf", "1.5", "1e400"]
-# Cells by column, each with the values that its format rules out. A year
-# is a key: a negative or huge one is a valid key that the medians do not
-# cover, reported by pair rather than by file, so only unparsable years
-# are drawn. An empty dmu_positions or mean cell is valid.
+# Cells by column, each with the values that its format rules out. A
+# publication's year and unit are keys: a negative or huge year, or an
+# unknown unit, is reported with the publications file and line that hold
+# it. A median's negative or huge year is a valid key the publications
+# never use, so only unparsable ones are drawn there. An empty
+# dmu_positions or mean cell is valid.
 _BAD_CELLS = {
     ("staff.csv", "fp_years"): [""] + _BAD_FLOAT,
     ("staff.csv", "ap_years"): [""] + _BAD_FLOAT,
@@ -329,7 +352,9 @@ _BAD_CELLS = {
     ("staff.csv", "ss"): [""] + _BAD_FLOAT,
     ("staff.csv", "dmu_id"): [""],
     ("staff.csv", "sds_id"): [""],
-    ("pubs.csv", "year"): _BAD_YEAR,
+    ("pubs.csv", "dmu_id"): ["", "Ghost"],
+    ("pubs.csv", "sds_id"): ["", "TEST/99"],
+    ("pubs.csv", "year"): _BAD_YEAR + ["-1", "-2005", "99999", _HUGE_INT],
     ("pubs.csv", "citations"): [""] + _BAD_INT,
     ("pubs.csv", "categories"): ["", ";"],
     ("pubs.csv", "total_authors"): ["", "0"] + _BAD_INT,

@@ -14,7 +14,7 @@ from bibdea import (
     allocative_efficiency,
     cost_efficiency,
     evaluate_sds,
-    percentile_scores,
+    percentile_ranks,
     technical_efficiency,
 )
 
@@ -147,6 +147,17 @@ class TestEvaluateSds:
         assert scores["D1"].as_triple() == (0.0, 0.0, 0.0)
         assert scores["D1"].reference_weights == {}
 
+    def test_scaled_copy_of_a_repeated_unit(self):
+        # x / y of the last unit is a few ulps from that of the repeated
+        # one, so a facet through both had an exactly singular triple, and
+        # the peer search raised LinAlgError.
+        unit = [2.275956453983277, 3.9855186353619274, 1.034780113007547]
+        other = [0.4305301580573995, 3.285790525237122, 3.0246060865279]
+        scaled = [9.316496331076493, 16.31449041074633, 4.235812644584353]
+        inputs = np.array([unit, other, unit, unit, unit, scaled])
+        outputs = np.array([3.310092126070235] * 5 + [13.549670993962316])
+        check_scores(inputs, outputs, enumerate_too=True)
+
     def test_frontier_always_reached(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
@@ -160,8 +171,8 @@ class TestEvaluateSds:
         assert len(efficient) == 6
         assert all(pharm_chem_scores[d].te == 1.0 for d in efficient)
         names = list(pharm_chem_scores)
-        pct = percentile_scores([pharm_chem_scores[d].te for d in names])
-        assert len({pct[names.index(d)].r_pct for d in efficient}) == 1
+        pct = percentile_ranks([pharm_chem_scores[d].te for d in names])
+        assert len({pct[names.index(d)] for d in efficient}) == 1
 
     @pytest.mark.parametrize(
         "inputs, outputs",

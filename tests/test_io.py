@@ -1,26 +1,35 @@
 import csv
+import dataclasses
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibdea import (
     AssessmentConfig,
+    AssessmentDataset,
     CostVector,
     DataError,
+    DmuInput,
+    EfficiencyScores,
     MedianTable,
     PublicationRecord,
     build_median_table,
+    efficiency_matrix,
     emit,
     ingest,
     load_config,
     run_assessment,
     scientific_strength,
 )
+from bibdea.analytics import TIE_TOL
 from bibdea.io import CONFIG_ENV_VAR
 
 from benchmarks import PHARM_CHEM
-from oracles import reference_ingest_ss
+from oracles import reference_ingest_ss, reference_report_json
 
 
 def write_csv(path, header, rows):
@@ -98,7 +107,7 @@ class TestIngest:
         )
         with pytest.raises(DataError) as err:
             ingest(fixtures_dir / "lab_staff.csv", pubs, fixtures_dir / "lab_medians.csv")
-        assert "Ghost" in str(err.value)
+        assert "('Ghost', 'TEST/01') at pubs.csv line 2" in str(err.value)
 
     def test_empty_publications_with_passthrough_ss(self, tmp_path, fixtures_dir):
         pubs = write_csv(tmp_path / "pubs.csv", PUB_HEADER, [])
@@ -123,7 +132,37 @@ class TestIngest:
         )
         with pytest.raises(DataError) as err:
             ingest(fixtures_dir / "lab_staff.csv", fixtures_dir / "lab_pubs.csv", medians)
-        assert "CatB" in str(err.value)
+        assert "(2005, 'CatB') at lab_pubs.csv line 4" in str(err.value)
+
+    def test_cross_reference_errors_name_each_first_line(self, tmp_path, fixtures_dir):
+        rows = [
+            ["p1", "Ghost", "TEST/01", 2005, 3, "CatA", 1, "1", 0],
+            ["p2", "UnivA", "TEST/01", -1, 3, "CatA", 1, "1", 0],
+            ["p3", "Ghost", "TEST/01", 2005, 3, "CatA", 1, "1", 0],
+            ["p4", "Alien", "TEST/01", 2005, 3, "CatA", 1, "1", 0],
+        ]
+        pubs = write_csv(tmp_path / "pubs.csv", PUB_HEADER, rows)
+        medians = fixtures_dir / "lab_medians.csv"
+        with pytest.raises(DataError) as err:
+            ingest(fixtures_dir / "lab_staff.csv", pubs, medians)
+        assert str(err.value) == (
+            "publications reference unknown staff rows: "
+            "('Alien', 'TEST/01') at pubs.csv line 5; ('Ghost', 'TEST/01') at pubs.csv line 2"
+        )
+        pubs = write_csv(tmp_path / "pubs.csv", PUB_HEADER, rows[1:2])
+        with pytest.raises(DataError) as err:
+            ingest(fixtures_dir / "lab_staff.csv", pubs, medians)
+        assert str(err.value) == "median table does not cover: (-1, 'CatA') at pubs.csv line 2"
+
+    def test_overflowing_ss_names_the_row(self, tmp_path, fixtures_dir):
+        # each row adds 1e308 / 5 to UnivA, and the ninth overflows a float
+        row = ["p", "UnivA", "TEST/01", 2005, "1" + "0" * 308, "CatA", 1, "1", 0]
+        pubs = write_csv(tmp_path / "pubs.csv", PUB_HEADER, [row] * 12)
+        with pytest.raises(DataError) as err:
+            ingest(fixtures_dir / "lab_staff.csv", pubs, fixtures_dir / "lab_medians.csv")
+        assert str(err.value) == (
+            "pubs.csv line 10: scientific strength of ('UnivA', 'TEST/01') overflows a float"
+        )
 
     def test_parse_error_carries_line_number(self, tmp_path):
         staff = write_csv(
@@ -545,15 +584,67 @@ class TestRunAssessment:
         assert by_dmu["UnivB"].ss == pytest.approx(0.5)
         assert not report.eligibility[0].filter_applied
 
-    def test_empty_dataset_errors(self):
-        from bibdea import AssessmentDataset
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                # staff-years of a hundredth or more: far smaller ones
+                # overflow dea's scaling of x / y, a defect of its own
+                st.one_of(st.just(0.0), st.floats(0.01, 5)),
+                st.one_of(st.just(0.0), st.floats(0.01, 5)),
+                st.floats(0.1, 5),
+                st.one_of(st.just(0.0), st.floats(0.1, 20)),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        st.floats(0.1, 10),
+        st.sampled_from([0.5, 1.0]),
+    )
+    def test_copies_of_a_unit_rank_alike(self, units, factor, threshold):
+        # A duplicate scores the same floats; a copy with inputs and output
+        # scaled by one factor may score a few ulps off, which must not split
+        # a tie or change a quadrant.
+        fp, ap, rf, ss = units[0]
+        members = {f"U{i}": u for i, u in enumerate(units)}
+        members["Duplicate"] = (fp, ap, rf, ss)
+        members["Scaled"] = (fp * factor, ap * factor, rf * factor, ss * factor)
+        staff = {(d, "S/01"): DmuInput(d, "S/01", *u[:3]) for d, u in members.items()}
+        dataset = AssessmentDataset(
+            staff=staff, ss={(d, "S/01"): u[3] for d, u in members.items()}
+        )
+        config = AssessmentConfig(quadrant_threshold=threshold)
+        report = run_assessment(dataset, config, apply_filter=False)
+        rows = {r.dmu_id: r for r in report.sds_results["S/01"].rows}
+        unit = rows["U0"]
+        triple = (unit.te, unit.ae, unit.ce)
+        assert (rows["Duplicate"].te, rows["Duplicate"].ae, rows["Duplicate"].ce) == triple
+        scaled = (rows["Scaled"].te, rows["Scaled"].ae, rows["Scaled"].ce)
+        assert scaled == pytest.approx(triple, rel=0, abs=TIE_TOL)
 
+        def quadrant(row):
+            scores = EfficiencyScores(te=row.te, ae=row.ae, ce=row.ce)
+            return efficiency_matrix({row.dmu_id: scores}, threshold)
+
+        for copy in (rows["Duplicate"], rows["Scaled"]):
+            assert (copy.te_pct, copy.ae_pct, copy.ce_pct) == (
+                unit.te_pct,
+                unit.ae_pct,
+                unit.ce_pct,
+            )
+            assert quadrant(copy) == quadrant(unit)
+
+    def test_overflowing_staff_cost_is_a_data_error(self, tmp_path):
+        rows = [["U1", "A/01", 1e307, 0, 0, 1.0], ["U2", "A/01", 1, 1, 1, 1.0]]
+        staff = write_csv(tmp_path / "staff.csv", STAFF_HEADER + ["ss"], rows)
+        with pytest.raises(DataError, match="A/01/U1: staff cost overflows"):
+            run_assessment(ingest(staff), apply_filter=False)
+
+    def test_empty_dataset_errors(self):
         with pytest.raises(DataError):
             run_assessment(AssessmentDataset(staff={}, ss={}))
 
     def test_dataset_needs_one_ss_per_staff_row(self):
-        from bibdea import AssessmentDataset, DmuInput
-
         staff = {("U", "S"): DmuInput("U", "S", 1, 0, 0)}
         with pytest.raises(DataError):
             AssessmentDataset(staff=staff, ss={})
@@ -665,3 +756,78 @@ class TestEmit:
         target = tmp_path / "deep" / "nested"
         emit(report, ["json"], target)
         assert (target / "report.json").exists()
+
+
+def _odd_census(path):
+    """A staff file whose unit and SDS ids hold non-ASCII characters, quotes,
+    backslashes, commas and a line break, with zero outputs and tied units."""
+    rng = random.Random("odd ids")
+    units = ["Università di Bari", "東京大学", 'Napoli "Federico II"', "C:\\units\\a",
+             "Roma, Tor Vergata", "line\nbreak", "Zürich", "plain"]
+    sds_ids = ["BIO/01", 'MED "02"', "ING\\03", "FIS,04", "ÆØÅ/05", "TINY/06"]
+    rows = []
+    for sds_id in sds_ids:
+        members = units[:1] if sds_id == "TINY/06" else rng.sample(units, rng.randint(3, 8))
+        for dmu_id in members:
+            years = [rng.randint(0, 40) / 10 for _ in range(2)] + [rng.randint(1, 40) / 10]
+            ss = rng.uniform(0.1, 30) if rng.random() < 0.8 else 0.0
+            rows.append([dmu_id, sds_id, *years, ss])
+        rows.append([members[0] + " (copy)", sds_id, *rows[-len(members)][2:]])
+    return write_csv(path, STAFF_HEADER + ["ss"], rows)
+
+
+class TestReportJson:
+    """``emit``'s report.json, byte for byte against the standard library's
+    indented, key-sorted encoding of the report's fields."""
+
+    @staticmethod
+    def assert_matches_reference(report, out):
+        emit(report, ["json"], out)
+        assert (out / "report.json").read_bytes() == reference_report_json(report).encode()
+
+    @pytest.mark.parametrize("config", [None, "config.json"])
+    def test_benchmark_fixture(self, fixtures_dir, tmp_path, config):
+        config = load_config(fixtures_dir / config) if config else None
+        report = run_assessment(ingest(fixtures_dir / "pharm_chem_staff.csv"), config)
+        self.assert_matches_reference(report, tmp_path)
+
+    @pytest.mark.parametrize("apply_filter", [True, False])
+    def test_computed_fixture(self, fixtures_dir, tmp_path, apply_filter):
+        dataset = ingest(
+            fixtures_dir / "lab_staff.csv",
+            fixtures_dir / "lab_pubs.csv",
+            fixtures_dir / "lab_medians.csv",
+        )
+        report = run_assessment(dataset, apply_filter=apply_filter)
+        self.assert_matches_reference(report, tmp_path)
+
+    def test_single_sds_view(self, fixtures_dir, tmp_path):
+        report = run_assessment(ingest(fixtures_dir / "pharm_chem_staff.csv"))
+        single = dataclasses.replace(report, institutions=(), eligibility=())
+        self.assert_matches_reference(single, tmp_path)
+
+    def test_values_the_pipeline_never_writes(self, fixtures_dir, tmp_path):
+        # integers, booleans and non-finite floats are written as json.dumps
+        # writes them
+        report = run_assessment(ingest(fixtures_dir / "pharm_chem_staff.csv"))
+        result = report.sds_results["CHIM/08"]
+        first = dataclasses.replace(
+            result.rows[0], fp_years=2, ap_years=True, ss=math.inf, ce=-math.inf, te=math.nan
+        )
+        odd = dataclasses.replace(
+            report,
+            quadrant_threshold=1,
+            sds_results={"CHIM/08": dataclasses.replace(result, rows=(first, *result.rows[1:]))},
+        )
+        self.assert_matches_reference(odd, tmp_path)
+
+    def test_ids_that_need_escaping(self, tmp_path):
+        staff = _odd_census(tmp_path / "staff.csv")
+        report = run_assessment(ingest(staff), AssessmentConfig(min_active_universities=3))
+        included = {e.sds_id for e in report.eligibility if e.included}
+        assert "TINY/06" not in included and len(included) >= 4
+        assert len(report.institutions) > 5
+        self.assert_matches_reference(report, tmp_path)
+        payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert 'MED "02"' in payload["sds"]
+        assert {"東京大学", "line\nbreak"} <= {i["dmu_id"] for i in payload["institutions"]}
