@@ -18,6 +18,7 @@ from .model import (
     CLAMP_TOL,
     DEFAULT_COSTS,
     CostVector,
+    DataError,
     EfficiencyScores,
     SdsDataset,
     SolverError,
@@ -82,8 +83,12 @@ def _technical(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     below, above = z[:, None] <= z[None], z[:, None] < z[None]
     front = np.flatnonzero(~(below.all(axis=2) & above.any(axis=2)).any(axis=0))
     # Scores are unit-free; scaling into [0, 1] keeps cross products finite.
+    # A dominated point can lie past the float range once scaled. Clipped to
+    # a third of the largest float, its product with any unit v >= 0 stays
+    # finite, and it scores as the LP does.
     scale = z[front].max(axis=0)
-    z = z / np.where(scale > 0, scale, 1.0)
+    with np.errstate(over="ignore"):
+        z = np.minimum(z / np.where(scale > 0, scale, 1.0), np.finfo(float).max / 3)
     gens, v, c, triples = _facets(z[front])
     ratio = np.zeros(len(pos))
     for s in range(0, len(c), _BLOCK):
@@ -168,9 +173,17 @@ def evaluate_sds(
     validate_dataset(ds)
     x = [(d.fp_years, d.ap_years, d.rf_years) for d, _ in ds.members]
     x, y = np.array(x, dtype=float).reshape(-1, 3), np.array(ds.ss_values(), dtype=float)
+    ids = ds.dmu_ids()
+    # A unit whose input per unit of output rounds to the zero vector would
+    # make every other unit score 0 against it.
+    with np.errstate(over="ignore"):
+        flat = np.flatnonzero(x.max(axis=1) / np.where(y > 0, y, 1.0) == 0)
+    if flat.size:
+        raise DataError(
+            f"{ds.sds_id}/{ids[flat[0]]}: staff-years per unit of output underflow to zero"
+        )
     te, peer, weight = _technical(x, y)
     ce = _cost(x, y, costs).tolist()
-    ids = ds.dmu_ids()
     scores: dict[str, EfficiencyScores] = {}
     for i, (dmu_id, te_i) in enumerate(zip(ids, te.tolist())):
         try:

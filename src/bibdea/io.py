@@ -19,11 +19,13 @@ than the header, bytes that are not UTF-8 and a cell over the csv module's
 field limit (131,072 characters) are data errors naming the file and line.
 
 The publications file is read in one ``csv.reader`` pass. Per row only the
-citations are parsed and the staff key is looked up; the divisor of each
-distinct (year, categories) cell and the fractional count of each distinct
-(total_authors, dmu_positions, life_science) byline are validated and
-computed once, on the first row that has them, so a bad row is still
-reported at its own line with its own message.
+citations are parsed and the staff key is looked up. Each distinct raw
+(year, categories) cell and (total_authors, dmu_positions, life_science)
+byline is checked on its own, once, on the first row that has it: the cell
+check yields the cell's divisor and the byline check its fractional count.
+No ``PublicationRecord`` is built for a valid row; a row that fails a check
+is parsed in full as one only to raise the error a row-by-row check would,
+at its own line.
 
 Emission is deterministic: identical inputs produce byte-identical output.
 """
@@ -50,6 +52,7 @@ from .model import (
     DmuInput,
     MedianTable,
     PublicationRecord,
+    byline_problem,
 )
 from .report import AssessmentConfig, AssessmentReport, ScoreRow, SdsResult
 
@@ -175,7 +178,8 @@ def _read_staff(path: Path):
 def _parse_publication(
     row: list[str], column: dict[str, int], path: Path, line: int
 ) -> PublicationRecord:
-    """Validate one publications row in full, as its own record."""
+    """Validate one publications row in full, as its own record, raising
+    the first of its errors in a fixed order."""
 
     def value(name: str) -> str:
         return row[column[name]]
@@ -213,17 +217,23 @@ def _scan_publications(
     """Validate the publications file; with ``ss``, also add each row's
     contribution to its staff row's SS, in file order.
 
-    Returns the row count. A row whose (year, categories) cell or byline is
-    new, or whose citations are not a valid count, is validated in full as
-    a ``PublicationRecord``, so the first bad row raises what a row-by-row
-    check would. The row whose contribution makes its unit's SS overflow is
-    an error. After the file, keys without a staff row and (year, category)
-    pairs the medians do not cover are an error naming each one's first line.
+    Returns the row count. Per row only the citations are parsed. Each
+    distinct raw (year, categories) cell and (total_authors, dmu_positions,
+    life_science) byline is checked on its own, once, on the first row that
+    has it. A row that fails a check, or whose citations are not a valid
+    count, goes to :func:`_parse_publication`, which raises what a
+    row-by-row check would: records are built only to name an error. The
+    row whose contribution makes its unit's SS overflow is an error. After
+    the file, keys without a staff row and (year, category) pairs the
+    medians do not cover are an error naming each one's first line.
     """
-    cells: dict[tuple[str, str], tuple] = {}  # -> (divisor, year, categories)
-    bylines: dict[tuple[str, str, str], float] = {}  # -> fractional count
+    cells: dict[tuple[str, str], tuple | None] = {}  # -> (divisor, year, categories)
+    bylines: dict[tuple[str, str, str], float | None] = {}  # -> fractional count
     orphans: dict[tuple[str, str], int] = {}  # -> first line
     missing: dict[tuple[int, str], int] = {}  # -> first line
+    # Once a row is orphaned or uncovered, ingest fails with that error
+    # after the file, so scoring stops.
+    scoring = ss is not None
     count = 0
     with _open_csv(path, _PUB_COLUMNS) as (reader, column):
         i_dmu, i_sds, i_year, i_cit, i_cat, i_authors, i_pos, i_life = (
@@ -231,32 +241,30 @@ def _scan_publications(
         )
         for line, row in _rows(reader, column, path):
             count += 1
-            key = (row[i_dmu], row[i_sds])
             cell = cells.get((row[i_year], row[i_cat]))
+            if cell is None:
+                cell = cells[row[i_year], row[i_cat]] = _cell_entry(
+                    row[i_year], row[i_cat], medians, missing, line
+                )
+                scoring = scoring and not missing
             share = bylines.get((row[i_authors], row[i_pos], row[i_life]))
+            if share is None:
+                share = bylines[row[i_authors], row[i_pos], row[i_life]] = _byline_share(
+                    row[i_authors], row[i_pos], row[i_life]
+                )
             try:
                 citations = int(row[i_cit])
             except ValueError:
                 citations = -1
             if cell is None or share is None or not 0 <= citations <= MAX_CITATIONS:
-                record = _parse_publication(row, column, path, line)
-                if cell is None:
-                    cell = cells[row[i_year], row[i_cat]] = _cell_entry(
-                        record, medians, missing, line
-                    )
-                if share is None:
-                    share = bylines[row[i_authors], row[i_pos], row[i_life]] = (
-                        fractional_count(
-                            record.total_authors,
-                            record.dmu_author_positions,
-                            record.life_science,
-                        )
-                    )
+                _parse_publication(row, column, path, line)  # raises the row's error
+            key = (row[i_dmu], row[i_sds])
             if key not in staff:
                 orphans.setdefault(key, line)
-            # Once a row is orphaned or uncovered, ingest fails with that
-            # error after the file, so scoring stops.
-            if ss is not None and not (orphans or missing):
+                scoring = False
+            # SS starts at +0.0 and only grows, so adding an uncited row's
+            # +0.0 would leave it as it is.
+            if citations and scoring:
                 try:
                     total = ss[key] + divide_citations(citations, *cell) * share
                 except DataError as exc:
@@ -278,11 +286,18 @@ def _scan_publications(
 
 
 def _cell_entry(
-    record: PublicationRecord, medians: MedianTable | None, missing: dict, line: int
-) -> tuple:
-    """``(divisor, year, categories)`` of a record's (year, categories) cell,
-    noting its uncovered pairs in ``missing`` at ``line`` unless seen before."""
-    year, categories = record.year, record.categories
+    year: str, categories: str, medians: MedianTable | None, missing: dict, line: int
+) -> tuple | None:
+    """``(divisor, year, categories)`` of a raw (year, categories) cell, or
+    None if the cell is not valid; notes its uncovered pairs in ``missing``
+    at ``line`` unless seen before."""
+    try:
+        year = int(year)
+    except ValueError:
+        return None
+    categories = tuple(c for c in categories.split(";") if c)
+    if not categories:
+        return None
     if medians is None:
         return None, year, categories
     uncovered = [(year, c) for c in categories if not medians.covers(year, c)]
@@ -290,6 +305,21 @@ def _cell_entry(
         missing.setdefault(pair, line)
     divisor = None if uncovered else citation_divisor(year, categories, medians)
     return divisor, year, categories
+
+
+def _byline_share(total_authors: str, positions: str, life_science: str) -> float | None:
+    """Fractional count of a raw byline, or None if the byline is not valid."""
+    flag = life_science.strip()
+    if flag not in ("0", "1"):
+        return None
+    try:
+        total = int(total_authors)
+        held = tuple(int(p) for p in positions.split(";") if p)
+    except ValueError:
+        return None
+    if byline_problem(total, held) is not None:
+        return None
+    return fractional_count(total, held, flag == "1")
 
 
 def _read_medians(path: Path) -> MedianTable:

@@ -67,17 +67,26 @@ class PublicationRecord:
             raise DataError(f"{self.pub_id}: citations too large for a float")
         if not self.categories:
             raise DataError(f"{self.pub_id}: at least one subject category required")
-        if self.total_authors < 1:
-            raise DataError(f"{self.pub_id}: total_authors must be >= 1")
-        if self.total_authors > MAX_AUTHORS:
-            raise DataError(f"{self.pub_id}: total_authors must be at most {MAX_AUTHORS}")
-        positions = self.dmu_author_positions
-        if len(set(positions)) != len(positions):
-            raise DataError(f"{self.pub_id}: duplicate author positions")
-        if any(p < 1 or p > self.total_authors for p in positions):
-            raise DataError(
-                f"{self.pub_id}: author positions must lie in 1..{self.total_authors}"
-            )
+        problem = byline_problem(self.total_authors, self.dmu_author_positions)
+        if problem is not None:
+            raise DataError(f"{self.pub_id}: {problem}")
+
+
+def byline_problem(total_authors: int, positions: tuple[int, ...]) -> str | None:
+    """What is wrong with a byline, or None if it is valid.
+
+    ``total_authors`` must lie in ``1..MAX_AUTHORS`` and the unit's
+    ``positions`` must be distinct and lie in ``1..total_authors``.
+    """
+    if total_authors < 1:
+        return "total_authors must be >= 1"
+    if total_authors > MAX_AUTHORS:
+        return f"total_authors must be at most {MAX_AUTHORS}"
+    if len(set(positions)) != len(positions):
+        return "duplicate author positions"
+    if any(p < 1 or p > total_authors for p in positions):
+        return f"author positions must lie in 1..{total_authors}"
+    return None
 
 
 @dataclass(frozen=True)

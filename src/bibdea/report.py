@@ -232,6 +232,11 @@ def _institution_results(
         agg = analytics.aggregate_weighted(
             [((r.te, r.ae, r.ce), r.staff_cost) for r in rows]
         )
+        # an infinite weight would make the aggregates NaN and rank them
+        if not agg.total_weight < math.inf:
+            raise DataError(
+                f"institution {dmu_id!r}: staff cost summed over its SDSs overflows a float"
+            )
         aggregates[dmu_id] = (tuple(rows), agg)
 
     # Percentile-rank each institution's aggregates against all institutions.

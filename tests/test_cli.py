@@ -159,6 +159,37 @@ class TestAssess:
         payload = json.loads((out / "report.json").read_text())
         assert payload["census_date"] == "from-flag"
 
+    @staticmethod
+    def _assess_staff(tmp_path, rows):
+        staff = tmp_path / "staff.csv"
+        staff.write_text(
+            "dmu_id,sds_id,fp_years,ap_years,rf_years,ss\n" + "".join(f"{r}\n" for r in rows)
+        )
+        out = tmp_path / "out"
+        return main(["assess", "--staff", str(staff), "--no-filter", "--out", str(out)]), out
+
+    def test_staff_years_near_the_float_minimum_score_as_the_lp(self, tmp_path, capsys):
+        # U1's input per unit of output, scaled by U2's, lies past the float range
+        code, out = self._assess_staff(tmp_path, ["U1,S/01,0,1,1,1", "U2,S/01,0,1e-308,1,2"])
+        assert code == 0
+        rows = json.loads((out / "report.json").read_text())["sds"]["S/01"]["rows"]
+        assert {r["dmu_id"]: r["te"] for r in rows} == {"U1": 0.5, "U2": 1.0}
+
+    def test_input_per_output_underflow_is_a_data_error(self, tmp_path, capsys):
+        code, _ = self._assess_staff(tmp_path, ["U1,S/01,0,1,1,1", "U2,S/01,0,5e-324,5e-324,2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "data error: S/01/U2: staff-years per unit of output underflow to zero" in err
+
+    def test_overflowing_institution_cost_is_a_data_error(self, tmp_path, capsys):
+        # each SDS row's staff cost is finite; their sum over 20 SDSs is not
+        rows = [f"U{u},S/{s:02d},{1e305 if u == 1 else 1},1,1,1" for s in range(20) for u in (1, 2)]
+        code, out = self._assess_staff(tmp_path, rows)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "data error: institution 'U1': staff cost summed over its SDSs overflows" in err
+        assert not (out / "report.json").exists()
+
 
 class TestSdsReport:
     def test_prints_table(self, staff, capsys):

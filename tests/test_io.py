@@ -349,6 +349,18 @@ def _both_outcomes(staff, pubs, medians_path):
     return _outcome(columnar), _outcome(lambda: reference_ingest_ss(staff_keys, pubs, table))
 
 
+def _corrupted(text, edits):
+    """``text`` of a CSV file with the cell of each ``(row, column, value)``
+    edit replaced; row 0 is the header."""
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    for row, column, value in edits:
+        cells = lines[row].split(",")
+        cells[header.index(column)] = value
+        lines[row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
 class TestColumnarIngestOracle:
     """``ingest`` against a row-by-row copy of the loop it replaced."""
 
@@ -360,29 +372,53 @@ class TestColumnarIngestOracle:
         assert columnar[0] == "ok" and columnar[2] == 306
         assert columnar[1][("U7", "S/01")] == (0.0).hex()  # unpublished
 
-    def test_records_are_built_only_for_new_cells_and_bylines(self, tmp_path, monkeypatch):
+    def test_keys_are_checked_once_and_records_built_only_for_errors(
+        self, tmp_path, monkeypatch
+    ):
         import bibdea.io
 
         staff, pubs, medians = _synthetic_census(random.Random(0), tmp_path)
-        built = []
+        checked_cells, checked_bylines, built = [], [], []
+        cell_entry, byline_share = bibdea.io._cell_entry, bibdea.io._byline_share
+
+        def counting_cell(year, categories, *rest):
+            checked_cells.append((year, categories))
+            return cell_entry(year, categories, *rest)
+
+        def counting_byline(*raw):
+            checked_bylines.append(raw)
+            return byline_share(*raw)
 
         def counting_record(**fields):
             built.append(fields["pub_id"])
             return PublicationRecord(**fields)
 
+        monkeypatch.setattr(bibdea.io, "_cell_entry", counting_cell)
+        monkeypatch.setattr(bibdea.io, "_byline_share", counting_byline)
         monkeypatch.setattr(bibdea.io, "PublicationRecord", counting_record)
         ingest(staff, pubs, medians)
-        cells, bylines, expected = set(), set(), []
         with open(pubs, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                cell = (row["year"], row["categories"])
-                byline = (row["total_authors"], row["dmu_positions"], row["life_science"])
-                if cell not in cells or byline not in bylines:
-                    expected.append(row["pub_id"])
-                cells.add(cell)
-                bylines.add(byline)
-        assert built == expected
-        assert len(built) < 306
+            rows = list(csv.DictReader(fh))
+        cells = [(r["year"], r["categories"]) for r in rows]
+        bylines = [(r["total_authors"], r["dmu_positions"], r["life_science"]) for r in rows]
+        assert checked_cells == list(dict.fromkeys(cells))
+        assert checked_bylines == list(dict.fromkeys(bylines))
+        assert built == []
+
+        # A later row whose cell and byline are known, given bad citations or
+        # a bad byline, is the one row built as a record, to raise the
+        # row-by-row message.
+        later = next(
+            i for i in range(200, len(rows)) if cells[i] in cells[:i] and bylines[i] in bylines[:i]
+        )
+        clean = pubs.read_text()
+        for column, value in (("citations", "-3"), ("total_authors", "0")):
+            pubs.write_text(_corrupted(clean, [(later + 1, column, value)]))
+            built.clear()
+            columnar, reference = _both_outcomes(staff, pubs, medians)
+            assert columnar == reference
+            assert columnar[0] == "error" and f"line {later + 2}:" in columnar[1]
+            assert built == [rows[later]["pub_id"]]
 
     CORRUPTIONS = {
         "pub_id": ["", "P0"],
@@ -406,18 +442,52 @@ class TestColumnarIngestOracle:
         for _ in range(40):
             column = rng.choice(sorted(self.CORRUPTIONS))
             path = medians if column in ("median", "mean") else pubs
-            lines = clean[path].splitlines()
-            header = lines[0].split(",")
-            row = rng.randrange(1, len(lines))
-            cells = lines[row].split(",")
-            cells[header.index(column)] = rng.choice(self.CORRUPTIONS[column])
-            lines[row] = ",".join(cells)
-            path.write_text("\n".join(lines) + "\n")
+            row = rng.randrange(1, len(clean[path].splitlines()))
+            edit = (row, column, rng.choice(self.CORRUPTIONS[column]))
+            path.write_text(_corrupted(clean[path], [edit]))
             columnar, reference = _both_outcomes(staff, pubs, medians)
-            assert columnar == reference, (column, lines[row])
+            assert columnar == reference, edit
             errors += columnar[0] == "error"
             path.write_text(clean[path])
         assert errors >= 10
+
+    # Each pair fails: a bad cell with a bad byline, bad citations with a new
+    # cell, and an orphan with a bad row.
+    CORRUPTION_PAIRS = [
+        (("year", "20x5"), ("total_authors", "0")),
+        (("categories", ""), ("dmu_positions", "1;1")),
+        (("year", "2006"), ("life_science", "2")),
+        (("citations", "-3"), ("categories", "C4;C3")),
+        (("citations", "x"), ("year", "2006")),
+        (("dmu_id", "Ghost"), ("total_authors", "x")),
+        (("dmu_id", "Ghost"), ("citations", "-3")),
+    ]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_two_corruptions_fail_alike(self, tmp_path, seed):
+        rng = random.Random(f"corrupt two:{seed}")
+        staff, pubs, medians = _synthetic_census(rng, tmp_path)
+        clean = pubs.read_text()
+        rows = len(clean.splitlines()) - 1
+        columns = sorted(set(self.CORRUPTIONS) - {"median", "mean"})
+        drawn = [
+            tuple((c, rng.choice(self.CORRUPTIONS[c])) for c in rng.sample(columns, 2))
+            for _ in range(20)
+        ]
+        errors = 0
+        for first, second in self.CORRUPTION_PAIRS + drawn:
+            row = rng.randrange(1, rows)
+            later = rng.randrange(row + 1, rows + 1)
+            for edits in (
+                [(row, *first), (row, *second)],
+                [(row, *first), (later, *second)],
+                [(row, *second), (later, *first)],
+            ):
+                pubs.write_text(_corrupted(clean, edits))
+                columnar, reference = _both_outcomes(staff, pubs, medians)
+                assert columnar == reference, edits
+                errors += columnar[0] == "error"
+        assert errors >= 3 * len(self.CORRUPTION_PAIRS)
 
 
 class TestMedianTableBuilder:
