@@ -128,15 +128,24 @@ def efficiency_matrix(
     within :data:`TIE_TOL` below the threshold reaches it."""
     if not scores:
         raise DataError("cannot classify an empty score map")
-    cells = {(False, False): 0, (False, True): 0, (True, True): 0, (True, False): 0}
+    return _quadrant_counts(
+        [s.te for s in scores.values()], [s.ae for s in scores.values()], threshold
+    )
+
+
+def _quadrant_counts(
+    te: Sequence[float], ae: Sequence[float], threshold: float
+) -> QuadrantSummary:
+    """:func:`efficiency_matrix` of the units whose scores are the pairs of
+    the columns ``te`` and ``ae``."""
     reach = threshold - TIE_TOL
-    for s in scores.values():
-        cells[(s.te >= reach, s.ae >= reach)] += 1
+    high_te = np.asarray(te, dtype=float) >= reach
+    high_ae = np.asarray(ae, dtype=float) >= reach
     return QuadrantSummary(
-        both_low=cells[(False, False)],
-        high_ae_low_te=cells[(False, True)],
-        both_high=cells[(True, True)],
-        high_te_low_ae=cells[(True, False)],
+        both_low=int(np.count_nonzero(~high_te & ~high_ae)),
+        high_ae_low_te=int(np.count_nonzero(~high_te & high_ae)),
+        both_high=int(np.count_nonzero(high_te & high_ae)),
+        high_te_low_ae=int(np.count_nonzero(high_te & ~high_ae)),
     )
 
 

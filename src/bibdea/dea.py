@@ -10,6 +10,12 @@ efficiency is the multiplier form of Charnes, Cooper & Rhodes (1978),
 is scored (frontier first, as in Dula's BuildHull, 2011). Cost efficiency
 scales the peer with the lowest cost per unit of output; allocative
 efficiency is their quotient.
+
+:func:`score_sds` gives the three scores of an SDS as arrays; the pipeline
+uses it and computes no peers. :func:`evaluate_sds` scores the same way
+and then searches each unit's peers (its reference set) on the facets
+already found: a triple of an optimal facet that combines into the
+contracted unit with nonnegative weights.
 """
 
 import numpy as np
@@ -22,6 +28,7 @@ from .model import (
     EfficiencyScores,
     SdsDataset,
     SolverError,
+    checked_scores,
     validate_dataset,
 )
 
@@ -67,18 +74,9 @@ def _facets(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return gens, v, c, triples
 
 
-def _technical(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """te of every unit, and its peers: up to three unit indices per row with
-    their intensity weights (zero where a slot is unused).
-
-    Units with zero output, or too little for ``x / y`` to be finite, score
-    0 with no peers; as peers they would add input for next to no output.
-    """
-    te, peer, weight = np.zeros(len(y)), np.zeros((len(y), 3), dtype=int), np.zeros((len(y), 3))
-    pos = np.flatnonzero(y > x.max(axis=1) / np.finfo(float).max)
-    if not pos.size:
-        return te, peer, weight
-    z = x[pos] / y[pos, None]
+def _points(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``z`` scaled by the column maxima of its Pareto-minimal points, and
+    the indices of those points."""
     # Dominated points never span a facet; the rest are the Pareto-minimal ones.
     below, above = z[:, None] <= z[None], z[:, None] < z[None]
     front = np.flatnonzero(~(below.all(axis=2) & above.any(axis=2)).any(axis=0))
@@ -89,27 +87,49 @@ def _technical(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     scale = z[front].max(axis=0)
     with np.errstate(over="ignore"):
         z = np.minimum(z / np.where(scale > 0, scale, 1.0), np.finfo(float).max / 3)
-    gens, v, c, triples = _facets(z[front])
-    ratio = np.zeros(len(pos))
+    return z, front
+
+
+def _technical(z: np.ndarray, front: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """te of every scaled point, its best facet ratio and the facets, which
+    :func:`_peers` reuses."""
+    facets = gens, v, c, triples = _facets(z[front])
+    ratio = np.zeros(len(z))
     for s in range(0, len(c), _BLOCK):
         ratio = np.maximum(ratio, (c[s : s + _BLOCK] / (z @ v[s : s + _BLOCK].T)).max(axis=1))
     # A unit that spans a supporting facet is on the frontier: exactly 1.
-    spanning = np.isin(np.arange(len(pos)), front[triples[triples < len(front)]])
-    te[pos] = np.where(spanning, 1.0, np.minimum(ratio, 1.0))
+    spanning = np.isin(np.arange(len(z)), front[triples[triples < len(front)]])
+    return np.where(spanning, 1.0, np.minimum(ratio, 1.0)), ratio, facets
 
-    # Peers: a triple of an optimal facet whose coefficients for the
-    # contracted point are nonnegative, best first, until every unit has one.
-    best_low = np.full(len(pos), -np.inf)
-    coef, triple = np.zeros((len(pos), 3)), np.zeros((len(pos), 3), dtype=int)
+
+def _peers(
+    y: np.ndarray, z: np.ndarray, front: np.ndarray, ratio: np.ndarray, facets: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """Peers of every scaled point: up to three indices into ``z`` per row
+    with their intensity weights (zero where a slot is unused).
+
+    ``y`` holds the points' outputs. A peer whose output is so much smaller
+    than the unit's that its weight passes the float range gets weight
+    ``inf``.
+    """
+    gens, v, c, triples = facets
+    # A triple of an optimal facet whose coefficients for the contracted
+    # point are nonnegative, best first, until every unit has one.
+    best_low = np.full(len(z), -np.inf)
+    coef, triple = np.zeros((len(z), 3)), np.zeros((len(z), 3), dtype=int)
     for s in range(0, len(c), _BLOCK):
         r = c[s : s + _BLOCK] / (z @ v[s : s + _BLOCK].T)
         u, f = np.nonzero((r >= ratio[:, None] * (1 - _TOL)) & (best_low[:, None] < -_TOL))
         t = triples[s + f]
         # A triple with two points a few ulps apart, such as a unit and a
         # scaled copy of it, is (near) singular. Skip it: the facets through
-        # those points have well-conditioned triples too.
+        # those points have well-conditioned triples too. With a pivot near
+        # the float minimum the factorisation inside det divides by zero;
+        # the determinant then comes out 0 and the triple is skipped.
         g = gens[t]
-        solvable = np.abs(np.linalg.det(g)) > _TOL * np.linalg.norm(g, axis=2).prod(axis=1)
+        with np.errstate(divide="ignore"):
+            size = np.abs(np.linalg.det(g))
+        solvable = size > _TOL * np.linalg.norm(g, axis=2).prod(axis=1)
         u, f, t = u[solvable], f[solvable], t[solvable]
         w = np.linalg.solve(gens[t].transpose(0, 2, 1), (r[u, f, None] * z[u])[..., None])[..., 0]
         low = w.min(axis=1)
@@ -118,19 +138,62 @@ def _technical(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         head = head[low[head] > best_low[u[head]]]
         best_low[u[head]], coef[u[head]], triple[u[head]] = low[head], w[head], t[head]
     # Rays are not units: their slots keep weight 0 and point at any unit.
-    peer[pos] = np.append(pos[front], [pos[0]] * 3)[triple]
+    peer = np.append(front, [0] * 3)[triple]
     coef[triple >= len(front)] = 0.0
-    weight[pos] = coef.clip(0.0) * y[pos, None] / y[peer[pos]]
-    return te, peer, weight
+    with np.errstate(over="ignore"):
+        return peer, coef.clip(0.0) * y[:, None] / y[peer]
 
 
-def _cost(x: np.ndarray, y: np.ndarray, costs: CostVector) -> np.ndarray:
-    """ce of every unit: its output at the lowest cost per unit of output."""
+def _score(ds: SdsDataset, costs: CostVector) -> tuple[tuple, tuple | None]:
+    """te, ae and ce of every member of ``ds``, and the frontier that
+    :func:`_peers` searches: the indices and outputs of the units with
+    output, their scaled points, the Pareto-minimal ones, their best facet
+    ratios and the facets (None if no unit has output)."""
+    validate_dataset(ds)
+    x = [(d.fp_years, d.ap_years, d.rf_years) for d, _ in ds.members]
+    x, y = np.array(x, dtype=float).reshape(-1, 3), np.array(ds.ss_values(), dtype=float)
+    ids = ds.dmu_ids()
     cost = x @ np.array([costs.fp_cost, costs.ap_cost, costs.rf_cost])
-    pos = y > cost / np.finfo(float).max
-    if not pos.any():
-        return np.zeros(len(y))
-    return np.minimum(y * (cost[pos] / y[pos]).min() / cost, 1.0)
+    # Units with zero output, or so little that x / y or cost / y is not
+    # finite, score (0, 0, 0) in te and ce alike and are no peers: they
+    # would add input for next to no output.
+    pos = np.flatnonzero(y > np.maximum(x.max(axis=1), cost) / np.finfo(float).max)
+    te, ce = np.zeros(len(y)), np.zeros(len(y))
+    frontier = None
+    if pos.size:
+        z, front = _points(x[pos] / y[pos, None])
+        # A unit whose input per unit of output rounds to the zero vector,
+        # before or after scaling, would make every other unit score 0
+        # against it.
+        flat = np.flatnonzero(~z.any(axis=1))
+        if flat.size:
+            raise DataError(
+                f"{ds.sds_id}/{ids[pos[flat[0]]]}: "
+                "staff-years per unit of output underflow to zero"
+            )
+        te[pos], ratio, facets = _technical(z, front)
+        # ce: the unit's output at the lowest cost per unit of output.
+        ce[pos] = np.minimum(y[pos] * (cost[pos] / y[pos]).min() / cost[pos], 1.0)
+        frontier = pos, y[pos], z, front, ratio, facets
+    try:
+        ae = allocative_efficiency(te, ce)
+    except SolverError as exc:
+        i = np.flatnonzero(ce > te + CLAMP_TOL)[0]
+        raise SolverError(f"{ds.sds_id}/{ids[i]}: {exc}") from exc
+    # ce is re-derived from the pair so the decomposition identity is exact
+    # rather than within rounding.
+    return checked_scores(te, ae, te * ae), frontier
+
+
+def score_sds(
+    ds: SdsDataset, costs: CostVector = DEFAULT_COSTS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """te, ae and ce of every DMU of one SDS, as arrays in member order.
+
+    DMUs with zero output score (0, 0, 0) by convention. No peers are
+    searched; :func:`evaluate_sds` gives the same scores with them.
+    """
+    return _score(ds, costs)[0]
 
 
 def technical_efficiency(dmu0: int, ds: SdsDataset) -> tuple[float, dict[str, float]]:
@@ -148,56 +211,43 @@ def technical_efficiency(dmu0: int, ds: SdsDataset) -> tuple[float, dict[str, fl
 def cost_efficiency(dmu0: int, ds: SdsDataset, costs: CostVector = DEFAULT_COSTS) -> float:
     """Minimum-cost-to-actual-cost ratio of ``ds.members[dmu0]``.
 
-    Each call validates and scores the whole SDS through :func:`evaluate_sds`,
+    Each call validates and scores the whole SDS through :func:`score_sds`,
     so to score every unit call that once instead.
     """
-    return evaluate_sds(ds, costs)[ds.members[dmu0][0].dmu_id].ce
+    return float(score_sds(ds, costs)[2][dmu0])
 
 
-def allocative_efficiency(te: float, ce: float) -> float:
-    """CE / TE, with the nil-output convention that te = 0 maps to 0."""
-    if ce > te + CLAMP_TOL:
-        raise SolverError(f"cost efficiency {ce} exceeds technical efficiency {te}")
-    if te == 0:
-        return 0.0
-    return min(1.0, ce / te)
+def allocative_efficiency(te, ce):
+    """CE / TE, with the nil-output convention that te = 0 maps to 0.
+
+    ``te`` and ``ce`` are two scores, or two arrays of them taken pairwise.
+    """
+    te, ce = np.asarray(te, dtype=float), np.asarray(ce, dtype=float)
+    over = ce > te + CLAMP_TOL
+    if over.any():
+        raise SolverError(
+            f"cost efficiency {ce[over].flat[0]} exceeds technical efficiency {te[over].flat[0]}"
+        )
+    ae = np.minimum(1.0, np.divide(ce, te, out=np.zeros_like(ce), where=te != 0))
+    return ae if ae.ndim else float(ae)
 
 
 def evaluate_sds(
     ds: SdsDataset, costs: CostVector = DEFAULT_COSTS
 ) -> dict[str, EfficiencyScores]:
-    """Score every DMU of one SDS.
+    """Score every DMU of one SDS, with its peers.
 
-    DMUs with zero output score (0, 0, 0) by convention.
+    DMUs with zero output score (0, 0, 0) by convention and have no peers.
     """
-    validate_dataset(ds)
-    x = [(d.fp_years, d.ap_years, d.rf_years) for d, _ in ds.members]
-    x, y = np.array(x, dtype=float).reshape(-1, 3), np.array(ds.ss_values(), dtype=float)
+    (te, ae, ce), frontier = _score(ds, costs)
     ids = ds.dmu_ids()
-    # A unit whose input per unit of output rounds to the zero vector would
-    # make every other unit score 0 against it.
-    with np.errstate(over="ignore"):
-        flat = np.flatnonzero(x.max(axis=1) / np.where(y > 0, y, 1.0) == 0)
-    if flat.size:
-        raise DataError(
-            f"{ds.sds_id}/{ids[flat[0]]}: staff-years per unit of output underflow to zero"
-        )
-    te, peer, weight = _technical(x, y)
-    ce = _cost(x, y, costs).tolist()
-    scores: dict[str, EfficiencyScores] = {}
-    for i, (dmu_id, te_i) in enumerate(zip(ids, te.tolist())):
-        try:
-            ae = allocative_efficiency(te_i, ce[i])
-        except SolverError as exc:
-            raise SolverError(f"{ds.sds_id}/{dmu_id}: {exc}") from exc
-        # Store ce re-derived from the pair so the decomposition identity is
-        # exact rather than within rounding.
-        scores[dmu_id] = EfficiencyScores(
-            te=te_i,
-            ae=ae,
-            ce=te_i * ae,
-            reference_weights={
-                ids[j]: w for j, w in zip(peer[i], weight[i].tolist()) if w > _WEIGHT_TOL
-            },
-        )
-    return scores
+    weights: list[dict[str, float]] = [{} for _ in ids]
+    if frontier is not None:
+        pos, y, z, front, ratio, facets = frontier
+        peer, weight = _peers(y, z, front, ratio, facets)
+        for i, peers, row in zip(pos.tolist(), pos[peer].tolist(), weight.tolist()):
+            weights[i] = {ids[j]: w for j, w in zip(peers, row) if w > _WEIGHT_TOL}
+    return {
+        dmu_id: EfficiencyScores(te=t, ae=a, ce=c, reference_weights=w)
+        for dmu_id, t, a, c, w in zip(ids, te.tolist(), ae.tolist(), ce.tolist(), weights)
+    }

@@ -33,6 +33,7 @@ Emission is deterministic: identical inputs produce byte-identical output.
 import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import operator
@@ -490,9 +491,10 @@ def emit(
 
 # report.json is the report's fields as ``json.dumps(..., sort_keys=True,
 # indent=2)`` lays them out, byte for byte. The stdlib encodes indented JSON
-# in pure Python, so the layout is written here directly: each score row
-# once, from a template of its sorted field names, and the rest through a
-# short generic writer.
+# in pure Python, so the layout is written here directly: the score rows of
+# an SDS field by field, a whole column at a time, each row then filled into
+# a template of its sorted field names, and the rest through a short
+# generic writer.
 
 _ROW_FIELDS = tuple(sorted(f.name for f in dataclasses.fields(ScoreRow)))
 _row_values = operator.attrgetter(*_ROW_FIELDS)
@@ -500,6 +502,9 @@ _row_values = operator.attrgetter(*_ROW_FIELDS)
 _ROW_TEMPLATE = (
     "{\n" + ",\n".join(f'          "{name}": %s' for name in _ROW_FIELDS) + "\n        }"
 )
+# float.__repr__ spells the non-finite floats as Python does, json.dumps as
+# JavaScript does.
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 class _Encoded(str):
@@ -525,6 +530,23 @@ def _json_scalar(value) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _json_column(values: tuple) -> Iterable[str]:
+    """``map(_json_scalar, values)``, a column of floats or of strings at once."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        text = list(map(float.__repr__, values))
+        return map(_JSON_FLOATS.get, text, text)
+    if kinds == {str}:
+        return map(encode_basestring_ascii, values)
+    return map(_json_scalar, values)
+
+
+def _encoded_rows(rows: tuple[ScoreRow, ...]) -> list[_Encoded]:
+    """The JSON text of each score row, encoded column by column."""
+    columns = [_json_column(values) for values in zip(*map(_row_values, rows))]
+    return [_Encoded(_ROW_TEMPLATE % values) for values in zip(*columns)]
 
 
 def _json(value, indent: str) -> str:
@@ -555,11 +577,13 @@ def _json(value, indent: str) -> str:
 def _report_json(report: AssessmentReport) -> str:
     """The text of report.json; institutions repeat their SDS rows' text."""
     rows: dict[int, _Encoded] = {}
-
-    def encoded(row: ScoreRow) -> _Encoded:
-        if id(row) not in rows:
-            rows[id(row)] = _Encoded(_ROW_TEMPLATE % tuple(map(_json_scalar, _row_values(row))))
-        return rows[id(row)]
+    for res in report.sds_results.values():
+        rows.update(zip(map(id, res.rows), _encoded_rows(res.rows)))
+    # Only a report put together by hand has institution rows of its own.
+    others = tuple(
+        row for inst in report.institutions for row in inst.rows if id(row) not in rows
+    )
+    rows.update(zip(map(id, others), _encoded_rows(others)))
 
     document = {
         "ss_mode": report.ss_mode,
@@ -569,7 +593,7 @@ def _report_json(report: AssessmentReport) -> str:
         "eligibility": report.eligibility,
         "sds": {
             sds_id: {
-                "rows": [encoded(row) for row in res.rows],
+                "rows": [rows[id(row)] for row in res.rows],
                 "histograms": res.histograms,
                 "quadrants": res.quadrants,
             }
@@ -578,7 +602,7 @@ def _report_json(report: AssessmentReport) -> str:
         "institutions": [
             {
                 "dmu_id": inst.dmu_id,
-                "rows": [encoded(row) for row in inst.rows],
+                "rows": [rows[id(row)] for row in inst.rows],
                 "aggregate": inst.aggregate,
             }
             for inst in report.institutions
@@ -605,11 +629,21 @@ _SCORE_HEADER = (
 )
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> None:
+_score_values = operator.attrgetter(*_SCORE_HEADER)
+
+
+def _write_csv(path: Path, header: tuple[str, ...], rows: Iterable[Iterable[str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _csv_column(values: tuple, precision: int) -> list[str]:
+    """``_fmt`` of each value, a column of floats with one format spec."""
+    if set(map(type, values)) == {float}:
+        return list(map(format, values, itertools.repeat(f".{precision}f")))
+    return [_fmt(value, precision) for value in values]
 
 
 def _emit_csv(report: AssessmentReport, out: Path) -> list[Path]:
@@ -617,26 +651,8 @@ def _emit_csv(report: AssessmentReport, out: Path) -> list[Path]:
     written = []
     for sds_id, result in sorted(report.sds_results.items()):
         path = out / f"scores_{_slug(sds_id)}.csv"
-        rows = [
-            [
-                row.dmu_id,
-                row.sds_id,
-                _fmt(row.ss, p),
-                _fmt(row.fp_years, p),
-                _fmt(row.ap_years, p),
-                _fmt(row.rf_years, p),
-                _fmt(row.te, p),
-                _fmt(row.ae, p),
-                _fmt(row.ce, p),
-                _fmt(row.te_pct, p),
-                _fmt(row.ae_pct, p),
-                _fmt(row.ce_pct, p),
-                _fmt(row.staff_cost, p),
-                _fmt(row.ss_per_staff_year, p),
-            ]
-            for row in result.rows
-        ]
-        _write_csv(path, _SCORE_HEADER, rows)
+        columns = [_csv_column(values, p) for values in zip(*map(_score_values, result.rows))]
+        _write_csv(path, _SCORE_HEADER, zip(*columns))
         written.append(path)
 
     path = out / "institutions.csv"

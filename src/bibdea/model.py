@@ -9,6 +9,8 @@ import sys
 from dataclasses import dataclass, field
 from numbers import Real
 
+import numpy as np
+
 # Citations are divided as floats, so a count must fit one.
 MAX_CITATIONS = sys.float_info.max
 # Longest byline accepted. The life-science scheme builds one weight per
@@ -179,20 +181,40 @@ class EfficiencyScores:
     reference_weights: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, value in (("te", self.te), ("ae", self.ae), ("ce", self.ce)):
-            if not -CLAMP_TOL <= value <= 1 + CLAMP_TOL:
-                raise DataError(f"{name}={value} outside [0, 1] beyond clamp tolerance")
-            object.__setattr__(self, name, min(1.0, max(0.0, value)))
-        if self.te > 0:
-            if abs(self.ce - self.te * self.ae) > DECOMPOSITION_TOL:
-                raise DataError(
-                    f"decomposition violated: ce={self.ce} != te*ae={self.te * self.ae}"
-                )
-        elif self.ae != 0 or self.ce != 0:
-            raise DataError("te=0 requires ae=0 and ce=0")
+        scores = checked_scores([self.te], [self.ae], [self.ce])
+        for name, value in zip(("te", "ae", "ce"), scores):
+            object.__setattr__(self, name, float(value[0]))
 
     def as_triple(self) -> tuple[float, float, float]:
         return (self.te, self.ae, self.ce)
+
+
+def checked_scores(te, ae, ce) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """te, ae and ce arrays of one group of units, clamped into [0, 1].
+
+    A score more than :data:`CLAMP_TOL` outside [0, 1], a ce more than
+    :data:`DECOMPOSITION_TOL` from te * ae where te > 0, and a nonzero ae or
+    ce where te = 0 are data errors.
+    """
+    scores = []
+    for name, values in (("te", te), ("ae", ae), ("ce", ce)):
+        values = np.asarray(values, dtype=float)
+        outside = np.flatnonzero(~((values >= -CLAMP_TOL) & (values <= 1 + CLAMP_TOL)))
+        if outside.size:
+            raise DataError(
+                f"{name}={values[outside[0]]} outside [0, 1] beyond clamp tolerance"
+            )
+        # adding 0.0 turns the -0.0 that clip keeps into 0.0
+        scores.append(values.clip(0.0, 1.0) + 0.0)
+    te, ae, ce = scores
+    product = te * ae
+    broken = np.flatnonzero((te > 0) & (np.abs(ce - product) > DECOMPOSITION_TOL))
+    if broken.size:
+        i = broken[0]
+        raise DataError(f"decomposition violated: ce={ce[i]} != te*ae={product[i]}")
+    if np.any((te == 0) & ((ae != 0) | (ce != 0))):
+        raise DataError("te=0 requires ae=0 and ce=0")
+    return te, ae, ce
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from numbers import Integral, Real
 
 from . import analytics
 from .analytics import AggregateScores, Histogram, QuadrantSummary
-from .dea import evaluate_sds
+from .dea import score_sds
 from .model import (
     DEFAULT_COSTS,
     AssessmentDataset,
@@ -118,7 +118,7 @@ class AssessmentReport:
         raise DataError(f"no assessed institution {dmu_id!r}")
 
 
-def _percentiles(values: list[float]) -> list[float | None]:
+def _percentiles(values) -> list[float | None]:
     if len(values) < 2:
         return [None] * len(values)
     return analytics.percentile_ranks(values)
@@ -168,42 +168,39 @@ def run_assessment(
             # an infinite weight would turn the institution aggregates into NaN
             if not cost < math.inf:
                 raise DataError(f"{sds_id}/{dmu.dmu_id}: staff cost overflows a float")
-        scores = evaluate_sds(sds, config.costs)
-        te_pct = _percentiles([scores[d].te for d in sds.dmu_ids()])
-        ae_pct = _percentiles([scores[d].ae for d in sds.dmu_ids()])
-        ce_pct = _percentiles([scores[d].ce for d in sds.dmu_ids()])
-        rows = []
-        for i, (dmu, ss) in enumerate(sds.members):
-            s = scores[dmu.dmu_id]
-            rows.append(
-                ScoreRow(
-                    dmu_id=dmu.dmu_id,
-                    sds_id=sds_id,
-                    ss=ss,
-                    fp_years=dmu.fp_years,
-                    ap_years=dmu.ap_years,
-                    rf_years=dmu.rf_years,
-                    te=s.te,
-                    ae=s.ae,
-                    ce=s.ce,
-                    staff_cost=costs[i],
-                    ss_per_staff_year=analytics.productivity_ratio(ss, dmu),
-                    te_pct=te_pct[i],
-                    ae_pct=ae_pct[i],
-                    ce_pct=ce_pct[i],
-                )
+        te, ae, ce = score_sds(sds, config.costs)
+        te_pct, ae_pct, ce_pct = _percentiles(te), _percentiles(ae), _percentiles(ce)
+        te_list, ae_list, ce_list = te.tolist(), ae.tolist(), ce.tolist()
+        rows = tuple(
+            ScoreRow(
+                dmu_id=dmu.dmu_id,
+                sds_id=sds_id,
+                ss=ss,
+                fp_years=dmu.fp_years,
+                ap_years=dmu.ap_years,
+                rf_years=dmu.rf_years,
+                te=te_i,
+                ae=ae_i,
+                ce=ce_i,
+                staff_cost=cost,
+                ss_per_staff_year=analytics.productivity_ratio(ss, dmu),
+                te_pct=te_pct_i,
+                ae_pct=ae_pct_i,
+                ce_pct=ce_pct_i,
             )
+            for (dmu, ss), te_i, ae_i, ce_i, cost, te_pct_i, ae_pct_i, ce_pct_i in zip(
+                sds.members, te_list, ae_list, ce_list, costs, te_pct, ae_pct, ce_pct
+            )
+        )
         sds_results[sds_id] = SdsResult(
             sds_id=sds_id,
-            rows=tuple(rows),
+            rows=rows,
             histograms={
-                "te": analytics.histogram([r.te for r in rows]),
-                "ae": analytics.histogram([r.ae for r in rows]),
-                "ce": analytics.histogram([r.ce for r in rows]),
+                "te": analytics.histogram(te_list),
+                "ae": analytics.histogram(ae_list),
+                "ce": analytics.histogram(ce_list),
             },
-            quadrants=analytics.efficiency_matrix(
-                {d: scores[d] for d in sds.dmu_ids()}, config.quadrant_threshold
-            ),
+            quadrants=analytics._quadrant_counts(te, ae, config.quadrant_threshold),
         )
 
     institutions = _institution_results(sds_results)

@@ -181,6 +181,41 @@ class TestAssess:
         err = capsys.readouterr().err
         assert "data error: S/01/U2: staff-years per unit of output underflow to zero" in err
 
+    def test_output_too_small_for_its_inputs_scores_zero(self, tmp_path, capsys):
+        # U0's staff-years and staff cost per unit of output pass the float
+        # range, so it scores as a zero-output unit in te and in ce alike
+        code, out = self._assess_staff(tmp_path, ["U0,S/01,1,3,1,1e-308", "U1,S/01,0,1e305,3,1"])
+        assert code == 0
+        rows = json.loads((out / "report.json").read_text())["sds"]["S/01"]["rows"]
+        scores = {r["dmu_id"]: (r["te"], r["ae"], r["ce"]) for r in rows}
+        assert scores == {"U0": (0.0, 0.0, 0.0), "U1": (1.0, 1.0, 1.0)}
+
+    def test_scaled_input_per_output_underflow_is_a_data_error(self, tmp_path, capsys):
+        # U1's x / y is not zero, but it is once divided by the largest
+        # x / y of the Pareto-minimal units, which span over 600 decades
+        rows = ["U0,S,0,1e30,1e-300,2", "U1,S,1e-308,1e-300,0,2", "U2,S,1e300,1e-30,0,0"]
+        code, _ = self._assess_staff(tmp_path, [*rows, "U3,S,1e30,0,1e300,1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "data error: S/U1: staff-years per unit of output underflow to zero" in err
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["U0,S/01,0,1e-308,5e-324,1e-308", "U1,S/01,1,1e30,1e305,2"],
+            [
+                "U0,S/01,1e-300,3,1e300,1e300",
+                "U1,S/01,1e305,0,1e300,1e308",
+                "U2,S/01,1e305,1e300,5e-324,1",
+            ],
+        ],
+    )
+    def test_near_limit_staff_years_warn_nothing(self, tmp_path, capsys, rows):
+        # numpy warnings are errors under pytest; stderr is checked as well
+        code, _ = self._assess_staff(tmp_path, rows)
+        assert code == 0
+        assert "Warning" not in capsys.readouterr().err
+
     def test_overflowing_institution_cost_is_a_data_error(self, tmp_path, capsys):
         # each SDS row's staff cost is finite; their sum over 20 SDSs is not
         rows = [f"U{u},S/{s:02d},{1e305 if u == 1 else 1},1,1,1" for s in range(20) for u in (1, 2)]

@@ -1,8 +1,11 @@
+import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibdea import (
     DEFAULT_COSTS,
@@ -17,6 +20,7 @@ from bibdea import (
     percentile_ranks,
     technical_efficiency,
 )
+from bibdea.dea import score_sds
 
 from benchmarks import PHARM_CHEM
 from oracles import (
@@ -203,6 +207,47 @@ class TestEvaluateSds:
         )
         with pytest.raises(DatasetValidationError):
             evaluate_sds(ds)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.one_of(st.just(0.0), st.floats(0.01, 5))] * 2, st.floats(0.1, 5)),
+                st.one_of(st.just(0.0), st.floats(0.01, 20)),
+                # a new unit, or an exact or scaled copy of an earlier one
+                st.sampled_from(["new", "copy", "scaled"]),
+                st.integers(0, 7),
+                st.floats(0.1, 10),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_scores_without_peers_are_the_scores_with_them(self, units):
+        inputs, outputs = [], []
+        for x, ss, kind, source, factor in units:
+            if kind != "new" and source < len(inputs):
+                scale = factor if kind == "scaled" else 1.0
+                x, ss = [v * scale for v in inputs[source]], outputs[source] * scale
+            inputs.append(list(x))
+            outputs.append(ss)
+        ds = dataset(inputs, outputs)
+        scores = evaluate_sds(ds)
+        for k, column in enumerate(score_sds(ds)):
+            assert [v.hex() for v in column.tolist()] == [
+                scores[d].as_triple()[k].hex() for d in ds.dmu_ids()
+            ]
+
+    def test_peer_search_near_the_float_limits_warns_nothing(self):
+        # numpy warnings are errors under pytest. D1's peer has 2e308 times
+        # less output than D1, a weight past the float range.
+        ds = dataset([[0.0, 1e-308, 5e-324], [1.0, 1e30, 1e305]], [1e-308, 2.0])
+        assert evaluate_sds(ds)["D1"].reference_weights == {"D0": math.inf}
+        # a triple whose determinant factorisation divides by zero
+        inputs = [[1e-300, 3.0, 1e300], [1e305, 0.0, 1e300], [1e305, 1e300, 5e-324]]
+        scores = evaluate_sds(dataset(inputs, [1e300, 1e308, 1.0]))
+        assert [s.te for s in scores.values()] == [1.0, 1.0, 1.0]
 
 
 class TestInvariances:

@@ -25,6 +25,7 @@ from bibdea import (
     run_assessment,
     scientific_strength,
 )
+from bibdea import dea
 from bibdea.analytics import TIE_TOL
 from bibdea.io import CONFIG_ENV_VAR
 
@@ -704,6 +705,15 @@ class TestRunAssessment:
             )
             assert quadrant(copy) == quadrant(unit)
 
+    def test_scores_without_peers_or_score_objects(self, fixtures_dir, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pipeline prints no peers and needs no score objects")
+
+        monkeypatch.setattr(dea, "_peers", refuse)
+        monkeypatch.setattr(EfficiencyScores, "__post_init__", refuse)
+        report = run_assessment(ingest(fixtures_dir / "pharm_chem_staff.csv"))
+        assert len(report.sds_results["CHIM/08"].rows) == 28
+
     def test_overflowing_staff_cost_is_a_data_error(self, tmp_path):
         rows = [["U1", "A/01", 1e307, 0, 0, 1.0], ["U2", "A/01", 1, 1, 1, 1.0]]
         staff = write_csv(tmp_path / "staff.csv", STAFF_HEADER + ["ss"], rows)
@@ -890,6 +900,18 @@ class TestReportJson:
             sds_results={"CHIM/08": dataclasses.replace(result, rows=(first, *result.rows[1:]))},
         )
         self.assert_matches_reference(odd, tmp_path)
+
+    def test_single_unit_sds_has_no_percentiles(self, tmp_path):
+        rows = [
+            ["U1", "ONE/01", 1, 1, 1, 1.0],
+            ["U1", "TWO/01", 1, 0, 0, 1.0],
+            ["U2", "TWO/01", 2, 1, 0, 3.0],
+        ]
+        staff = write_csv(tmp_path / "staff.csv", STAFF_HEADER + ["ss"], rows)
+        report = run_assessment(ingest(staff), apply_filter=False)
+        (row,) = report.sds_results["ONE/01"].rows
+        assert (row.te_pct, row.ae_pct, row.ce_pct) == (None, None, None)
+        self.assert_matches_reference(report, tmp_path)
 
     def test_ids_that_need_escaping(self, tmp_path):
         staff = _odd_census(tmp_path / "staff.csv")
