@@ -11,12 +11,25 @@ is scored (frontier first, as in Dula's BuildHull, 2011). Cost efficiency
 scales the peer with the lowest cost per unit of output; allocative
 efficiency is their quotient.
 
+The candidate facets of an SDS are enumerated in one batch: every triple
+of generators (points and unit rays) anchored at a point, in the order of
+anchor, then pair, a bounded chunk of triples at a time. Each plane's
+offset ``c`` is the same float the per-anchor enumeration gives, because
+it is still one matrix-vector product per slice of ``_BLOCK`` pairs of
+one anchor: BLAS rounds a row of such a product differently depending on
+where the row falls in the slice and on the matrix's memory layout. The
+heights of the points above the planes only feed a toleranced test, so
+they are taken for a whole chunk at once.
+
 :func:`score_sds` gives the three scores of an SDS as arrays; the pipeline
 uses it and computes no peers. :func:`evaluate_sds` scores the same way
 and then searches each unit's peers (its reference set) on the facets
 already found: a triple of an optimal facet that combines into the
 contracted unit with nonnegative weights.
 """
+
+import bisect
+import operator
 
 import numpy as np
 
@@ -41,6 +54,9 @@ _TOL = 1e-10
 # Triples and facets are processed this many at a time, so that the working
 # arrays stay small however many facets an SDS has.
 _BLOCK = 512
+# Candidate planes are enumerated so that about this many point heights are
+# held at once.
+_CHUNK = 1 << 18
 
 
 def _facets(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -52,24 +68,47 @@ def _facets(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     """
     m = len(p)
     gens = np.vstack([p, np.eye(3)])
-    first, second = np.triu_indices(m + 3, 1)
-    found = []
-    for a in range(m):
-        # direction from the anchor point a to each point, and each ray
-        d = gens.copy()
-        d[:m] -= p[a]
-        for s in range(np.searchsorted(first, a, "right"), len(first), _BLOCK):
-            j, k = first[s : s + _BLOCK], second[s : s + _BLOCK]
-            v = np.cross(d[j], d[k])
-            v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), np.finfo(float).tiny)
-            v *= np.sign(v.sum(axis=1, keepdims=True))
-            c = v @ p[a]
-            # Height of every generator above each plane; for a ray, its slope.
-            height = gens @ v.T
-            height[:m] -= c
-            keep = (c > 0) & (height.min(axis=0) >= -_TOL * c)
-            triples = np.column_stack([np.full_like(j, a), j, k])
-            found.append((v[keep].clip(0.0), c[keep], triples[keep]))
+    # Every triple a < j < k of generators whose first, the anchor, is a
+    # point, in lexicographic order.
+    g = np.arange(m + 3)
+    anchor, first, second = np.nonzero((g[:m, None, None] < g[:, None]) & (g[:, None] < g))
+    # c is one matrix-vector product per slice of _BLOCK triples of one anchor.
+    end = np.searchsorted(anchor, np.arange(m), "right").tolist()
+    slices = [
+        (a, s, min(s + _BLOCK, e))
+        for a, (b, e) in enumerate(zip([0, *end], end))
+        for s in range(b, e, _BLOCK)
+    ]
+    # d[a, j]: direction from the anchor point a to each point, and each ray;
+    # d1 and d2 hold its coordinates rotated by one and by two places.
+    d = np.broadcast_to(gens, (m, m + 3, 3)).copy()
+    d[:, :m] -= p[:, None]
+    d1, d2 = d[..., [1, 2, 0]], d[..., [2, 0, 1]]
+    # Whole slices are taken a chunk at a time, so that the heights below
+    # stay small however many triples an SDS has.
+    step = max(_BLOCK, _CHUNK // m)
+    found, i = [], 0
+    while i < len(slices):
+        lo = slices[i][1]
+        n = bisect.bisect_right(slices, lo + step, lo=i, key=operator.itemgetter(2))
+        chunk, i = slices[i:n], n
+        hi = chunk[-1][2]
+        a, j, k = anchor[lo:hi], first[lo:hi], second[lo:hi]
+        # np.cross and np.linalg.norm, term for term. v comes out in C order,
+        # as from np.cross: the products for c below round differently on
+        # another memory layout.
+        v = d1[a, j] * d2[a, k] - d2[a, j] * d1[a, k]
+        v /= np.maximum(np.sqrt((v * v).sum(axis=1, keepdims=True)), np.finfo(float).tiny)
+        v *= np.sign(v.sum(axis=1, keepdims=True))
+        c = np.empty(hi - lo)
+        for b, s, e in chunk:
+            c[s - lo : e - lo] = v[s - lo : e - lo] @ p[b]
+        # A ray's height above a plane is its slope, a component of v; the
+        # points' heights are taken only for the planes the rays pass.
+        keep = (c > 0) & (v.min(axis=1) >= -_TOL * c)
+        height = (p @ v[keep].T).min(axis=0) - c[keep]
+        keep[keep] = height >= -_TOL * c[keep]
+        found.append((v[keep].clip(0.0), c[keep], np.column_stack([a, j, k])[keep]))
     v, c, triples = (np.concatenate(parts) for parts in zip(*found))
     return gens, v, c, triples
 
@@ -77,9 +116,13 @@ def _facets(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 def _points(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``z`` scaled by the column maxima of its Pareto-minimal points, and
     the indices of those points."""
-    # Dominated points never span a facet; the rest are the Pareto-minimal ones.
-    below, above = z[:, None] <= z[None], z[:, None] < z[None]
-    front = np.flatnonzero(~(below.all(axis=2) & above.any(axis=2)).any(axis=0))
+    # Dominated points never span a facet; the rest are the Pareto-minimal
+    # ones. below[i, j]: z_i <= z_j in every column, so z_i dominates z_j
+    # unless z_j <= z_i too.
+    below = np.ones((len(z), len(z)), dtype=bool)
+    for col in z.T:
+        below &= col[:, None] <= col
+    front = np.flatnonzero(~(below & ~below.T).any(axis=0))
     # Scores are unit-free; scaling into [0, 1] keeps cross products finite.
     # A dominated point can lie past the float range once scaled. Clipped to
     # a third of the largest float, its product with any unit v >= 0 stays
@@ -98,19 +141,25 @@ def _technical(z: np.ndarray, front: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for s in range(0, len(c), _BLOCK):
         ratio = np.maximum(ratio, (c[s : s + _BLOCK] / (z @ v[s : s + _BLOCK].T)).max(axis=1))
     # A unit that spans a supporting facet is on the frontier: exactly 1.
-    spanning = np.isin(np.arange(len(z)), front[triples[triples < len(front)]])
+    spanning = np.zeros(len(z), dtype=bool)
+    spanning[front[triples[triples < len(front)]]] = True
     return np.where(spanning, 1.0, np.minimum(ratio, 1.0)), ratio, facets
 
 
 def _peers(
-    y: np.ndarray, z: np.ndarray, front: np.ndarray, ratio: np.ndarray, facets: tuple
+    y: np.ndarray,
+    z: np.ndarray,
+    front: np.ndarray,
+    te: np.ndarray,
+    ratio: np.ndarray,
+    facets: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Peers of every scaled point: up to three indices into ``z`` per row
     with their intensity weights (zero where a slot is unused).
 
-    ``y`` holds the points' outputs. A peer whose output is so much smaller
-    than the unit's that its weight passes the float range gets weight
-    ``inf``.
+    ``y`` and ``te`` hold the points' outputs and scores. A peer whose
+    output is so much smaller than the unit's that its weight passes the
+    float range gets weight ``inf``.
     """
     gens, v, c, triples = facets
     # A triple of an optimal facet whose coefficients for the contracted
@@ -140,6 +189,10 @@ def _peers(
     # Rays are not units: their slots keep weight 0 and point at any unit.
     peer = np.append(front, [0] * 3)[triple]
     coef[triple >= len(front)] = 0.0
+    # A frontier unit whose optimal facets have no solvable triple, all of
+    # them near singular, is its own peer.
+    alone = np.flatnonzero((best_low == -np.inf) & (te == 1.0))
+    peer[alone], coef[alone] = alone[:, None], (1.0, 0.0, 0.0)
     with np.errstate(over="ignore"):
         return peer, coef.clip(0.0) * y[:, None] / y[peer]
 
@@ -244,7 +297,7 @@ def evaluate_sds(
     weights: list[dict[str, float]] = [{} for _ in ids]
     if frontier is not None:
         pos, y, z, front, ratio, facets = frontier
-        peer, weight = _peers(y, z, front, ratio, facets)
+        peer, weight = _peers(y, z, front, te[pos], ratio, facets)
         for i, peers, row in zip(pos.tolist(), pos[peer].tolist(), weight.tolist()):
             weights[i] = {ids[j]: w for j, w in zip(peers, row) if w > _WEIGHT_TOL}
     return {

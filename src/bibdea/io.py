@@ -469,12 +469,23 @@ def emit(
     """Write the report to ``out_dir``; returns the files written.
 
     Score tables apply the configured reporting precision; the JSON report
-    keeps full precision so it can be re-ingested losslessly.
+    keeps full precision so it can be re-ingested losslessly. Two SDSs whose
+    ids share a file name slug are a data error when csv or svg is written,
+    raised before any file is.
     """
     formats = list(formats)
     unknown = sorted(set(formats) - set(FORMATS))
     if unknown:
         raise DataError(f"unknown output formats {unknown}; available: {list(FORMATS)}")
+    if {"csv", "svg"} & set(formats):
+        slugs: dict[str, str] = {}
+        for sds_id in sorted(report.sds_results):
+            other = slugs.setdefault(_slug(sds_id), sds_id)
+            if other != sds_id:
+                raise DataError(
+                    f"SDS ids {other!r} and {sds_id!r} share the output file name "
+                    f"slug {_slug(sds_id)!r}"
+                )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -493,14 +504,16 @@ def emit(
 # indent=2)`` lays them out, byte for byte. The stdlib encodes indented JSON
 # in pure Python, so the layout is written here directly: the score rows of
 # an SDS field by field, a whole column at a time, each row then filled into
-# a template of its sorted field names, and the rest through a short
-# generic writer.
+# a template of its sorted field names, each row list joined into one block,
+# and the rest through a short generic writer.
 
 _ROW_FIELDS = tuple(sorted(f.name for f in dataclasses.fields(ScoreRow)))
 _row_values = operator.attrgetter(*_ROW_FIELDS)
 # Score rows sit at the same depth under "sds" and under "institutions".
 _ROW_TEMPLATE = (
-    "{\n" + ",\n".join(f'          "{name}": %s' for name in _ROW_FIELDS) + "\n        }"
+    "        {\n"
+    + ",\n".join(f'          "{name}": %s' for name in _ROW_FIELDS)
+    + "\n        }"
 )
 # float.__repr__ spells the non-finite floats as Python does, json.dumps as
 # JavaScript does.
@@ -536,6 +549,9 @@ def _json_column(values: tuple) -> Iterable[str]:
     """``map(_json_scalar, values)``, a column of floats or of strings at once."""
     kinds = set(map(type, values))
     if kinds == {float}:
+        # The sum is finite only if every value is.
+        if math.isfinite(sum(values)):
+            return map(float.__repr__, values)
         text = list(map(float.__repr__, values))
         return map(_JSON_FLOATS.get, text, text)
     if kinds == {str}:
@@ -543,10 +559,15 @@ def _json_column(values: tuple) -> Iterable[str]:
     return map(_json_scalar, values)
 
 
-def _encoded_rows(rows: tuple[ScoreRow, ...]) -> list[_Encoded]:
+def _encoded_rows(rows: tuple[ScoreRow, ...]) -> list[str]:
     """The JSON text of each score row, encoded column by column."""
     columns = [_json_column(values) for values in zip(*map(_row_values, rows))]
-    return [_Encoded(_ROW_TEMPLATE % values) for values in zip(*columns)]
+    return [_ROW_TEMPLATE % values for values in zip(*columns)]
+
+
+def _row_list(texts: list[str]) -> _Encoded:
+    """A list of encoded score rows as one block of JSON text."""
+    return _Encoded("[\n" + ",\n".join(texts) + "\n      ]" if texts else "[]")
 
 
 def _json(value, indent: str) -> str:
@@ -576,9 +597,12 @@ def _json(value, indent: str) -> str:
 
 def _report_json(report: AssessmentReport) -> str:
     """The text of report.json; institutions repeat their SDS rows' text."""
-    rows: dict[int, _Encoded] = {}
-    for res in report.sds_results.values():
-        rows.update(zip(map(id, res.rows), _encoded_rows(res.rows)))
+    rows: dict[int, str] = {}
+    sds_rows: dict[str, _Encoded] = {}
+    for sds_id, res in report.sds_results.items():
+        texts = _encoded_rows(res.rows)
+        rows.update(zip(map(id, res.rows), texts))
+        sds_rows[sds_id] = _row_list(texts)
     # Only a report put together by hand has institution rows of its own.
     others = tuple(
         row for inst in report.institutions for row in inst.rows if id(row) not in rows
@@ -593,7 +617,7 @@ def _report_json(report: AssessmentReport) -> str:
         "eligibility": report.eligibility,
         "sds": {
             sds_id: {
-                "rows": [rows[id(row)] for row in res.rows],
+                "rows": sds_rows[sds_id],
                 "histograms": res.histograms,
                 "quadrants": res.quadrants,
             }
@@ -602,7 +626,7 @@ def _report_json(report: AssessmentReport) -> str:
         "institutions": [
             {
                 "dmu_id": inst.dmu_id,
-                "rows": [rows[id(row)] for row in inst.rows],
+                "rows": _row_list([rows[id(row)] for row in inst.rows]),
                 "aggregate": inst.aggregate,
             }
             for inst in report.institutions

@@ -6,6 +6,10 @@ basic solutions of the standard form directly, or with HiGHS from scipy
 (a test-only dependency, imported on first use). The closed forms of the
 constant-returns geometry are kept as a further reference.
 
+``reference_facets`` and ``reference_pareto_front`` are the frontier steps
+as they were before the candidate planes were enumerated in one batch: one
+anchor point at a time, and the Pareto test as one (n, n, 3) broadcast.
+
 ``reference_ingest_ss`` scores a publications file row by row, the way
 ingest did before it read the file by columns and cached per distinct key.
 ``reference_report_json`` is report.json as the standard library encodes it.
@@ -157,6 +161,40 @@ def te_single_input_closed_form(dmu0: int, inputs_1d, outputs) -> float:
     """With one input, te is the DMU's output/input ratio over the best one."""
     rates = [o / x for o, x in zip(outputs, inputs_1d)]
     return rates[dmu0] / max(rates)
+
+
+def reference_pareto_front(z: np.ndarray) -> np.ndarray:
+    """Indices of the points of ``z`` that no other point dominates."""
+    below, above = z[:, None] <= z[None], z[:, None] < z[None]
+    return np.flatnonzero(~(below.all(axis=2) & above.any(axis=2)).any(axis=0))
+
+
+def reference_facets(p: np.ndarray, block: int, tol: float):
+    """``dea._facets(p)`` one anchor point at a time, ``block`` pairs of
+    generators per step: the generators, then per plane kept its unit
+    ``v``, ``c`` and triple."""
+    m = len(p)
+    gens = np.vstack([p, np.eye(3)])
+    first, second = np.triu_indices(m + 3, 1)
+    found = []
+    for a in range(m):
+        # direction from the anchor point a to each point, and each ray
+        d = gens.copy()
+        d[:m] -= p[a]
+        for s in range(np.searchsorted(first, a, "right"), len(first), block):
+            j, k = first[s : s + block], second[s : s + block]
+            v = np.cross(d[j], d[k])
+            v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), np.finfo(float).tiny)
+            v *= np.sign(v.sum(axis=1, keepdims=True))
+            c = v @ p[a]
+            # Height of every generator above each plane; for a ray, its slope.
+            height = gens @ v.T
+            height[:m] -= c
+            keep = (c > 0) & (height.min(axis=0) >= -tol * c)
+            triples = np.column_stack([np.full_like(j, a), j, k])
+            found.append((v[keep].clip(0.0), c[keep], triples[keep]))
+    v, c, triples = (np.concatenate(parts) for parts in zip(*found))
+    return gens, v, c, triples
 
 
 def integer_cost_triples(

@@ -216,6 +216,15 @@ class TestAssess:
         assert code == 0
         assert "Warning" not in capsys.readouterr().err
 
+    def test_sds_ids_with_one_file_slug_are_a_data_error(self, tmp_path, capsys):
+        # both ids would be written to scores_A_01.csv
+        rows = [f"U{u},{sds},{u},1,1,1" for sds in ("A/01", "A-01") for u in (1, 2)]
+        code, out = self._assess_staff(tmp_path, rows)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "data error: SDS ids 'A-01' and 'A/01' share the output file name slug" in err
+        assert not out.exists()
+
     def test_overflowing_institution_cost_is_a_data_error(self, tmp_path, capsys):
         # each SDS row's staff cost is finite; their sum over 20 SDSs is not
         rows = [f"U{u},S/{s:02d},{1e305 if u == 1 else 1},1,1,1" for s in range(20) for u in (1, 2)]

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bibdea import (
@@ -20,6 +20,7 @@ from bibdea import (
     percentile_ranks,
     technical_efficiency,
 )
+from bibdea import dea
 from bibdea.dea import score_sds
 
 from benchmarks import PHARM_CHEM
@@ -27,6 +28,8 @@ from oracles import (
     ce_by_enumeration,
     ce_closed_form,
     highs_scores,
+    reference_facets,
+    reference_pareto_front,
     te_by_enumeration,
     te_single_input_closed_form,
 )
@@ -49,6 +52,33 @@ def dataset(inputs, outputs, sds_id="S"):
         for j, (x, ss) in enumerate(zip(inputs, outputs))
     )
     return SdsDataset(sds_id=sds_id, members=members)
+
+
+# Units of an SDS: zero or positive staff-years and SS, each a new unit or
+# an exact or scaled copy of an earlier one.
+unit_lists = st.lists(
+    st.tuples(
+        st.tuples(*[st.one_of(st.just(0.0), st.floats(0.01, 5))] * 2, st.floats(0.1, 5)),
+        st.one_of(st.just(0.0), st.floats(0.01, 20)),
+        st.sampled_from(["new", "copy", "scaled"]),
+        st.integers(0, 7),
+        st.floats(0.1, 10),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def units_sds(units):
+    """The inputs and outputs of a draw of ``unit_lists``."""
+    inputs, outputs = [], []
+    for x, ss, kind, source, factor in units:
+        if kind != "new" and source < len(inputs):
+            scale = factor if kind == "scaled" else 1.0
+            x, ss = [v * scale for v in inputs[source]], outputs[source] * scale
+        inputs.append(list(x))
+        outputs.append(ss)
+    return inputs, outputs
 
 
 def random_dataset(rng, n_dmus=None, n_inputs=None):
@@ -210,29 +240,9 @@ class TestEvaluateSds:
 
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.tuples(*[st.one_of(st.just(0.0), st.floats(0.01, 5))] * 2, st.floats(0.1, 5)),
-                st.one_of(st.just(0.0), st.floats(0.01, 20)),
-                # a new unit, or an exact or scaled copy of an earlier one
-                st.sampled_from(["new", "copy", "scaled"]),
-                st.integers(0, 7),
-                st.floats(0.1, 10),
-            ),
-            min_size=1,
-            max_size=8,
-        )
-    )
+    @given(unit_lists)
     def test_scores_without_peers_are_the_scores_with_them(self, units):
-        inputs, outputs = [], []
-        for x, ss, kind, source, factor in units:
-            if kind != "new" and source < len(inputs):
-                scale = factor if kind == "scaled" else 1.0
-                x, ss = [v * scale for v in inputs[source]], outputs[source] * scale
-            inputs.append(list(x))
-            outputs.append(ss)
-        ds = dataset(inputs, outputs)
+        ds = dataset(*units_sds(units))
         scores = evaluate_sds(ds)
         for k, column in enumerate(score_sds(ds)):
             assert [v.hex() for v in column.tolist()] == [
@@ -248,6 +258,15 @@ class TestEvaluateSds:
         inputs = [[1e-300, 3.0, 1e300], [1e305, 0.0, 1e300], [1e305, 1e300, 5e-324]]
         scores = evaluate_sds(dataset(inputs, [1e300, 1e308, 1.0]))
         assert [s.te for s in scores.values()] == [1.0, 1.0, 1.0]
+
+    def test_frontier_unit_without_a_solvable_triple_is_its_own_peer(self):
+        # every triple of D0's optimal facets fails the determinant test
+        inputs = np.array([[1e-300, 3.0, 1e300], [1e305, 0.0, 1e300], [1e305, 1e300, 5e-324]])
+        outputs = np.array([1e300, 1e308, 1.0])
+        scores = evaluate_sds(dataset(inputs.tolist(), outputs.tolist()))
+        assert scores["D0"].te == 1.0
+        assert scores["D0"].reference_weights == {"D0": 1.0}
+        check_peers(scores, inputs, outputs)
 
 
 class TestInvariances:
@@ -399,11 +418,17 @@ def check_scores(inputs, outputs, enumerate_too):
             assert ce[i] == pytest.approx(
                 ce_by_enumeration(i, inputs, outputs, PRICES), abs=1e-9
             )
+    check_peers(scores, inputs, outputs)
+
+
+def check_peers(scores, inputs, outputs):
+    """Every unit's peers cover its output from at most te times its inputs."""
+    ids = list(scores)
     tol = 1e-8 * max(1.0, inputs.max(), outputs.max())
     for i, d in enumerate(ids):
         lam = np.array([scores[d].reference_weights.get(p, 0.0) for p in ids])
         assert lam @ outputs >= outputs[i] - tol, d
-        assert np.all(lam @ inputs <= te[i] * inputs[i] + tol), d
+        assert np.all(lam @ inputs <= scores[d].te * inputs[i] + tol), d
 
 
 class TestOracleAgreement:
@@ -437,6 +462,35 @@ class TestOracleAgreement:
         rng = np.random.default_rng(len(name))
         check_scores(*degenerate_case(name, 7, rng), enumerate_too=True)
         check_scores(*degenerate_case(name, 40, rng), enumerate_too=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        unit_lists.map(units_sds),
+        # every unit Pareto-minimal; with 31 or more, an anchor has more than
+        # _BLOCK pairs of generators
+        st.builds(
+            pareto_minimal_units,
+            st.integers(0, 2**32 - 1).map(np.random.default_rng),
+            st.integers(1, 45),
+            st.booleans(),
+        ),
+    )
+)
+@example(pareto_minimal_units(np.random.default_rng(0), 45, convex=True))
+@example(pareto_minimal_units(np.random.default_rng(1), 40, convex=False))
+def test_batched_frontier_is_the_per_anchor_frontier(sds):
+    inputs, outputs = map(np.asarray, sds)
+    pos = outputs > 0
+    assume(pos.any())
+    z = inputs[pos] / outputs[pos, None]
+    scaled, front = dea._points(z)
+    assert front.tolist() == reference_pareto_front(z).tolist()
+    got = dea._facets(scaled[front])
+    want = reference_facets(scaled[front], dea._BLOCK, dea._TOL)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
 
 def test_worst_case_sds_stays_within_time_and_memory():

@@ -913,6 +913,42 @@ class TestReportJson:
         assert (row.te_pct, row.ae_pct, row.ce_pct) == (None, None, None)
         self.assert_matches_reference(report, tmp_path)
 
+    def test_finite_and_non_finite_score_columns(self, tmp_path):
+        # FIN/01's score columns are all finite, ODD/01's te and ce are not;
+        # U3 has one row, U1 and U2 one in each SDS
+        rows = [
+            ["U1", "FIN/01", 1, 1, 1, 1.0],
+            ["U2", "FIN/01", 2, 1, 0, 3.0],
+            ["U3", "FIN/01", 1, 2, 1, 2.0],
+            ["U1", "ODD/01", 1, 0, 1, 1.0],
+            ["U2", "ODD/01", 2, 1, 1, 4.0],
+        ]
+        staff = write_csv(tmp_path / "staff.csv", STAFF_HEADER + ["ss"], rows)
+        report = run_assessment(ingest(staff), apply_filter=False)
+        odd = report.sds_results["ODD/01"]
+        first, second = odd.rows
+        changed = {
+            id(first): dataclasses.replace(first, te=math.nan, ce=-math.inf),
+            id(second): dataclasses.replace(second, te=math.inf),
+        }
+        report = dataclasses.replace(
+            report,
+            sds_results={
+                **report.sds_results,
+                "ODD/01": dataclasses.replace(odd, rows=tuple(changed.values())),
+            },
+            institutions=tuple(
+                dataclasses.replace(inst, rows=tuple(changed.get(id(r), r) for r in inst.rows))
+                for inst in report.institutions
+            ),
+        )
+        assert [(i.dmu_id, len(i.rows)) for i in report.institutions] == [
+            ("U1", 2),
+            ("U2", 2),
+            ("U3", 1),
+        ]
+        self.assert_matches_reference(report, tmp_path)
+
     def test_ids_that_need_escaping(self, tmp_path):
         staff = _odd_census(tmp_path / "staff.csv")
         report = run_assessment(ingest(staff), AssessmentConfig(min_active_universities=3))
