@@ -12,14 +12,18 @@ anchor point at a time, and the Pareto test as one (n, n, 3) broadcast.
 
 ``reference_ingest_ss`` scores a publications file row by row, the way
 ingest did before it read the file by columns and cached per distinct key.
-``reference_report_json`` is report.json as the standard library encodes it.
+``reference_report_json`` is report.json as the standard library encodes it,
+and ``reference_csv_tables`` the CSV tables laid out one row, then one cell,
+at a time.
 """
 
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -330,3 +334,83 @@ def reference_report_json(report) -> str:
         ],
     }
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+_SCORE_COLUMNS = (
+    "dmu_id",
+    "sds_id",
+    "ss",
+    "fp_years",
+    "ap_years",
+    "rf_years",
+    "te",
+    "ae",
+    "ce",
+    "te_pct",
+    "ae_pct",
+    "ce_pct",
+    "staff_cost",
+    "ss_per_staff_year",
+)
+
+
+def reference_csv_tables(report) -> dict[str, str]:
+    """The text of every CSV table, keyed by file name, written row by row:
+    None as an empty cell, a float with the reporting precision, a flag as
+    1 or 0 and anything else through ``str``."""
+    p = report.reporting_precision
+
+    def fmt(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return f"{value:.{p}f}"
+        return str(value)
+
+    def table(header, rows) -> str:
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return text.getvalue()
+
+    tables = {}
+    for sds_id, result in sorted(report.sds_results.items()):
+        slug = re.sub(r"[^A-Za-z0-9]+", "_", sds_id)
+        tables[f"scores_{slug}.csv"] = table(
+            _SCORE_COLUMNS,
+            [[fmt(getattr(row, name)) for name in _SCORE_COLUMNS] for row in result.rows],
+        )
+    tables["institutions.csv"] = table(
+        ("dmu_id", "n_sds", "staff_cost", "te", "ae", "ce", "te_pct", "ae_pct", "ce_pct"),
+        [
+            [inst.dmu_id, str(len(inst.rows))]
+            + [
+                fmt(getattr(inst.aggregate, name))
+                for name in ("total_weight", "te", "ae", "ce", "te_pct", "ae_pct", "ce_pct")
+            ]
+            for inst in report.institutions
+        ],
+    )
+    tables["eligibility.csv"] = table(
+        (
+            "sds_id",
+            "included",
+            "universities_active",
+            "fraction_publishing",
+            "failed_criteria",
+            "filter_applied",
+        ),
+        [
+            [
+                e.sds_id,
+                "1" if e.included else "0",
+                str(e.universities_active),
+                fmt(e.fraction_publishing),
+                ";".join(e.failed_criteria),
+                "1" if e.filter_applied else "0",
+            ]
+            for e in report.eligibility
+        ],
+    )
+    return tables

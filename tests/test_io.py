@@ -9,14 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibdea import (
+    AggregateScores,
     AssessmentConfig,
     AssessmentDataset,
+    AssessmentReport,
     CostVector,
     DataError,
     DmuInput,
     EfficiencyScores,
+    Histogram,
+    InstitutionResult,
     MedianTable,
     PublicationRecord,
+    QuadrantSummary,
+    ScoreRow,
+    SdsResult,
     build_median_table,
     efficiency_matrix,
     emit,
@@ -28,9 +35,10 @@ from bibdea import (
 from bibdea import dea
 from bibdea.analytics import TIE_TOL
 from bibdea.io import CONFIG_ENV_VAR
+from bibdea.report import EligibilityEntry
 
 from benchmarks import PHARM_CHEM
-from oracles import reference_ingest_ss, reference_report_json
+from oracles import reference_csv_tables, reference_ingest_ss, reference_report_json
 
 
 def write_csv(path, header, rows):
@@ -837,6 +845,52 @@ class TestEmit:
         emit(report, ["json"], target)
         assert (target / "report.json").exists()
 
+    @staticmethod
+    def assert_csv_matches_reference(report, out):
+        written = emit(report, ["csv"], out)
+        expected = reference_csv_tables(report)
+        assert [p.name for p in written] == list(expected)
+        for path in written:
+            assert path.read_bytes() == expected[path.name].encode(), path.name
+
+    @pytest.mark.parametrize("config", [None, "config.json"])
+    def test_csv_benchmark_fixture(self, fixtures_dir, tmp_path, config):
+        config = load_config(fixtures_dir / config) if config else None
+        report = run_assessment(ingest(fixtures_dir / "pharm_chem_staff.csv"), config)
+        self.assert_csv_matches_reference(report, tmp_path)
+
+    @pytest.mark.parametrize("apply_filter", [True, False])
+    def test_csv_computed_fixture(self, fixtures_dir, tmp_path, apply_filter):
+        dataset = ingest(
+            fixtures_dir / "lab_staff.csv",
+            fixtures_dir / "lab_pubs.csv",
+            fixtures_dir / "lab_medians.csv",
+        )
+        report = run_assessment(dataset, apply_filter=apply_filter)
+        assert any(not e.included for e in report.eligibility) == apply_filter
+        self.assert_csv_matches_reference(report, tmp_path)
+
+    def test_csv_ids_that_need_quoting(self, tmp_path):
+        staff = _odd_census(tmp_path / "staff.csv")
+        report = run_assessment(ingest(staff), AssessmentConfig(min_active_universities=3))
+        self.assert_csv_matches_reference(report, tmp_path / "out")
+
+    def test_csv_single_sds_view(self, report, tmp_path):
+        # what `sds-report --out` writes
+        single = dataclasses.replace(report, institutions=())
+        self.assert_csv_matches_reference(single, tmp_path)
+        assert (tmp_path / "institutions.csv").read_text() == (
+            "dmu_id,n_sds,staff_cost,te,ae,ce,te_pct,ae_pct,ce_pct\n"
+        )
+
+    def test_csv_single_institution(self, tmp_path):
+        rows = [["U1", "ONE/01", 1, 1, 1, 1.0], ["U1", "TWO/01", 1, 0, 0, 0.0]]
+        staff = write_csv(tmp_path / "staff.csv", STAFF_HEADER + ["ss"], rows)
+        report = run_assessment(ingest(staff), apply_filter=False)
+        self.assert_csv_matches_reference(report, tmp_path / "out")
+        lines = (tmp_path / "out" / "institutions.csv").read_text().splitlines()
+        assert lines[1].startswith("U1,2,") and lines[1].endswith(",,,")
+
 
 def _odd_census(path):
     """A staff file whose unit and SDS ids hold non-ASCII characters, quotes,
@@ -856,9 +910,89 @@ def _odd_census(path):
     return write_csv(path, STAFF_HEADER + ["ss"], rows)
 
 
+# Values a hand-built report may hold where the pipeline writes a float.
+_ODD_NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+)
+_ODD_PCTS = st.none() | _ODD_NUMBERS
+_ODD_IDS = st.text(max_size=6) | st.sampled_from(['"quoted"', "line\nbreak", "Università", "東京"])
+_SCORE_ROWS = st.builds(
+    ScoreRow,
+    **{
+        f.name: _ODD_IDS if f.name.endswith("_id") else _ODD_PCTS if f.name.endswith("_pct")
+        else _ODD_NUMBERS
+        for f in dataclasses.fields(ScoreRow)
+    },
+)
+_HISTOGRAMS = st.builds(
+    Histogram,
+    counts=st.lists(st.integers(0, 10**6), max_size=5).map(tuple),
+    median=_ODD_NUMBERS,
+    bin_width=_ODD_NUMBERS,
+)
+_SDS_RESULTS = st.builds(
+    SdsResult,
+    sds_id=_ODD_IDS,
+    rows=st.lists(_SCORE_ROWS, max_size=4).map(tuple),
+    histograms=st.fixed_dictionaries({"te": _HISTOGRAMS, "ae": _HISTOGRAMS, "ce": _HISTOGRAMS}),
+    quadrants=st.builds(QuadrantSummary, *[st.integers(0, 10**6)] * 4),
+)
+_AGGREGATES = st.builds(
+    AggregateScores,
+    te=_ODD_NUMBERS,
+    ae=_ODD_NUMBERS,
+    ce=_ODD_NUMBERS,
+    total_weight=_ODD_NUMBERS,
+    te_pct=_ODD_PCTS,
+    ae_pct=_ODD_PCTS,
+    ce_pct=_ODD_PCTS,
+)
+_ELIGIBILITY = st.builds(
+    EligibilityEntry,
+    sds_id=_ODD_IDS,
+    included=st.booleans(),
+    universities_active=st.integers(0, 10**6),
+    fraction_publishing=_ODD_NUMBERS,
+    failed_criteria=st.lists(_ODD_IDS, max_size=2).map(tuple),
+    filter_applied=st.booleans(),
+)
+
+
+@st.composite
+def _odd_reports(draw):
+    """A report put together by hand: 0-3 SDSs of 0-4 rows, 0-3 institutions
+    whose rows are SDS rows or rows of their own."""
+    sds_results = draw(st.dictionaries(_ODD_IDS, _SDS_RESULTS, max_size=3))
+    pool = [row for res in sds_results.values() for row in res.rows]
+    rows = st.sampled_from(pool) | _SCORE_ROWS if pool else _SCORE_ROWS
+    institutions = st.builds(
+        InstitutionResult,
+        dmu_id=_ODD_IDS,
+        rows=st.lists(rows, max_size=3).map(tuple),
+        aggregate=_AGGREGATES,
+    )
+    return AssessmentReport(
+        ss_mode=draw(st.sampled_from(["passthrough", "computed"])),
+        census_date=draw(_ODD_IDS),
+        quadrant_threshold=draw(_ODD_NUMBERS),
+        reporting_precision=draw(st.integers(1, 17)),
+        eligibility=tuple(draw(st.lists(_ELIGIBILITY, max_size=3))),
+        sds_results=sds_results,
+        institutions=tuple(draw(st.lists(institutions, max_size=3))),
+    )
+
+
 class TestReportJson:
     """``emit``'s report.json, byte for byte against the standard library's
     indented, key-sorted encoding of the report's fields."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(report=_odd_reports())
+    def test_reports_put_together_by_hand(self, report, tmp_path_factory):
+        self.assert_matches_reference(report, tmp_path_factory.getbasetemp() / "by_hand")
 
     @staticmethod
     def assert_matches_reference(report, out):
