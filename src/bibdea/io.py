@@ -453,14 +453,6 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", name)
 
 
-def _fmt(value, precision: int) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.{precision}f}"
-    return str(value)
-
-
 def emit(
     report: AssessmentReport,
     formats: Iterable[str],
@@ -502,26 +494,15 @@ def emit(
 
 # report.json is the report's fields as ``json.dumps(..., sort_keys=True,
 # indent=2)`` lays them out, byte for byte. The stdlib encodes indented JSON
-# in pure Python, so the layout is written here directly: the score rows of
-# an SDS field by field, a whole column at a time, each row then filled into
-# a template of its sorted field names, each row list joined into one block,
-# and the rest through a short generic writer.
+# in pure Python, so the layout is written here directly, by one mechanism:
+# the dataclasses of one class (score rows, eligibility entries, histograms,
+# quadrants, aggregates) are encoded a field at a time, a whole column at
+# once, and each is then filled into a template of its sorted field names.
+# ``_report_json`` writes the fixed document around them.
 
-_ROW_FIELDS = tuple(sorted(f.name for f in dataclasses.fields(ScoreRow)))
-_row_values = operator.attrgetter(*_ROW_FIELDS)
-# Score rows sit at the same depth under "sds" and under "institutions".
-_ROW_TEMPLATE = (
-    "        {\n"
-    + ",\n".join(f'          "{name}": %s' for name in _ROW_FIELDS)
-    + "\n        }"
-)
 # float.__repr__ spells the non-finite floats as Python does, json.dumps as
 # JavaScript does.
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-class _Encoded(str):
-    """JSON text already laid out for its place in the document."""
 
 
 def _json_scalar(value) -> str:
@@ -545,8 +526,18 @@ def _json_scalar(value) -> str:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _json_column(values: tuple) -> Iterable[str]:
-    """``map(_json_scalar, values)``, a column of floats or of strings at once."""
+def _json_block(brackets: str, items: list[str], depth: int) -> str:
+    """``items``, laid out for nesting ``depth + 1``, as one JSON list or
+    object (``brackets`` is "[]" or "{}") at nesting ``depth``."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{brackets[1]}"
+
+
+def _json_column(values: tuple, depth: int) -> Iterable[str]:
+    """The JSON text of each value, a column of floats or of strings at
+    once; a tuple or list is a list of scalars at nesting ``depth``."""
     kinds = set(map(type, values))
     if kinds == {float}:
         # The sum is finite only if every value is.
@@ -556,83 +547,67 @@ def _json_column(values: tuple) -> Iterable[str]:
         return map(_JSON_FLOATS.get, text, text)
     if kinds == {str}:
         return map(encode_basestring_ascii, values)
-    return map(_json_scalar, values)
+    return [
+        _json_block("[]", list(map(_json_scalar, value)), depth)
+        if isinstance(value, (tuple, list))
+        else _json_scalar(value)
+        for value in values
+    ]
 
 
-def _encoded_rows(rows: tuple[ScoreRow, ...]) -> list[str]:
-    """The JSON text of each score row, encoded column by column."""
-    columns = [_json_column(values) for values in zip(*map(_row_values, rows))]
-    return [_ROW_TEMPLATE % values for values in zip(*columns)]
-
-
-def _row_list(texts: list[str]) -> _Encoded:
-    """A list of encoded score rows as one block of JSON text."""
-    return _Encoded("[\n" + ",\n".join(texts) + "\n      ]" if texts else "[]")
-
-
-def _json(value, indent: str) -> str:
-    """``value`` laid out as ``json.dumps(value, sort_keys=True, indent=2)``
-    does at the nesting depth ``indent``. A dataclass stands for the dict of
-    its fields, and :class:`_Encoded` text is taken as it is."""
-    if isinstance(value, _Encoded):
-        return value
-    if dataclasses.is_dataclass(value):
-        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (
-            f"{inner}{encode_basestring_ascii(key)}: {_json(item, inner)}"
-            for key, item in sorted(value.items())
-        )
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = (inner + _json(item, inner) for item in value)
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-    return _json_scalar(value)
+def _json_objects(items: tuple, depth: int) -> list[str]:
+    """The JSON object of each dataclass in ``items``, all of one class, at
+    nesting ``depth``: the fields are encoded a column at a time and filled
+    into a template of their sorted names."""
+    if not items:
+        return []
+    names = sorted(f.name for f in dataclasses.fields(items[0]))
+    template = _json_block("{}", [f"{encode_basestring_ascii(name)}: %s" for name in names], depth)
+    values = zip(*map(operator.attrgetter(*names), items))
+    return [template % row for row in zip(*(_json_column(v, depth + 1) for v in values))]
 
 
 def _report_json(report: AssessmentReport) -> str:
     """The text of report.json; institutions repeat their SDS rows' text."""
-    rows: dict[int, str] = {}
-    sds_rows: dict[str, _Encoded] = {}
-    for sds_id, res in report.sds_results.items():
-        texts = _encoded_rows(res.rows)
-        rows.update(zip(map(id, res.rows), texts))
-        sds_rows[sds_id] = _row_list(texts)
+    results = sorted(report.sds_results.items())
+    text = {}
+    for _, res in results:
+        text.update(zip(map(id, res.rows), _json_objects(res.rows, 4)))
     # Only a report put together by hand has institution rows of its own.
-    others = tuple(
-        row for inst in report.institutions for row in inst.rows if id(row) not in rows
-    )
-    rows.update(zip(map(id, others), _encoded_rows(others)))
+    others = tuple(row for inst in report.institutions for row in inst.rows if id(row) not in text)
+    text.update(zip(map(id, others), _json_objects(others, 4)))
 
-    document = {
-        "ss_mode": report.ss_mode,
-        "census_date": report.census_date,
-        "quadrant_threshold": report.quadrant_threshold,
-        "reporting_precision": report.reporting_precision,
-        "eligibility": report.eligibility,
-        "sds": {
-            sds_id: {
-                "rows": sds_rows[sds_id],
-                "histograms": res.histograms,
-                "quadrants": res.quadrants,
-            }
-            for sds_id, res in report.sds_results.items()
-        },
-        "institutions": [
-            {
-                "dmu_id": inst.dmu_id,
-                "rows": _row_list([rows[id(row)] for row in inst.rows]),
-                "aggregate": inst.aggregate,
-            }
-            for inst in report.institutions
-        ],
-    }
-    return _json(document, "") + "\n"
+    histograms = [sorted(res.histograms.items()) for _, res in results]
+    histogram_text = iter(_json_objects(tuple(h for items in histograms for _, h in items), 4))
+    quadrants = _json_objects(tuple(res.quadrants for _, res in results), 3)
+    sds = []
+    for (sds_id, res), items, quadrant in zip(results, histograms, quadrants):
+        keyed = [f"{_json_scalar(key)}: {next(histogram_text)}" for key, _ in items]
+        fields = [
+            f'"histograms": {_json_block("{}", keyed, 3)}',
+            f'"quadrants": {quadrant}',
+            '"rows": ' + _json_block("[]", [text[id(row)] for row in res.rows], 3),
+        ]
+        sds.append(f"{_json_scalar(sds_id)}: {_json_block('{}', fields, 2)}")
+    aggregates = _json_objects(tuple(inst.aggregate for inst in report.institutions), 3)
+    institutions = []
+    for inst, aggregate in zip(report.institutions, aggregates):
+        fields = [
+            f'"aggregate": {aggregate}',
+            f'"dmu_id": {_json_scalar(inst.dmu_id)}',
+            '"rows": ' + _json_block("[]", [text[id(row)] for row in inst.rows], 3),
+        ]
+        institutions.append(_json_block("{}", fields, 2))
+    document = [
+        f'"census_date": {_json_scalar(report.census_date)}',
+        '"eligibility": ' + _json_block("[]", _json_objects(report.eligibility, 2), 1),
+        '"institutions": ' + _json_block("[]", institutions, 1),
+        f'"quadrant_threshold": {_json_scalar(report.quadrant_threshold)}',
+        f'"reporting_precision": {_json_scalar(report.reporting_precision)}',
+        '"sds": ' + _json_block("{}", sds, 1),
+        f'"ss_mode": {_json_scalar(report.ss_mode)}',
+    ]
+    return _json_block("{}", document, 0) + "\n"
 
 
 _SCORE_HEADER = (
@@ -651,83 +626,74 @@ _SCORE_HEADER = (
     "staff_cost",
     "ss_per_staff_year",
 )
-
-
 _score_values = operator.attrgetter(*_SCORE_HEADER)
+_INSTITUTION_HEADER = (
+    "dmu_id",
+    "n_sds",
+    "staff_cost",
+    "te",
+    "ae",
+    "ce",
+    "te_pct",
+    "ae_pct",
+    "ce_pct",
+)
+_aggregate_values = operator.attrgetter(
+    "total_weight", "te", "ae", "ce", "te_pct", "ae_pct", "ce_pct"
+)
+_ELIGIBILITY_HEADER = (
+    "sds_id",
+    "included",
+    "universities_active",
+    "fraction_publishing",
+    "failed_criteria",
+    "filter_applied",
+)
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows: Iterable[Iterable[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv_tables(report: AssessmentReport):
+    """Yield each CSV table as its file name, header and columns of values;
+    flags are ints, so that they print as 1 and 0."""
+    for sds_id, result in sorted(report.sds_results.items()):
+        yield f"scores_{_slug(sds_id)}.csv", _SCORE_HEADER, zip(*map(_score_values, result.rows))
+    institutions = report.institutions
+    yield "institutions.csv", _INSTITUTION_HEADER, [
+        [inst.dmu_id for inst in institutions],
+        [len(inst.rows) for inst in institutions],
+        *zip(*(_aggregate_values(inst.aggregate) for inst in institutions)),
+    ]
+    entries = report.eligibility
+    yield "eligibility.csv", _ELIGIBILITY_HEADER, [
+        [e.sds_id for e in entries],
+        [int(e.included) for e in entries],
+        [e.universities_active for e in entries],
+        [e.fraction_publishing for e in entries],
+        [";".join(e.failed_criteria) for e in entries],
+        [int(e.filter_applied) for e in entries],
+    ]
 
 
 def _csv_column(values: tuple, precision: int) -> list[str]:
-    """``_fmt`` of each value, a column of floats with one format spec."""
+    """The cell of each value: None is empty, a float has ``precision``
+    decimals and anything else is ``str``; a column of floats at once."""
+    spec = f".{precision}f"
     if set(map(type, values)) == {float}:
-        return list(map(format, values, itertools.repeat(f".{precision}f")))
-    return [_fmt(value, precision) for value in values]
+        return list(map(format, values, itertools.repeat(spec)))
+    return [
+        "" if v is None else format(v, spec) if isinstance(v, float) else str(v) for v in values
+    ]
 
 
 def _emit_csv(report: AssessmentReport, out: Path) -> list[Path]:
-    p = report.reporting_precision
     written = []
-    for sds_id, result in sorted(report.sds_results.items()):
-        path = out / f"scores_{_slug(sds_id)}.csv"
-        columns = [_csv_column(values, p) for values in zip(*map(_score_values, result.rows))]
-        _write_csv(path, _SCORE_HEADER, zip(*columns))
+    for name, header, columns in _csv_tables(report):
+        path = out / name
+        cells = [_csv_column(values, report.reporting_precision) for values in columns]
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(zip(*cells))
         written.append(path)
-
-    path = out / "institutions.csv"
-    rows = []
-    for inst in report.institutions:
-        agg = inst.aggregate
-        rows.append(
-            [
-                inst.dmu_id,
-                str(len(inst.rows)),
-                _fmt(agg.total_weight, p),
-                _fmt(agg.te, p),
-                _fmt(agg.ae, p),
-                _fmt(agg.ce, p),
-                _fmt(agg.te_pct, p),
-                _fmt(agg.ae_pct, p),
-                _fmt(agg.ce_pct, p),
-            ]
-        )
-    _write_csv(
-        path,
-        ("dmu_id", "n_sds", "staff_cost", "te", "ae", "ce", "te_pct", "ae_pct", "ce_pct"),
-        rows,
-    )
-    written.append(path)
-
-    path = out / "eligibility.csv"
-    rows = [
-        [
-            e.sds_id,
-            "1" if e.included else "0",
-            str(e.universities_active),
-            _fmt(e.fraction_publishing, p),
-            ";".join(e.failed_criteria),
-            "1" if e.filter_applied else "0",
-        ]
-        for e in report.eligibility
-    ]
-    _write_csv(
-        path,
-        (
-            "sds_id",
-            "included",
-            "universities_active",
-            "fraction_publishing",
-            "failed_criteria",
-            "filter_applied",
-        ),
-        rows,
-    )
-    written.append(path)
     return written
 
 

@@ -237,18 +237,9 @@ def _institution_results(
         aggregates[dmu_id] = (tuple(rows), agg)
 
     # Percentile-rank each institution's aggregates against all institutions.
-    results = []
-    if len(aggregates) >= 2:
-        te_pct, ae_pct, ce_pct = (
-            analytics.percentile_ranks([getattr(agg, key) for _, agg in aggregates.values()])
-            for key in ("te", "ae", "ce")
-        )
-        for i, (dmu_id, (rows, agg)) in enumerate(aggregates.items()):
-            ranked = dataclasses.replace(
-                agg, te_pct=te_pct[i], ae_pct=ae_pct[i], ce_pct=ce_pct[i]
-            )
-            results.append(InstitutionResult(dmu_id=dmu_id, rows=rows, aggregate=ranked))
-    else:
-        for dmu_id, (rows, agg) in aggregates.items():
-            results.append(InstitutionResult(dmu_id=dmu_id, rows=rows, aggregate=agg))
-    return tuple(results)
+    values = [(agg.te, agg.ae, agg.ce) for _, agg in aggregates.values()]
+    ranks = zip(*(_percentiles(column) for column in zip(*values)))
+    return tuple(
+        InstitutionResult(dmu_id, rows, dataclasses.replace(agg, te_pct=t, ae_pct=a, ce_pct=c))
+        for (dmu_id, (rows, agg)), (t, a, c) in zip(aggregates.items(), ranks)
+    )
