@@ -422,13 +422,17 @@ def check_scores(inputs, outputs, enumerate_too):
 
 
 def check_peers(scores, inputs, outputs):
-    """Every unit's peers cover its output from at most te times its inputs."""
+    """Every scored unit's peers cover its output from at most te times its
+    inputs, to a tolerance relative to the unit itself. Units with te = 0
+    have no peers by convention."""
     ids = list(scores)
-    tol = 1e-8 * max(1.0, inputs.max(), outputs.max())
     for i, d in enumerate(ids):
+        te = scores[d].te
+        if te == 0:
+            continue
         lam = np.array([scores[d].reference_weights.get(p, 0.0) for p in ids])
-        assert lam @ outputs >= outputs[i] - tol, d
-        assert np.all(lam @ inputs <= scores[d].te * inputs[i] + tol), d
+        assert lam @ outputs >= outputs[i] * (1 - 1e-8), d
+        assert np.all(lam @ inputs <= te * inputs[i] + 1e-8 * te * inputs[i].max()), d
 
 
 class TestOracleAgreement:
