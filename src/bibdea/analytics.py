@@ -7,7 +7,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import DataError, DmuInput, EfficiencyScores
+from .model import DataError, DmuInput, EfficiencyScores, left_sum
 
 Triple = tuple[float, float, float]  # (te, ae, ce)
 
@@ -96,9 +96,9 @@ def aggregate_weighted(rows: Sequence[tuple[Triple, float]]) -> AggregateScores:
         raise DataError("cannot aggregate an empty list of rows")
     if any(w <= 0 for _, w in rows):
         raise DataError("aggregation weights must be strictly positive")
-    total = sum(w for _, w in rows)
+    total = left_sum(w for _, w in rows)
     te, ae, ce = (
-        sum(t[k] * w for t, w in rows) / total for k in range(3)
+        left_sum(t[k] * w for t, w in rows) / total for k in range(3)
     )
     return AggregateScores(te=te, ae=ae, ce=ce, total_weight=total)
 

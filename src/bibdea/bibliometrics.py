@@ -10,7 +10,7 @@ authors carry most of the credit.
 
 from typing import Iterable, Sequence
 
-from .model import DataError, MedianTable, PublicationRecord
+from .model import DataError, MedianTable, PublicationRecord, left_sum
 
 # Position weights when first and last author sit at the same university:
 # 40% each to the two ends, the rest shared by the middle of the byline.
@@ -36,13 +36,13 @@ def citation_divisor(
     if not categories:
         raise DataError("publication without subject categories")
     meds = [medians.median(year, c) for c in categories]
-    divisor = sum(meds) / len(meds)
+    divisor = left_sum(meds) / len(meds)
     if divisor > 0:
         return divisor
     fallback = [medians.mean(year, c) for c in categories]
     if any(m is None for m in fallback):
         return None
-    return sum(fallback) / len(fallback)
+    return left_sum(fallback) / len(fallback)
 
 
 def divide_citations(
@@ -117,7 +117,7 @@ def positional_weights(total_authors: int, first_last_same_university: bool) -> 
         share = pool / len(interior)
         for i in interior:
             w[i] += share
-    total = sum(w)
+    total = left_sum(w)
     return [wi / total for wi in w]
 
 
@@ -128,7 +128,7 @@ def fractional_count_life_science(
 ) -> float:
     """Position-weighted byline share of the unit under the life-science scheme."""
     weights = positional_weights(total_authors, first_last_same_university)
-    return sum(weights[p - 1] for p in dmu_author_positions)
+    return left_sum(weights[p - 1] for p in dmu_author_positions)
 
 
 def first_last_share_dmu(total_authors: int, dmu_author_positions: Sequence[int]) -> bool:
@@ -158,7 +158,7 @@ def scientific_strength(
     publications: Iterable[PublicationRecord], medians: MedianTable
 ) -> float:
     """Output indicator of one unit: sum of standardized, fractioned citations."""
-    return sum(
+    return left_sum(
         standardize_citations(p.citations, p.year, p.categories, medians)
         * fractional_count(p.total_authors, p.dmu_author_positions, p.life_science)
         for p in publications

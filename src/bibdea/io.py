@@ -54,6 +54,7 @@ from .model import (
     MedianTable,
     PublicationRecord,
     byline_problem,
+    left_sum,
 )
 from .report import AssessmentConfig, AssessmentReport, ScoreRow, SdsResult
 
@@ -395,7 +396,7 @@ def build_median_table(
         grouped.setdefault((year, category), []).append(citations)
     return MedianTable(
         entries={key: float(statistics.median(vals)) for key, vals in grouped.items()},
-        means={key: sum(vals) / len(vals) for key, vals in grouped.items()},
+        means={key: left_sum(vals) / len(vals) for key, vals in grouped.items()},
     )
 
 

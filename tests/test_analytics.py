@@ -119,6 +119,12 @@ class TestAggregateWeighted:
         with pytest.raises(DataError):
             aggregate_weighted([((0.5, 0.5, 0.25), 0.0)])
 
+    def test_weights_are_added_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16 at each step; a compensated sum,
+        # such as builtin sum from Python 3.12, gives 1.0000000000000002e16
+        agg = aggregate_weighted([((1.0, 1.0, 1.0), w) for w in (1e16, 1.0, 1.0)])
+        assert agg.total_weight == 1e16
+
     @settings(max_examples=100)
     @given(
         st.lists(
