@@ -206,7 +206,9 @@ def _score(ds: SdsDataset, costs: CostVector) -> tuple[tuple, tuple | None]:
     x = [(d.fp_years, d.ap_years, d.rf_years) for d, _ in ds.members]
     x, y = np.array(x, dtype=float).reshape(-1, 3), np.array(ds.ss_values(), dtype=float)
     ids = ds.dmu_ids()
-    cost = x @ np.array([costs.fp_cost, costs.ap_cost, costs.rf_cost])
+    # staff_cost's sum, term by term: a matrix product rounds differently,
+    # and ce would not divide by the staff cost the report prints.
+    cost = x[:, 0] * costs.fp_cost + x[:, 1] * costs.ap_cost + x[:, 2] * costs.rf_cost
     # Units with zero output, or so little that x / y or cost / y is not
     # finite, score (0, 0, 0) in te and ce alike and are no peers: they
     # would add input for next to no output.

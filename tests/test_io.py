@@ -722,6 +722,18 @@ class TestRunAssessment:
         report = run_assessment(ingest(fixtures_dir / "pharm_chem_staff.csv"))
         assert len(report.sds_results["CHIM/08"].rows) == 28
 
+    def test_ce_divides_by_the_printed_staff_cost(self, fixtures_dir):
+        # ae recomputed from the report's own ss, te and staff_cost by the
+        # closed form of ce: the lowest cost per unit of output in the SDS
+        report = run_assessment(ingest(fixtures_dir / "pharm_chem_staff.csv"))
+        rows = report.sds_results["CHIM/08"].rows
+        best = min(r.staff_cost / r.ss for r in rows if r.ss > 0)
+        for r in rows:
+            ce = min(r.ss * best / r.staff_cost, 1.0)
+            ae = min(1.0, ce / r.te) if r.te else 0.0
+            assert ae.hex() == r.ae.hex(), r.dmu_id
+            assert r.ce == r.te * r.ae
+
     def test_overflowing_staff_cost_is_a_data_error(self, tmp_path):
         rows = [["U1", "A/01", 1e307, 0, 0, 1.0], ["U2", "A/01", 1, 1, 1, 1.0]]
         staff = write_csv(tmp_path / "staff.csv", STAFF_HEADER + ["ss"], rows)
