@@ -56,7 +56,7 @@ from .model import (
     byline_problem,
     left_sum,
 )
-from .report import AssessmentConfig, AssessmentReport, ScoreRow, SdsResult
+from .report import AssessmentConfig, AssessmentReport, SdsResult
 
 CONFIG_ENV_VAR = "BIBDEA_CONFIG"
 
@@ -639,9 +639,8 @@ _INSTITUTION_HEADER = (
     "ae_pct",
     "ce_pct",
 )
-_aggregate_values = operator.attrgetter(
-    "total_weight", "te", "ae", "ce", "te_pct", "ae_pct", "ce_pct"
-)
+# The staff_cost column is the aggregate's total weight.
+_aggregate_values = operator.attrgetter("total_weight", *_INSTITUTION_HEADER[3:])
 _ELIGIBILITY_HEADER = (
     "sds_id",
     "included",

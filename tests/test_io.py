@@ -930,7 +930,9 @@ _ODD_NUMBERS = st.one_of(
     st.booleans(),
 )
 _ODD_PCTS = st.none() | _ODD_NUMBERS
-_ODD_IDS = st.text(max_size=6) | st.sampled_from(['"quoted"', "line\nbreak", "Università", "東京"])
+_ODD_IDS = st.text(max_size=6) | st.sampled_from(
+    ['"quoted"', "line\nbreak", "Università", "東京"]
+)
 _SCORE_ROWS = st.builds(
     ScoreRow,
     **{
