@@ -1,13 +1,12 @@
 """Score post-processing: percentiles, weighted aggregates, distributions,
 quadrant classification, productivity ratios, and dataset eligibility."""
 
-import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import DataError, DmuInput, EfficiencyScores, left_sum
+from .model import DataError, DmuInput, EfficiencyScores
 
 Triple = tuple[float, float, float]  # (te, ae, ce)
 
@@ -94,31 +93,55 @@ def aggregate_weighted(rows: Sequence[tuple[Triple, float]]) -> AggregateScores:
     """Weighted mean of (te, ae, ce) triples; weights are staff costs in k EUR."""
     if not rows:
         raise DataError("cannot aggregate an empty list of rows")
-    if any(w <= 0 for _, w in rows):
+    scores, weights = zip(*rows)
+    group = np.zeros(len(rows), dtype=np.intp)
+    total, te, ae, ce = _aggregates(group, np.array(weights, float), *np.array(scores, float).T)
+    return AggregateScores(float(te[0]), float(ae[0]), float(ce[0]), float(total[0]))
+
+
+def _aggregates(group: np.ndarray, weights: np.ndarray, *scores: np.ndarray) -> list:
+    """The total weight of each group of rows, then each score column's
+    weighted mean in it. ``np.bincount`` adds a group's terms one at a time
+    in row order, as :func:`~bibdea.model.left_sum` does."""
+    if (weights <= 0).any():
         raise DataError("aggregation weights must be strictly positive")
-    total = left_sum(w for _, w in rows)
-    te, ae, ce = (
-        left_sum(t[k] * w for t, w in rows) / total for k in range(3)
-    )
-    return AggregateScores(te=te, ae=ae, ce=ce, total_weight=total)
+    total = np.bincount(group, weights=weights)
+    with np.errstate(invalid="ignore"):  # a total past the float range is inf
+        return [total, *(np.bincount(group, weights=s * weights) / total for s in scores)]
 
 
 def histogram(scores: Sequence[float], bin_width: float = 0.2) -> Histogram:
     """Bin scores over [0, 1]; the final bin is closed so 1.0 is counted."""
-    if not scores:
+    values = np.asarray(scores, dtype=float)
+    if not values.size:
         raise DataError("cannot build a histogram from no scores")
-    if any(s < 0 or s > 1 for s in scores):
+    if not ((values >= 0) & (values <= 1)).all():
         raise DataError("histogram scores must lie in [0, 1]")
+    return _histograms(values, np.zeros(values.size, dtype=np.intp), bin_width)[0]
+
+
+def _histograms(scores: np.ndarray, group: np.ndarray, bin_width: float = 0.2) -> list:
+    """:func:`histogram` of the scores of each group ``0..group.max()``,
+    none of them empty; the scores are known to lie in [0, 1]."""
     n_bins = round(1.0 / bin_width)
-    counts = [0] * n_bins
-    for s in scores:
-        # snap away float-division drift so edge scores bin left-closed
-        # (0.6 / 0.2 is 2.9999... in binary floats)
-        idx = min(int(round(s / bin_width, 9)), n_bins - 1)
-        counts[idx] += 1
-    return Histogram(
-        counts=tuple(counts), median=statistics.median(scores), bin_width=bin_width
-    )
+    quotient = scores / bin_width
+    bins = quotient.astype(int)
+    # A score's bin is int(round(s / bin_width, 9)): rounding snaps away
+    # float-division drift so edge scores bin left-closed (0.6 / 0.2 is
+    # 2.9999... in binary floats). It moves only a quotient within 5e-10
+    # below an integer, so only quotients near one, but not on it, take
+    # the scalar rule.
+    offset = np.abs(quotient - np.rint(quotient))
+    near = np.flatnonzero((offset < 1e-8) & (offset > 0))
+    bins[near] = [int(round(q, 9)) for q in quotient[near].tolist()]
+    size = np.bincount(group)
+    cells = group * n_bins + np.minimum(bins, n_bins - 1)
+    counts = np.bincount(cells, minlength=size.size * n_bins).reshape(-1, n_bins)
+    # statistics.median of each group: its middle score, or the mean of its
+    # two middle ones
+    ordered, first = scores[np.lexsort((scores, group))], np.cumsum(size) - size
+    median = (ordered[first + (size - 1) // 2] + ordered[first + size // 2]) / 2
+    return [Histogram(tuple(c), m, bin_width) for c, m in zip(counts.tolist(), median.tolist())]
 
 
 def efficiency_matrix(

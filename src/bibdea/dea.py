@@ -21,11 +21,13 @@ where the row falls in the slice and on the matrix's memory layout. The
 heights of the points above the planes only feed a toleranced test, so
 they are taken for a whole chunk at once.
 
-:func:`score_sds` gives the three scores of an SDS as arrays; the pipeline
-uses it and computes no peers. :func:`evaluate_sds` scores the same way
-and then searches each unit's peers (its reference set) on the facets
-already found: a triple of an optimal facet that combines into the
-contracted unit with nonnegative weights.
+:func:`score_sds` gives the three scores of an SDS as arrays and computes
+no peers. :func:`evaluate_sds` scores the same way and then searches each
+unit's peers (its reference set) on the facets already found: a triple of
+an optimal facet that combines into the contracted unit with nonnegative
+weights. Both validate the SDS and then call :func:`_scores`, which takes
+the SDS as columns; the pipeline calls it directly, on columns that ingest
+has already checked.
 """
 
 import bisect
@@ -197,18 +199,28 @@ def _peers(
         return peer, coef.clip(0.0) * y[:, None] / y[peer]
 
 
-def _score(ds: SdsDataset, costs: CostVector) -> tuple[tuple, tuple | None]:
-    """te, ae and ce of every member of ``ds``, and the frontier that
-    :func:`_peers` searches: the indices and outputs of the units with
-    output, their scaled points, the Pareto-minimal ones, their best facet
-    ratios and the facets (None if no unit has output)."""
-    validate_dataset(ds)
-    x = [(d.fp_years, d.ap_years, d.rf_years) for d, _ in ds.members]
-    x, y = np.array(x, dtype=float).reshape(-1, 3), np.array(ds.ss_values(), dtype=float)
-    ids = ds.dmu_ids()
-    # staff_cost's sum, term by term: a matrix product rounds differently,
-    # and ce would not divide by the staff cost the report prints.
-    cost = x[:, 0] * costs.fp_cost + x[:, 1] * costs.ap_cost + x[:, 2] * costs.rf_cost
+def _staff_costs(x: np.ndarray, costs: CostVector) -> np.ndarray:
+    """:func:`~bibdea.model.staff_cost` of each row of staff-years ``x``,
+    ``inf`` past the float range. The sum is staff_cost's, term by term: a
+    matrix product rounds differently, and ce would not divide by the staff
+    cost the report prints."""
+    fp, ap, rf = (float(c) for c in (costs.fp_cost, costs.ap_cost, costs.rf_cost))
+    with np.errstate(over="ignore"):
+        return x[:, 0] * fp + x[:, 1] * ap + x[:, 2] * rf
+
+
+def _scores(
+    sds_id: str, ids, x: np.ndarray, y: np.ndarray, cost: np.ndarray
+) -> tuple[tuple, tuple | None]:
+    """te, ae and ce of the units of one SDS, given as columns: their ids,
+    staff-years ``x`` (one row per unit), output ``y`` and staff cost; and
+    the frontier that :func:`_peers` searches: the indices and outputs of
+    the units with output, their scaled points, the Pareto-minimal ones,
+    their best facet ratios and the facets (None if no unit has output).
+
+    The columns are trusted to be valid; ``sds_id`` and ``ids`` only name
+    a unit in an error.
+    """
     # Units with zero output, or so little that x / y or cost / y is not
     # finite, score (0, 0, 0) in te and ce alike and are no peers: they
     # would add input for next to no output.
@@ -223,7 +235,7 @@ def _score(ds: SdsDataset, costs: CostVector) -> tuple[tuple, tuple | None]:
         flat = np.flatnonzero(~z.any(axis=1))
         if flat.size:
             raise DataError(
-                f"{ds.sds_id}/{ids[pos[flat[0]]]}: "
+                f"{sds_id}/{ids[pos[flat[0]]]}: "
                 "staff-years per unit of output underflow to zero"
             )
         te[pos], ratio, facets = _technical(z, front)
@@ -234,10 +246,18 @@ def _score(ds: SdsDataset, costs: CostVector) -> tuple[tuple, tuple | None]:
         ae = allocative_efficiency(te, ce)
     except SolverError as exc:
         i = np.flatnonzero(ce > te + CLAMP_TOL)[0]
-        raise SolverError(f"{ds.sds_id}/{ids[i]}: {exc}") from exc
+        raise SolverError(f"{sds_id}/{ids[i]}: {exc}") from exc
     # ce is re-derived from the pair so the decomposition identity is exact
     # rather than within rounding.
     return checked_scores(te, ae, te * ae), frontier
+
+
+def _score(ds: SdsDataset, costs: CostVector) -> tuple[tuple, tuple | None]:
+    """:func:`_scores` of the members of ``ds``, once it is validated."""
+    validate_dataset(ds)
+    x = [(d.fp_years, d.ap_years, d.rf_years) for d, _ in ds.members]
+    x, y = np.array(x, dtype=float).reshape(-1, 3), np.array(ds.ss_values(), dtype=float)
+    return _scores(ds.sds_id, ds.dmu_ids(), x, y, _staff_costs(x, costs))
 
 
 def score_sds(

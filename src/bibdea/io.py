@@ -42,7 +42,7 @@ import re
 import statistics
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .bibliometrics import citation_divisor, divide_citations, fractional_count
 from .model import (
@@ -56,7 +56,7 @@ from .model import (
     byline_problem,
     left_sum,
 )
-from .report import AssessmentConfig, AssessmentReport, SdsResult
+from .report import AssessmentConfig, AssessmentReport, ScoreRows, SdsResult
 
 CONFIG_ENV_VAR = "BIBDEA_CONFIG"
 
@@ -496,10 +496,12 @@ def emit(
 # report.json is the report's fields as ``json.dumps(..., sort_keys=True,
 # indent=2)`` lays them out, byte for byte. The stdlib encodes indented JSON
 # in pure Python, so the layout is written here directly, by one mechanism:
-# the dataclasses of one class (score rows, eligibility entries, histograms,
+# the objects of one kind (score rows, eligibility entries, histograms,
 # quadrants, aggregates) are encoded a field at a time, a whole column at
 # once, and each is then filled into a template of its sorted field names.
-# ``_report_json`` writes the fixed document around them.
+# The pipeline's score rows are columns already; other dataclasses are
+# transposed into columns first. ``_report_json`` lays out the fixed
+# document around them in pieces and joins the pieces once.
 
 # float.__repr__ spells the non-finite floats as Python does, json.dumps as
 # JavaScript does.
@@ -536,7 +538,21 @@ def _json_block(brackets: str, items: list[str], depth: int) -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{brackets[1]}"
 
 
-def _json_column(values: tuple, depth: int) -> Iterable[str]:
+def _json_pieces(brackets: str, items: list[list[str]], depth: int) -> list[str]:
+    """:func:`_json_block` of items given as lists of pieces, in pieces, so
+    that no text is copied before the document is joined."""
+    if not items:
+        return [brackets]
+    inner = "\n" + "  " * (depth + 1)
+    pieces = [brackets[0] + inner]
+    for item in items:
+        pieces += item
+        pieces.append("," + inner)
+    pieces[-1] = f"\n{'  ' * depth}{brackets[1]}"
+    return pieces
+
+
+def _json_column(values: Sequence, depth: int) -> Iterable[str]:
     """The JSON text of each value, a column of floats or of strings at
     once; a tuple or list is a list of scalars at nesting ``depth``."""
     kinds = set(map(type, values))
@@ -556,28 +572,42 @@ def _json_column(values: tuple, depth: int) -> Iterable[str]:
     ]
 
 
-def _json_objects(items: tuple, depth: int) -> list[str]:
+def _json_table(columns: dict[str, Sequence], depth: int) -> list[str]:
+    """The JSON object of each row of ``columns``, one sequence of values
+    per field name, at nesting ``depth``."""
+    names = sorted(columns)
+    template = _json_block("{}", [f"{encode_basestring_ascii(name)}: %s" for name in names], depth)
+    return [template % row for row in zip(*(_json_column(columns[n], depth + 1) for n in names))]
+
+
+def _columns(items: Sequence, names: tuple[str, ...]) -> dict[str, tuple]:
+    """The attributes ``names`` of ``items`` as one tuple of values each."""
+    values = zip(*map(operator.attrgetter(*names), items)) if items else [()] * len(names)
+    return dict(zip(names, values))
+
+
+def _json_objects(items: Sequence, depth: int) -> list[str]:
     """The JSON object of each dataclass in ``items``, all of one class, at
-    nesting ``depth``: the fields are encoded a column at a time and filled
-    into a template of their sorted names."""
+    nesting ``depth``."""
     if not items:
         return []
-    names = sorted(f.name for f in dataclasses.fields(items[0]))
-    template = _json_block("{}", [f"{encode_basestring_ascii(name)}: %s" for name in names], depth)
-    values = zip(*map(operator.attrgetter(*names), items))
-    return [template % row for row in zip(*(_json_column(v, depth + 1) for v in values))]
+    return _json_table(_columns(items, tuple(f.name for f in dataclasses.fields(items[0]))), depth)
 
 
 def _report_json(report: AssessmentReport) -> str:
     """The text of report.json; institutions repeat their SDS rows' text."""
-    results = sorted(report.sds_results.items())
-    text = {}
-    for _, res in results:
-        text.update(zip(map(id, res.rows), _json_objects(res.rows, 4)))
-    # Only a report put together by hand has institution rows of its own.
-    others = tuple(row for inst in report.institutions for row in inst.rows if id(row) not in text)
-    text.update(zip(map(id, others), _json_objects(others, 4)))
+    text: dict[int, list[str]] = {}  # id of a ScoreRows -> its rows' JSON
 
+    def rows_text(rows) -> list[str]:
+        if not isinstance(rows, ScoreRows):
+            return _json_objects(tuple(rows), 4)
+        if rows.picks is not None:
+            return [rows_text(source)[i] for source, i in zip(*rows.picks)]
+        if id(rows) not in text:
+            text[id(rows)] = _json_table(rows.columns, 4)
+        return text[id(rows)]
+
+    results = sorted(report.sds_results.items())
     histograms = [sorted(res.histograms.items()) for _, res in results]
     histogram_text = iter(_json_objects(tuple(h for items in histograms for _, h in items), 4))
     quadrants = _json_objects(tuple(res.quadrants for _, res in results), 3)
@@ -585,30 +615,30 @@ def _report_json(report: AssessmentReport) -> str:
     for (sds_id, res), items, quadrant in zip(results, histograms, quadrants):
         keyed = [f"{_json_scalar(key)}: {next(histogram_text)}" for key, _ in items]
         fields = [
-            f'"histograms": {_json_block("{}", keyed, 3)}',
-            f'"quadrants": {quadrant}',
-            '"rows": ' + _json_block("[]", [text[id(row)] for row in res.rows], 3),
+            [f'"histograms": {_json_block("{}", keyed, 3)}'],
+            [f'"quadrants": {quadrant}'],
+            ['"rows": ', _json_block("[]", rows_text(res.rows), 3)],
         ]
-        sds.append(f"{_json_scalar(sds_id)}: {_json_block('{}', fields, 2)}")
+        sds.append([f"{_json_scalar(sds_id)}: ", *_json_pieces("{}", fields, 2)])
     aggregates = _json_objects(tuple(inst.aggregate for inst in report.institutions), 3)
     institutions = []
     for inst, aggregate in zip(report.institutions, aggregates):
         fields = [
-            f'"aggregate": {aggregate}',
-            f'"dmu_id": {_json_scalar(inst.dmu_id)}',
-            '"rows": ' + _json_block("[]", [text[id(row)] for row in inst.rows], 3),
+            [f'"aggregate": {aggregate}'],
+            [f'"dmu_id": {_json_scalar(inst.dmu_id)}'],
+            ['"rows": ', _json_block("[]", rows_text(inst.rows), 3)],
         ]
-        institutions.append(_json_block("{}", fields, 2))
+        institutions.append(_json_pieces("{}", fields, 2))
     document = [
-        f'"census_date": {_json_scalar(report.census_date)}',
-        '"eligibility": ' + _json_block("[]", _json_objects(report.eligibility, 2), 1),
-        '"institutions": ' + _json_block("[]", institutions, 1),
-        f'"quadrant_threshold": {_json_scalar(report.quadrant_threshold)}',
-        f'"reporting_precision": {_json_scalar(report.reporting_precision)}',
-        '"sds": ' + _json_block("{}", sds, 1),
-        f'"ss_mode": {_json_scalar(report.ss_mode)}',
+        [f'"census_date": {_json_scalar(report.census_date)}'],
+        ['"eligibility": ', _json_block("[]", _json_objects(report.eligibility, 2), 1)],
+        ['"institutions": ', *_json_pieces("[]", institutions, 1)],
+        [f'"quadrant_threshold": {_json_scalar(report.quadrant_threshold)}'],
+        [f'"reporting_precision": {_json_scalar(report.reporting_precision)}'],
+        ['"sds": ', *_json_pieces("{}", sds, 1)],
+        [f'"ss_mode": {_json_scalar(report.ss_mode)}'],
     ]
-    return _json_block("{}", document, 0) + "\n"
+    return "".join(_json_pieces("{}", document, 0)) + "\n"
 
 
 _SCORE_HEADER = (
@@ -627,7 +657,6 @@ _SCORE_HEADER = (
     "staff_cost",
     "ss_per_staff_year",
 )
-_score_values = operator.attrgetter(*_SCORE_HEADER)
 _INSTITUTION_HEADER = (
     "dmu_id",
     "n_sds",
@@ -651,11 +680,20 @@ _ELIGIBILITY_HEADER = (
 )
 
 
+def _score_columns(rows) -> dict[str, Sequence]:
+    """The score rows' values, one sequence per field: an SDS's columns
+    from the pipeline, or any other rows transposed."""
+    if isinstance(rows, ScoreRows) and rows.picks is None:
+        return rows.columns
+    return _columns(rows, _SCORE_HEADER)
+
+
 def _csv_tables(report: AssessmentReport):
     """Yield each CSV table as its file name, header and columns of values;
     flags are ints, so that they print as 1 and 0."""
     for sds_id, result in sorted(report.sds_results.items()):
-        yield f"scores_{_slug(sds_id)}.csv", _SCORE_HEADER, zip(*map(_score_values, result.rows))
+        columns = _score_columns(result.rows)
+        yield f"scores_{_slug(sds_id)}.csv", _SCORE_HEADER, [columns[n] for n in _SCORE_HEADER]
     institutions = report.institutions
     yield "institutions.csv", _INSTITUTION_HEADER, [
         [inst.dmu_id for inst in institutions],
@@ -673,7 +711,7 @@ def _csv_tables(report: AssessmentReport):
     ]
 
 
-def _csv_column(values: tuple, precision: int) -> list[str]:
+def _csv_column(values: Sequence, precision: int) -> list[str]:
     """The cell of each value: None is empty, a float has ``precision``
     decimals and anything else is ``str``; a column of floats at once."""
     spec = f".{precision}f"
@@ -768,9 +806,11 @@ def _matrix_svg(result: SdsResult, threshold: float) -> str:
         f'font-family="sans-serif" font-size="11" '
         f'transform="rotate(-90 12 {y0 - plot / 2:.1f})">allocative efficiency</text>',
     ]
-    for row in sorted(result.rows, key=lambda r: r.dmu_id):
+    columns = _score_columns(result.rows)
+    points = zip(columns["dmu_id"], columns["te"], columns["ae"])
+    for _, te, ae in sorted(points, key=operator.itemgetter(0)):
         body.append(
-            f'<circle cx="{px(row.te):.1f}" cy="{py(row.ae):.1f}" r="3" '
+            f'<circle cx="{px(te):.1f}" cy="{py(ae):.1f}" r="3" '
             f'fill="#aa3344" fill-opacity="0.8"/>'
         )
     return _svg_document(body, f"{result.sds_id} efficiency matrix")

@@ -146,7 +146,11 @@ class DmuInput:
 
     def __post_init__(self):
         years = (self.fp_years, self.ap_years, self.rf_years)
-        if not all(isinstance(v, Real) and 0 <= v < math.inf for v in years):
+        # An exact float skips the ABC check, a large part of the cost of a
+        # row at ingest; the accepted types are the same.
+        if not all(
+            (type(v) is float or isinstance(v, Real)) and 0 <= v < math.inf for v in years
+        ):
             raise DataError(f"{self.dmu_id}/{self.sds_id}: staff-years must be finite and >= 0")
         if self.total_years() <= 0:
             raise DataError(f"{self.dmu_id}/{self.sds_id}: zero total staff input")
@@ -296,7 +300,8 @@ class AssessmentDataset:
 
     ``ss`` holds one output value per staff row, wherever it came from:
     the staff file's ``ss`` column ("passthrough" mode) or the publications
-    scored at ingest ("computed" mode). ``publication_count`` is the number
+    scored at ingest ("computed" mode), finite and >= 0. Each staff row sits
+    under its own ``(dmu_id, sds_id)``. ``publication_count`` is the number
     of publication rows read.
     """
 
@@ -308,6 +313,18 @@ class AssessmentDataset:
     def __post_init__(self):
         if self.ss.keys() != self.staff.keys():
             raise DataError("ss must hold exactly one value per staff row")
+        # run_assessment trusts these, as it trusts what DmuInput checks.
+        violations = [
+            f"{sds_id}/{dmu_id}: row is for {dmu.sds_id}/{dmu.dmu_id}"
+            for (dmu_id, sds_id), dmu in self.staff.items()
+            if dmu_id != dmu.dmu_id or sds_id != dmu.sds_id
+        ]
+        for (dmu_id, sds_id), ss in self.ss.items():
+            if not 0 <= ss < math.inf:
+                problem = "non-finite" if not math.isfinite(ss) else "negative"
+                violations.append(f"{sds_id}/{dmu_id}: {problem} output {ss}")
+        if violations:
+            raise DatasetValidationError(violations)
 
     def sds_ids(self) -> list[str]:
         return sorted({sds_id for _, sds_id in self.staff})

@@ -1,21 +1,18 @@
 """Assessment configuration, the report structure, and the pipeline driver."""
 
 import dataclasses
+import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral, Real
 
-from . import analytics
+import numpy as np
+
+from . import analytics, dea
 from .analytics import AggregateScores, Histogram, QuadrantSummary
-from .dea import score_sds
-from .model import (
-    DEFAULT_COSTS,
-    AssessmentDataset,
-    CostVector,
-    DataError,
-    SdsDataset,
-    staff_cost,
-)
+from .model import DEFAULT_COSTS, AssessmentDataset, CostVector, DataError
 
 # A double carries at most 17 significant digits, and report.json keeps full
 # precision; a larger precision would only pad the tables (or, past 2**31,
@@ -76,10 +73,47 @@ class ScoreRow:
     ce_pct: float | None = None
 
 
+class ScoreRows(Sequence):
+    """Score rows held as columns, each :class:`ScoreRow` built when first
+    read: an SDS's, one list per ScoreRow field in ``columns``, or an
+    institution's, row ``i`` of ``rows`` for each ``rows, i`` in
+    ``zip(*picks)``. It compares and hashes as the tuple of its rows."""
+
+    def __init__(self, columns: dict[str, list] | None = None, picks: tuple | None = None):
+        self.columns, self.picks, self._rows = columns, picks, None
+
+    def rows(self) -> tuple[ScoreRow, ...]:
+        if self._rows is None:
+            self._rows = (
+                tuple(map(ScoreRow, *(self.columns[name] for name in _ROW_FIELDS)))
+                if self.picks is None
+                else tuple(rows.rows()[i] for rows, i in zip(*self.picks))
+            )
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.columns["dmu_id"] if self.picks is None else self.picks[1])
+
+    def __getitem__(self, i):
+        return self.rows()[i]
+
+    def __eq__(self, other) -> bool:
+        return self.rows() == (other.rows() if isinstance(other, ScoreRows) else other)
+
+    def __hash__(self) -> int:
+        return hash(self.rows())
+
+    def __repr__(self) -> str:
+        return repr(self.rows())
+
+
+_ROW_FIELDS = tuple(f.name for f in dataclasses.fields(ScoreRow))
+
+
 @dataclass(frozen=True)
 class SdsResult:
     sds_id: str
-    rows: tuple[ScoreRow, ...]
+    rows: Sequence[ScoreRow]  # ScoreRows from run_assessment
     histograms: dict[str, Histogram]  # keyed te / ae / ce
     quadrants: QuadrantSummary
 
@@ -97,7 +131,7 @@ class EligibilityEntry:
 @dataclass(frozen=True)
 class InstitutionResult:
     dmu_id: str
-    rows: tuple[ScoreRow, ...]
+    rows: Sequence[ScoreRow]  # ScoreRows from run_assessment
     aggregate: AggregateScores
 
 
@@ -134,16 +168,25 @@ def run_assessment(
     if not dataset.staff:
         raise DataError("cannot assess an empty dataset")
 
-    by_sds: dict[str, list] = {}
-    for (dmu_id, sds_id), dmu in sorted(dataset.staff.items()):
-        by_sds.setdefault(sds_id, []).append((dmu, dataset.ss[dmu_id, sds_id]))
-
-    eligibility: list[EligibilityEntry] = []
-    sds_results: dict[str, SdsResult] = {}
-    for sds_id, members in sorted(by_sds.items()):
-        sds = SdsDataset(sds_id=sds_id, members=tuple(members))
-        active = len(sds)
-        publishing = sum(1 for _, ss in sds.members if ss > 0) / active
+    # The staff rows as columns, sorted by SDS, then unit; each SDS is a
+    # span of them. The dataset has checked every row, so no SDS is
+    # validated again.
+    keys = sorted(dataset.staff)
+    keys.sort(key=operator.itemgetter(1))
+    staff = list(map(dataset.staff.__getitem__, keys))
+    years = ("fp_years", "ap_years", "rf_years")
+    columns = {name: [getattr(dmu, name) for dmu in staff] for name in years}
+    x = np.column_stack(list(columns.values())).astype(float)
+    y = np.array(list(map(dataset.ss.__getitem__, keys)), dtype=float)
+    cost = dea._staff_costs(x, config.costs)
+    dmu_ids = [dmu_id for dmu_id, _ in keys]
+    scores, pct = np.zeros((3, len(keys))), [[None] * len(keys) for _ in range(3)]
+    sds_index = np.full(len(keys), -1)  # each row's place among the scored SDSs
+    eligibility, spans, stop = [], {}, 0
+    for sds_id, members in itertools.groupby(keys, key=operator.itemgetter(1)):
+        s = slice(stop, stop := stop + sum(1 for _ in members))
+        active = s.stop - s.start
+        publishing = int(np.count_nonzero(y[s] > 0)) / active
         decision = analytics.eligibility_filter(
             active,
             publishing,
@@ -163,47 +206,39 @@ def run_assessment(
         )
         if not included:
             continue
-        costs = [staff_cost(dmu, config.costs) for dmu, _ in sds.members]
-        for (dmu, _), cost in zip(sds.members, costs):
-            # an infinite weight would turn the institution aggregates into NaN
-            if not cost < math.inf:
-                raise DataError(f"{sds_id}/{dmu.dmu_id}: staff cost overflows a float")
-        te, ae, ce = score_sds(sds, config.costs)
-        te_pct, ae_pct, ce_pct = _percentiles(te), _percentiles(ae), _percentiles(ce)
-        te_list, ae_list, ce_list = te.tolist(), ae.tolist(), ce.tolist()
-        rows = tuple(
-            ScoreRow(
-                dmu_id=dmu.dmu_id,
-                sds_id=sds_id,
-                ss=ss,
-                fp_years=dmu.fp_years,
-                ap_years=dmu.ap_years,
-                rf_years=dmu.rf_years,
-                te=te_i,
-                ae=ae_i,
-                ce=ce_i,
-                staff_cost=cost,
-                ss_per_staff_year=analytics.productivity_ratio(ss, dmu),
-                te_pct=te_pct_i,
-                ae_pct=ae_pct_i,
-                ce_pct=ce_pct_i,
-            )
-            for (dmu, ss), te_i, ae_i, ce_i, cost, te_pct_i, ae_pct_i, ce_pct_i in zip(
-                sds.members, te_list, ae_list, ce_list, costs, te_pct, ae_pct, ce_pct
-            )
-        )
-        sds_results[sds_id] = SdsResult(
-            sds_id=sds_id,
-            rows=rows,
-            histograms={
-                "te": analytics.histogram(te_list),
-                "ae": analytics.histogram(ae_list),
-                "ce": analytics.histogram(ce_list),
-            },
-            quadrants=analytics._quadrant_counts(te, ae, config.quadrant_threshold),
-        )
+        # an infinite weight would turn the institution aggregates into NaN
+        over = np.flatnonzero(~(cost[s] < math.inf))
+        if over.size:
+            raise DataError(f"{sds_id}/{dmu_ids[s.start + over[0]]}: staff cost overflows a float")
+        scores[:, s] = dea._scores(sds_id, dmu_ids[s], x[s], y[s], cost[s])[0]
+        for ranks, values in zip(pct, scores[:, s]):
+            ranks[s] = _percentiles(values)
+        sds_index[s], spans[sds_id] = len(spans), s
 
-    institutions = _institution_results(sds_results)
+    with np.errstate(over="ignore"):
+        per_year = y / (x[:, 0] + x[:, 1] + x[:, 2])
+    columns.update(
+        dmu_id=dmu_ids,
+        sds_id=[sds_id for _, sds_id in keys],
+        ss=y.tolist(),
+        staff_cost=cost.tolist(),
+        ss_per_staff_year=per_year.tolist(),
+        **dict(zip(("te", "ae", "ce"), scores.tolist())),
+        **dict(zip(("te_pct", "ae_pct", "ce_pct"), pct)),
+    )
+    rows = [ScoreRows({name: c[s] for name, c in columns.items()}) for s in spans.values()]
+    scored = sds_index >= 0
+    histograms = [analytics._histograms(v[scored], sds_index[scored]) for v in scores]
+    sds_results = {
+        sds_id: SdsResult(
+            sds_id=sds_id,
+            rows=r,
+            histograms={"te": te, "ae": ae, "ce": ce},
+            quadrants=analytics._quadrant_counts(*scores[:2, s], config.quadrant_threshold),
+        )
+        for (sds_id, s), r, te, ae, ce in zip(spans.items(), rows, *histograms)
+    }
+    institutions = _institution_results(rows, cost[scored], *scores[:, scored])
     return AssessmentReport(
         ss_mode=dataset.ss_mode,
         census_date=config.census_date,
@@ -216,30 +251,31 @@ def run_assessment(
 
 
 def _institution_results(
-    sds_results: dict[str, SdsResult]
+    sds_rows: list[ScoreRows], cost: np.ndarray, *scores: np.ndarray
 ) -> tuple[InstitutionResult, ...]:
-    by_dmu: dict[str, list[ScoreRow]] = {}
-    for res in sds_results.values():
-        for row in res.rows:
-            by_dmu.setdefault(row.dmu_id, []).append(row)
-
-    aggregates = {}
-    for dmu_id, rows in sorted(by_dmu.items()):
-        rows = sorted(rows, key=lambda r: r.sds_id)
-        agg = analytics.aggregate_weighted(
-            [((r.te, r.ae, r.ce), r.staff_cost) for r in rows]
+    """Each institution's rows in SDS order, their cost-weighted aggregates
+    and the aggregates' percentile ranks among all institutions; ``cost``
+    and ``scores`` are the columns of ``sds_rows`` laid end to end."""
+    ids = [dmu_id for rows in sds_rows for dmu_id in rows.columns["dmu_id"]]
+    dmu_ids = sorted(set(ids))
+    code = dict(zip(dmu_ids, itertools.count()))
+    group = np.fromiter(map(code.__getitem__, ids), dtype=np.intp, count=len(ids))
+    total, *means = analytics._aggregates(group, cost, *scores)
+    # an infinite weight would make the aggregates NaN and rank them
+    over = np.flatnonzero(~(total < math.inf))
+    if over.size:
+        raise DataError(
+            f"institution {dmu_ids[over[0]]!r}: staff cost summed over its SDSs overflows a float"
         )
-        # an infinite weight would make the aggregates NaN and rank them
-        if not agg.total_weight < math.inf:
-            raise DataError(
-                f"institution {dmu_id!r}: staff cost summed over its SDSs overflows a float"
-            )
-        aggregates[dmu_id] = (tuple(rows), agg)
-
-    # Percentile-rank each institution's aggregates against all institutions.
-    values = [(agg.te, agg.ae, agg.ce) for _, agg in aggregates.values()]
-    ranks = zip(*(_percentiles(column) for column in zip(*values)))
+    # Where each row comes from: its SDS's rows, and its index in those.
+    source = [rows for rows in sds_rows for _ in range(len(rows))]
+    index = [i for rows in sds_rows for i in range(len(rows))]
+    parts = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+    picks = [([source[j] for j in p], [index[j] for j in p]) for p in map(np.ndarray.tolist, parts)]
+    means = [m.tolist() for m in means]
     return tuple(
-        InstitutionResult(dmu_id, rows, dataclasses.replace(agg, te_pct=t, ae_pct=a, ce_pct=c))
-        for (dmu_id, (rows, agg)), (t, a, c) in zip(aggregates.items(), ranks)
+        InstitutionResult(dmu_id, ScoreRows(picks=rows), AggregateScores(*values))
+        for dmu_id, rows, *values in zip(
+            dmu_ids, picks, *means, total.tolist(), *map(_percentiles, means)
+        )
     )

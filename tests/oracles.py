@@ -15,6 +15,10 @@ ingest did before it read the file by columns and cached per distinct key.
 ``reference_report_json`` is report.json as the standard library encodes it,
 and ``reference_csv_tables`` the CSV tables laid out one row, then one cell,
 at a time.
+
+``reference_histogram``, ``reference_aggregate`` and ``reference_results``
+are the report's scores as they were computed before they were carried as
+columns: one score, one row and one unit at a time.
 """
 
 import csv
@@ -24,11 +28,24 @@ import itertools
 import json
 import math
 import re
+import statistics
 from pathlib import Path
 
 import numpy as np
 
-from bibdea import DataError, PublicationRecord, scientific_strength
+from bibdea import (
+    AggregateScores,
+    DataError,
+    Histogram,
+    PublicationRecord,
+    ScoreRow,
+    SdsDataset,
+    percentile_ranks,
+    scientific_strength,
+    staff_cost,
+)
+from bibdea.dea import score_sds
+from bibdea.model import left_sum
 
 _FEAS_TOL = 1e-9
 
@@ -414,3 +431,77 @@ def reference_csv_tables(report) -> dict[str, str]:
         ],
     )
     return tables
+
+
+def reference_histogram(scores, bin_width: float = 0.2) -> Histogram:
+    """Scores over [0, 1] binned one at a time, by ``round(s / bin_width, 9)``."""
+    n_bins = round(1.0 / bin_width)
+    counts = [0] * n_bins
+    for s in scores:
+        counts[min(int(round(s / bin_width, 9)), n_bins - 1)] += 1
+    return Histogram(tuple(counts), statistics.median(scores), bin_width)
+
+
+def reference_aggregate(rows) -> AggregateScores:
+    """Weighted mean of ``((te, ae, ce), weight)`` rows, each sum added
+    left to right."""
+    total = left_sum(w for _, w in rows)
+    te, ae, ce = (left_sum(t[k] * w for t, w in rows) / total for k in range(3))
+    return AggregateScores(te=te, ae=ae, ce=ce, total_weight=total)
+
+
+def reference_results(dataset, config, apply_filter: bool = True):
+    """The score rows of each included SDS, and each institution's rows and
+    aggregate, built one unit at a time from :func:`score_sds`."""
+
+    def pct(values):
+        return [None] * len(values) if len(values) < 2 else percentile_ranks(values)
+
+    by_sds: dict[str, list] = {}
+    for (dmu_id, sds_id), dmu in sorted(dataset.staff.items()):
+        by_sds.setdefault(sds_id, []).append((dmu, dataset.ss[dmu_id, sds_id]))
+    sds_rows = {}
+    for sds_id, members in sorted(by_sds.items()):
+        ds = SdsDataset(sds_id=sds_id, members=tuple(members))
+        publishing = sum(1 for _, ss in ds.members if ss > 0) / len(ds)
+        if apply_filter and (
+            len(ds) < config.min_active_universities
+            or publishing < config.min_fraction_publishing
+        ):
+            continue
+        te, ae, ce = (v.tolist() for v in score_sds(ds, config.costs))
+        sds_rows[sds_id] = tuple(
+            ScoreRow(
+                dmu.dmu_id,
+                sds_id,
+                ss,
+                dmu.fp_years,
+                dmu.ap_years,
+                dmu.rf_years,
+                *scores,
+                staff_cost(dmu, config.costs),
+                ss / dmu.total_years(),
+                *ranks,
+            )
+            for (dmu, ss), *scores, ranks in zip(
+                ds.members, te, ae, ce, zip(pct(te), pct(ae), pct(ce))
+            )
+        )
+    by_dmu: dict[str, list] = {}
+    for rows in sds_rows.values():
+        for row in rows:
+            by_dmu.setdefault(row.dmu_id, []).append(row)
+    aggregates = {
+        dmu_id: reference_aggregate([((r.te, r.ae, r.ce), r.staff_cost) for r in rows])
+        for dmu_id, rows in sorted(by_dmu.items())
+    }
+    triples = [(a.te, a.ae, a.ce) for a in aggregates.values()]
+    ranks = zip(*(pct(column) for column in zip(*triples)))
+    institutions = {
+        dmu_id: (
+            tuple(by_dmu[dmu_id]),
+            dataclasses.replace(agg, te_pct=t, ae_pct=a, ce_pct=c),
+        )
+        for (dmu_id, agg), (t, a, c) in zip(aggregates.items(), ranks)
+    }
+    return sds_rows, institutions

@@ -1,5 +1,7 @@
+import math
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from bibdea import (
     staff_cost,
 )
 
+from bibdea import analytics
 from bibdea.analytics import TIE_TOL
 
 from benchmarks import (
@@ -28,6 +31,7 @@ from benchmarks import (
     PRODUCTIVITY_SPOTS,
     pharm_chem_printed_scores,
 )
+from oracles import reference_aggregate, reference_histogram
 
 # Ties are likely: a few pooled values, zero of both signs among them.
 tied_scores = st.lists(
@@ -203,6 +207,62 @@ class TestHistogram:
         hist = histogram(scores)
         assert sum(hist.counts) == len(scores)
         assert hist.median == statistics.median(scores)
+
+
+def _ulps_away(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return min(max(x, 0.0), 1.0)
+
+
+# Scores at and a few ulps from each bin edge, spelled as k * 0.2 and as
+# k / 5 (3 * 0.2 is 0.6000000000000001), which covers 0.0 and 1.0.
+_EDGES = sorted({edge for k in range(6) for edge in (k * 0.2, k / 5)})
+edge_scores = st.builds(_ulps_away, st.sampled_from(_EDGES), st.integers(-4, 4)) | st.floats(0, 1)
+
+
+class TestScoreColumns:
+    """The column forms the pipeline calls, against the scalar rules they
+    replaced, compared by ``float.hex``."""
+
+    @settings(max_examples=200)
+    @given(
+        groups=st.lists(st.lists(edge_scores, min_size=1, max_size=12), min_size=1, max_size=5),
+        seed=st.randoms(use_true_random=False),
+    )
+    def test_histograms_are_the_scalar_histograms(self, groups, seed):
+        # the rows of the groups come interleaved
+        rows = [(g, s) for g, scores in enumerate(groups) for s in scores]
+        seed.shuffle(rows)
+        group = np.array([g for g, _ in rows], dtype=np.intp)
+        scores = np.array([s for _, s in rows])
+        for got, scores_of_group in zip(analytics._histograms(scores, group), groups):
+            want = reference_histogram(scores_of_group)
+            assert got.counts == want.counts
+            assert got.median.hex() == want.median.hex()
+            assert histogram(scores_of_group) == got
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.tuples(*[st.floats(0, 1)] * 3),
+                # up to past the float range once summed
+                st.floats(min_value=1e-300, max_value=1e308) | st.floats(0.01, 1e4),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_aggregates_are_the_scalar_aggregates(self, rows):
+        group = np.array([g for g, _, _ in rows], dtype=np.intp)
+        weights = np.array([w for _, _, w in rows])
+        got = analytics._aggregates(group, weights, *np.array([t for _, t, _ in rows]).T)
+        for g in {g for g, _, _ in rows}:
+            want = reference_aggregate([(t, w) for k, t, w in rows if k == g])
+            want = (want.total_weight, want.te, want.ae, want.ce)
+            assert [column[g].hex() for column in got] == [v.hex() for v in want]
 
 
 class TestEfficiencyMatrix:

@@ -1,5 +1,10 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import bibdea
 
@@ -15,3 +20,24 @@ def test_readme_entry_points_are_exported():
     for name in names:
         assert name in bibdea.__all__, name
         assert callable(getattr(bibdea, name)), name
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_blas_threads_default_to_one(preset, expected):
+    # The variable is read when numpy is first imported, so it is checked in
+    # a fresh interpreter; this process may have set it already.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = (
+        "import os, sys, bibdea.cli; "
+        "tasks = os.listdir('/proc/self/task') if sys.platform == 'linux' else [0]; "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], len(tasks))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    value, threads = result.stdout.split()
+    assert value == expected
+    if preset is None:
+        assert threads == "1"

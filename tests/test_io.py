@@ -35,10 +35,15 @@ from bibdea import (
 from bibdea import dea
 from bibdea.analytics import TIE_TOL
 from bibdea.io import CONFIG_ENV_VAR
-from bibdea.report import EligibilityEntry
+from bibdea.report import EligibilityEntry, ScoreRows
 
 from benchmarks import PHARM_CHEM
-from oracles import reference_csv_tables, reference_ingest_ss, reference_report_json
+from oracles import (
+    reference_csv_tables,
+    reference_ingest_ss,
+    reference_report_json,
+    reference_results,
+)
 
 
 def write_csv(path, header, rows):
@@ -789,6 +794,91 @@ class TestRunAssessment:
             report.institution("U9")
 
 
+def _hexed(obj) -> tuple:
+    """A dataclass's field values, floats by ``float.hex``."""
+    values = dataclasses.astuple(obj)
+    return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+
+class TestScoreColumns:
+    """The pipeline's rows and aggregates, carried as columns, against the
+    reference that builds them one unit at a time."""
+
+    @staticmethod
+    def assert_matches_reference(dataset, config, apply_filter=True):
+        report = run_assessment(dataset, config, apply_filter)
+        sds_rows, institutions = reference_results(dataset, config, apply_filter)
+        assert {k: [_hexed(r) for r in res.rows] for k, res in report.sds_results.items()} == {
+            k: [_hexed(r) for r in rows] for k, rows in sds_rows.items()
+        }
+        assert [inst.dmu_id for inst in report.institutions] == list(institutions)
+        for inst in report.institutions:
+            rows, aggregate = institutions[inst.dmu_id]
+            assert [_hexed(r) for r in inst.rows] == [_hexed(r) for r in rows]
+            assert _hexed(inst.aggregate) == _hexed(aggregate)
+            # the same objects as the SDS rows
+            for row in inst.rows:
+                assert any(row is r for r in report.sds_results[row.sds_id].rows)
+        return report
+
+    @pytest.mark.parametrize("config", [None, "config.json"])
+    def test_benchmark_fixture(self, fixtures_dir, config):
+        config = load_config(fixtures_dir / config) if config else AssessmentConfig()
+        dataset = ingest(fixtures_dir / "pharm_chem_staff.csv")
+        self.assert_matches_reference(dataset, config)
+
+    @pytest.mark.parametrize("apply_filter", [True, False])
+    def test_computed_fixture(self, fixtures_dir, apply_filter):
+        dataset = ingest(
+            fixtures_dir / "lab_staff.csv",
+            fixtures_dir / "lab_pubs.csv",
+            fixtures_dir / "lab_medians.csv",
+        )
+        self.assert_matches_reference(dataset, AssessmentConfig(), apply_filter)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.sampled_from(["U1", "U2", "U3"]), st.sampled_from(["A/01", "B/01"])),
+            st.tuples(
+                # 1e306 full-professor years cost a finite 1.1e308, two of
+                # them past the float range
+                st.sampled_from([1e306]) | st.floats(0.1, 5),
+                st.floats(0, 5),
+                st.floats(0, 5),
+                st.floats(0, 10),
+            ),
+            min_size=1,
+        )
+    )
+    def test_institutions_are_the_scalar_aggregates(self, units):
+        dataset = AssessmentDataset(
+            staff={key: DmuInput(*key, *u[:3]) for key, u in units.items()},
+            ss={key: u[3] for key, u in units.items()},
+        )
+        config = AssessmentConfig()
+        _, institutions = reference_results(dataset, config, apply_filter=False)
+        overflowing = [k for k, (_, agg) in institutions.items() if agg.total_weight == math.inf]
+        if not overflowing:
+            self.assert_matches_reference(dataset, config, apply_filter=False)
+            return
+        message = f"institution {overflowing[0]!r}: staff cost summed over its SDSs overflows"
+        with pytest.raises(DataError, match=message):
+            run_assessment(dataset, config, apply_filter=False)
+
+    def test_rows_behave_as_a_tuple(self, fixtures_dir):
+        report = run_assessment(ingest(fixtures_dir / "pharm_chem_staff.csv"))
+        rows = report.sds_results["CHIM/08"].rows
+        assert isinstance(rows, ScoreRows) and rows._rows is None
+        assert len(rows) == 28 and rows._rows is None
+        as_tuple = tuple(rows)
+        assert rows == as_tuple and as_tuple == rows and hash(rows) == hash(as_tuple)
+        assert rows[1:3] == as_tuple[1:3] and rows[-1] is as_tuple[-1]
+        assert repr(rows) == repr(as_tuple)
+        inst = report.institution(as_tuple[0].dmu_id)
+        assert inst.rows == (as_tuple[0],) and inst.rows[0] is as_tuple[0]
+
+
 class TestEmit:
     @pytest.fixture
     def report(self, fixtures_dir):
@@ -894,6 +984,21 @@ class TestEmit:
         assert (tmp_path / "institutions.csv").read_text() == (
             "dmu_id,n_sds,staff_cost,te,ae,ce,te_pct,ae_pct,ce_pct\n"
         )
+
+    def test_views_swapped_between_results(self, tmp_path):
+        # an institution's rows as an SDS's rows, and the reverse
+        staff = _odd_census(tmp_path / "staff.csv")
+        report = run_assessment(ingest(staff), AssessmentConfig(min_active_universities=3))
+        first, *rest = report.institutions
+        (sds_id, result), *_ = report.sds_results.items()
+        swapped = dataclasses.replace(
+            report,
+            sds_results={sds_id: dataclasses.replace(result, rows=first.rows)},
+            institutions=(dataclasses.replace(first, rows=result.rows), *rest),
+        )
+        self.assert_csv_matches_reference(swapped, tmp_path / "csv")
+        TestReportJson.assert_matches_reference(swapped, tmp_path / "json")
+        assert len(emit(swapped, ["svg"], tmp_path / "svg")) == 4
 
     def test_csv_single_institution(self, tmp_path):
         rows = [["U1", "ONE/01", 1, 1, 1, 1.0], ["U1", "TWO/01", 1, 0, 0, 0.0]]

@@ -1,9 +1,14 @@
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bibdea import (
     DEFAULT_COSTS,
+    AssessmentDataset,
     CostVector,
     DataError,
     DatasetValidationError,
@@ -137,6 +142,32 @@ class TestDomainTypes:
     def test_efficiency_scores_range_enforced(self):
         with pytest.raises(DataError):
             EfficiencyScores(te=1.2, ae=1.0, ce=1.2)
+
+
+class TestStaffYearTypes:
+    @pytest.mark.parametrize("value", [2.5, 3, True, Fraction(1, 3), np.float64(2.5)])
+    def test_any_real_number_is_accepted(self, value):
+        assert dmu(fp=value, rf=1.0).fp_years is value
+
+    @pytest.mark.parametrize("value", ["1", Decimal("1"), None])
+    def test_other_types_are_rejected(self, value):
+        with pytest.raises(DataError, match="staff-years must be finite"):
+            dmu(fp=value, rf=1.0)
+
+
+class TestAssessmentDataset:
+    def test_staff_row_under_another_key_is_rejected(self):
+        staff = {("U1", "A"): dmu(fp=1, sds_id="B", dmu_id="U1")}
+        with pytest.raises(DatasetValidationError, match="A/U1: row is for B/U1"):
+            AssessmentDataset(staff=staff, ss={("U1", "A"): 1.0})
+
+    @pytest.mark.parametrize(
+        "ss, problem",
+        [(-1.0, "negative"), (float("nan"), "non-finite"), (float("-inf"), "non-finite")],
+    )
+    def test_output_must_be_finite_and_nonnegative(self, ss, problem):
+        with pytest.raises(DatasetValidationError, match=f"S/U: {problem} output"):
+            AssessmentDataset(staff={("U", "S"): dmu(fp=1)}, ss={("U", "S"): ss})
 
 
 class TestValidateDataset:
