@@ -3,10 +3,11 @@ of university research units, with percentile and cost-weighted reporting."""
 
 import os
 
-# Every matrix product here is at most 100 x 3, too small to share between
-# threads, yet once numpy is imported OpenBLAS's idle worker thread spins on
-# another CPU. This only sets a default: a value the user set wins, and a
-# process that imported numpy before bibdea keeps the threads it started.
+# No product goes through BLAS; only evaluate_sds's peer solves (np.linalg.det
+# and solve) reach LAPACK, on 3 x 3 systems. Yet once numpy is imported
+# OpenBLAS's idle worker thread spins on another CPU. This only sets a
+# default: a value the user set wins, and a process that imported numpy
+# before bibdea keeps the threads it started.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analytics import (

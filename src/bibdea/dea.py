@@ -13,13 +13,11 @@ efficiency is their quotient.
 
 The candidate facets of an SDS are enumerated in one batch: every triple
 of generators (points and unit rays) anchored at a point, in the order of
-anchor, then pair, a bounded chunk of triples at a time. Each plane's
-offset ``c`` is the same float the per-anchor enumeration gives, because
-it is still one matrix-vector product per slice of ``_BLOCK`` pairs of
-one anchor: BLAS rounds a row of such a product differently depending on
-where the row falls in the slice and on the matrix's memory layout. The
-heights of the points above the planes only feed a toleranced test, so
-they are taken for a whole chunk at once.
+anchor, then pair, a bounded chunk of triples at a time.
+
+No product goes through BLAS: every dot product has three terms and is
+added left to right (:func:`_dots`), so the scores are the same floats
+whichever BLAS kernel numpy loads.
 
 :func:`score_sds` gives the three scores of an SDS as arrays and computes
 no peers. :func:`evaluate_sds` scores the same way and then searches each
@@ -29,9 +27,6 @@ weights. Both validate the SDS and then call :func:`_scores`, which takes
 the SDS as columns; the pipeline calls it directly, on columns that ingest
 has already checked.
 """
-
-import bisect
-import operator
 
 import numpy as np
 
@@ -61,6 +56,11 @@ _BLOCK = 512
 _CHUNK = 1 << 18
 
 
+def _dots(z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``z @ v.T`` for rows of three, each entry added left to right."""
+    return z[:, 0, None] * v[:, 0] + z[:, 1, None] * v[:, 1] + z[:, 2, None] * v[:, 2]
+
+
 def _facets(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Supporting planes ``v . z = c > 0`` of ``conv(p) + R^3_+``, with ``v >= 0``.
 
@@ -74,41 +74,27 @@ def _facets(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     # point, in lexicographic order.
     g = np.arange(m + 3)
     anchor, first, second = np.nonzero((g[:m, None, None] < g[:, None]) & (g[:, None] < g))
-    # c is one matrix-vector product per slice of _BLOCK triples of one anchor.
-    end = np.searchsorted(anchor, np.arange(m), "right").tolist()
-    slices = [
-        (a, s, min(s + _BLOCK, e))
-        for a, (b, e) in enumerate(zip([0, *end], end))
-        for s in range(b, e, _BLOCK)
-    ]
     # d[a, j]: direction from the anchor point a to each point, and each ray;
     # d1 and d2 hold its coordinates rotated by one and by two places.
     d = np.broadcast_to(gens, (m, m + 3, 3)).copy()
     d[:, :m] -= p[:, None]
     d1, d2 = d[..., [1, 2, 0]], d[..., [2, 0, 1]]
-    # Whole slices are taken a chunk at a time, so that the heights below
-    # stay small however many triples an SDS has.
+    # Triples are taken a chunk at a time, so that the heights below stay
+    # small however many triples an SDS has.
     step = max(_BLOCK, _CHUNK // m)
-    found, i = [], 0
-    while i < len(slices):
-        lo = slices[i][1]
-        n = bisect.bisect_right(slices, lo + step, lo=i, key=operator.itemgetter(2))
-        chunk, i = slices[i:n], n
-        hi = chunk[-1][2]
-        a, j, k = anchor[lo:hi], first[lo:hi], second[lo:hi]
-        # np.cross and np.linalg.norm, term for term. v comes out in C order,
-        # as from np.cross: the products for c below round differently on
-        # another memory layout.
+    found = []
+    for lo in range(0, len(anchor), step):
+        a, j, k = anchor[lo : lo + step], first[lo : lo + step], second[lo : lo + step]
+        # np.cross and np.linalg.norm, term for term
         v = d1[a, j] * d2[a, k] - d2[a, j] * d1[a, k]
         v /= np.maximum(np.sqrt((v * v).sum(axis=1, keepdims=True)), np.finfo(float).tiny)
         v *= np.sign(v.sum(axis=1, keepdims=True))
-        c = np.empty(hi - lo)
-        for b, s, e in chunk:
-            c[s - lo : e - lo] = v[s - lo : e - lo] @ p[b]
+        q = p[a]
+        c = v[:, 0] * q[:, 0] + v[:, 1] * q[:, 1] + v[:, 2] * q[:, 2]
         # A ray's height above a plane is its slope, a component of v; the
         # points' heights are taken only for the planes the rays pass.
         keep = (c > 0) & (v.min(axis=1) >= -_TOL * c)
-        height = (p @ v[keep].T).min(axis=0) - c[keep]
+        height = _dots(p, v[keep]).min(axis=0) - c[keep]
         keep[keep] = height >= -_TOL * c[keep]
         found.append((v[keep].clip(0.0), c[keep], np.column_stack([a, j, k])[keep]))
     v, c, triples = (np.concatenate(parts) for parts in zip(*found))
@@ -141,7 +127,7 @@ def _technical(z: np.ndarray, front: np.ndarray) -> tuple[np.ndarray, np.ndarray
     facets = gens, v, c, triples = _facets(z[front])
     ratio = np.zeros(len(z))
     for s in range(0, len(c), _BLOCK):
-        ratio = np.maximum(ratio, (c[s : s + _BLOCK] / (z @ v[s : s + _BLOCK].T)).max(axis=1))
+        ratio = np.maximum(ratio, (c[s : s + _BLOCK] / _dots(z, v[s : s + _BLOCK])).max(axis=1))
     # A unit that spans a supporting facet is on the frontier: exactly 1.
     spanning = np.zeros(len(z), dtype=bool)
     spanning[front[triples[triples < len(front)]]] = True
@@ -169,7 +155,7 @@ def _peers(
     best_low = np.full(len(z), -np.inf)
     coef, triple = np.zeros((len(z), 3)), np.zeros((len(z), 3), dtype=int)
     for s in range(0, len(c), _BLOCK):
-        r = c[s : s + _BLOCK] / (z @ v[s : s + _BLOCK].T)
+        r = c[s : s + _BLOCK] / _dots(z, v[s : s + _BLOCK])
         u, f = np.nonzero((r >= ratio[:, None] * (1 - _TOL)) & (best_low[:, None] < -_TOL))
         t = triples[s + f]
         # A triple with two points a few ulps apart, such as a unit and a

@@ -419,15 +419,7 @@ def load_config(path: str | os.PathLike | None = None) -> AssessmentConfig:
         raise DataError(f"{path.name}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise DataError(f"{path.name}: config must be a JSON object")
-    known = {
-        "costs",
-        "quadrant_threshold",
-        "min_active_universities",
-        "min_fraction_publishing",
-        "reporting_precision",
-        "census_date",
-    }
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(AssessmentConfig)})
     if unknown:
         raise DataError(f"{path.name}: unknown config keys {unknown}")
     kwargs = dict(raw)
@@ -519,11 +511,8 @@ def _json_scalar(value) -> str:
     if value is False:
         return "false"
     if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
+        text = float.__repr__(value)
+        return _JSON_FLOATS.get(text, text)
     if isinstance(value, int):
         return int.__repr__(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")

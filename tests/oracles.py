@@ -190,10 +190,10 @@ def reference_pareto_front(z: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~(below.all(axis=2) & above.any(axis=2)).any(axis=0))
 
 
-def reference_facets(p: np.ndarray, block: int, tol: float):
-    """``dea._facets(p)`` one anchor point at a time, ``block`` pairs of
-    generators per step: the generators, then per plane kept its unit
-    ``v``, ``c`` and triple."""
+def reference_facets(p: np.ndarray, tol: float):
+    """``dea._facets(p)`` one anchor point at a time, each dot product added
+    left to right: the generators, then per plane kept its unit ``v``, ``c``
+    and triple."""
     m = len(p)
     gens = np.vstack([p, np.eye(3)])
     first, second = np.triu_indices(m + 3, 1)
@@ -202,18 +202,19 @@ def reference_facets(p: np.ndarray, block: int, tol: float):
         # direction from the anchor point a to each point, and each ray
         d = gens.copy()
         d[:m] -= p[a]
-        for s in range(np.searchsorted(first, a, "right"), len(first), block):
-            j, k = first[s : s + block], second[s : s + block]
-            v = np.cross(d[j], d[k])
-            v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), np.finfo(float).tiny)
-            v *= np.sign(v.sum(axis=1, keepdims=True))
-            c = v @ p[a]
-            # Height of every generator above each plane; for a ray, its slope.
-            height = gens @ v.T
-            height[:m] -= c
-            keep = (c > 0) & (height.min(axis=0) >= -tol * c)
-            triples = np.column_stack([np.full_like(j, a), j, k])
-            found.append((v[keep].clip(0.0), c[keep], triples[keep]))
+        pairs = first > a
+        j, k = first[pairs], second[pairs]
+        v = np.cross(d[j], d[k])
+        v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), np.finfo(float).tiny)
+        v *= np.sign(v.sum(axis=1, keepdims=True))
+        c = v[:, 0] * p[a, 0] + v[:, 1] * p[a, 1] + v[:, 2] * p[a, 2]
+        # Height of every generator above each plane; for a ray, its slope.
+        g0, g1, g2 = gens.T[:, :, None]
+        height = g0 * v[:, 0] + g1 * v[:, 1] + g2 * v[:, 2]
+        height[:m] -= c
+        keep = (c > 0) & (height.min(axis=0) >= -tol * c)
+        triples = np.column_stack([np.full_like(j, a), j, k])
+        found.append((v[keep].clip(0.0), c[keep], triples[keep]))
     v, c, triples = (np.concatenate(parts) for parts in zip(*found))
     return gens, v, c, triples
 

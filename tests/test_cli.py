@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -342,6 +343,29 @@ def test_deterministic_across_processes(fixtures_dir, tmp_path):
         assert result.returncode == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OPENBLAS_CORETYPE names x86-64 kernels",
+)
+def test_report_is_the_same_under_any_blas_kernel(fixtures_dir, tmp_path):
+    # Prescott's kernels round a matrix product differently from the newer
+    # ones; no score may depend on which kernel OpenBLAS picks
+    reports = []
+    for coretype in (None, "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / (coretype or "default")
+        staff = str(fixtures_dir / "pharm_chem_staff.csv")
+        args = ["assess", "--staff", staff, "--out", str(out), "--format", "json"]
+        result = subprocess.run(
+            [sys.executable, "-m", "bibdea.cli", *args], capture_output=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize(

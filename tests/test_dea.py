@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import tracemalloc
 
@@ -472,8 +473,8 @@ class TestOracleAgreement:
 @given(
     st.one_of(
         unit_lists.map(units_sds),
-        # every unit Pareto-minimal; with 31 or more, an anchor has more than
-        # _BLOCK pairs of generators
+        # every unit Pareto-minimal; with 34 or more, the triples span more
+        # than one chunk of _facets, and a chunk ends inside an anchor's pairs
         st.builds(
             pareto_minimal_units,
             st.integers(0, 2**32 - 1).map(np.random.default_rng),
@@ -492,9 +493,34 @@ def test_batched_frontier_is_the_per_anchor_frontier(sds):
     scaled, front = dea._points(z)
     assert front.tolist() == reference_pareto_front(z).tolist()
     got = dea._facets(scaled[front])
-    want = reference_facets(scaled[front], dea._BLOCK, dea._TOL)
+    want = reference_facets(scaled[front], dea._TOL)
     for g, w in zip(got, want):
         assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+# Scaled points lie in [0, float_max / 3] (the clip in _points) and plane
+# normals are unit vectors; zeros and subnormals are drawn on purpose.
+_THIRD = sys.float_info.max / 3
+_TINY = math.ulp(0.0)
+_coordinates = st.one_of(
+    st.floats(-_THIRD, _THIRD),
+    st.sampled_from([0.0, -0.0, _TINY, -_TINY, _THIRD, -_THIRD, math.nextafter(_THIRD, 0)]),
+)
+_normals = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, _TINY, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_coordinates, _coordinates, _coordinates), min_size=1, max_size=6),
+    st.lists(st.tuples(_normals, _normals, _normals), min_size=1, max_size=6),
+)
+def test_dots_adds_each_product_left_to_right(z, v):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = dea._dots(np.array(z), np.array(v))
+    assert got.shape == (len(z), len(v))
+    for i, (z0, z1, z2) in enumerate(z):
+        for j, (v0, v1, v2) in enumerate(v):
+            assert float(got[i, j]).hex() == (z0 * v0 + z1 * v1 + z2 * v2).hex()
 
 
 def test_worst_case_sds_stays_within_time_and_memory():
