@@ -3,8 +3,7 @@ of university research units, with percentile and cost-weighted reporting."""
 
 import os
 
-# No product goes through BLAS; only evaluate_sds's peer solves (np.linalg.det
-# and solve) reach LAPACK, on 3 x 3 systems. Yet once numpy is imported
+# Nothing in bibdea calls BLAS or LAPACK, yet once numpy is imported
 # OpenBLAS's idle worker thread spins on another CPU. This only sets a
 # default: a value the user set wins, and a process that imported numpy
 # before bibdea keeps the threads it started.

@@ -15,9 +15,10 @@ The candidate facets of an SDS are enumerated in one batch: every triple
 of generators (points and unit rays) anchored at a point, in the order of
 anchor, then pair, a bounded chunk of triples at a time.
 
-No product goes through BLAS: every dot product has three terms and is
-added left to right (:func:`_dots`), so the scores are the same floats
-whichever BLAS kernel numpy loads.
+Nothing goes through BLAS or LAPACK: every dot product has three terms and
+is added left to right (:func:`_dot`), and the peer weights solve their
+3 x 3 systems by Cramer's rule, so the scores and the weights are the same
+floats whichever BLAS kernel numpy loads.
 
 :func:`score_sds` gives the three scores of an SDS as arrays and computes
 no peers. :func:`evaluate_sds` scores the same way and then searches each
@@ -56,9 +57,20 @@ _BLOCK = 512
 _CHUNK = 1 << 18
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot products of rows of three, each added left to right."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def _dots(z: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``z @ v.T`` for rows of three, each entry added left to right."""
-    return z[:, 0, None] * v[:, 0] + z[:, 1, None] * v[:, 1] + z[:, 2, None] * v[:, 2]
+    return _dot(z[:, None], v)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The cross products of rows of three, as ``np.cross`` computes them."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
 
 
 def _facets(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -74,23 +86,19 @@ def _facets(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     # point, in lexicographic order.
     g = np.arange(m + 3)
     anchor, first, second = np.nonzero((g[:m, None, None] < g[:, None]) & (g[:, None] < g))
-    # d[a, j]: direction from the anchor point a to each point, and each ray;
-    # d1 and d2 hold its coordinates rotated by one and by two places.
+    # d[a, j]: direction from the anchor point a to each point, and each ray
     d = np.broadcast_to(gens, (m, m + 3, 3)).copy()
     d[:, :m] -= p[:, None]
-    d1, d2 = d[..., [1, 2, 0]], d[..., [2, 0, 1]]
     # Triples are taken a chunk at a time, so that the heights below stay
     # small however many triples an SDS has.
     step = max(_BLOCK, _CHUNK // m)
     found = []
     for lo in range(0, len(anchor), step):
         a, j, k = anchor[lo : lo + step], first[lo : lo + step], second[lo : lo + step]
-        # np.cross and np.linalg.norm, term for term
-        v = d1[a, j] * d2[a, k] - d2[a, j] * d1[a, k]
-        v /= np.maximum(np.sqrt((v * v).sum(axis=1, keepdims=True)), np.finfo(float).tiny)
+        v = _cross(d[a, j], d[a, k])
+        v /= np.maximum(np.sqrt(_dot(v, v)), np.finfo(float).tiny)[:, None]
         v *= np.sign(v.sum(axis=1, keepdims=True))
-        q = p[a]
-        c = v[:, 0] * q[:, 0] + v[:, 1] * q[:, 1] + v[:, 2] * q[:, 2]
+        c = _dot(v, p[a])
         # A ray's height above a plane is its slope, a component of v; the
         # points' heights are taken only for the planes the rays pass.
         keep = (c > 0) & (v.min(axis=1) >= -_TOL * c)
@@ -160,15 +168,17 @@ def _peers(
         t = triples[s + f]
         # A triple with two points a few ulps apart, such as a unit and a
         # scaled copy of it, is (near) singular. Skip it: the facets through
-        # those points have well-conditioned triples too. With a pivot near
-        # the float minimum the factorisation inside det divides by zero;
-        # the determinant then comes out 0 and the triple is skipped.
+        # those points have well-conditioned triples too.
         g = gens[t]
-        with np.errstate(divide="ignore"):
-            size = np.abs(np.linalg.det(g))
-        solvable = size > _TOL * np.linalg.norm(g, axis=2).prod(axis=1)
-        u, f, t = u[solvable], f[solvable], t[solvable]
-        w = np.linalg.solve(gens[t].transpose(0, 2, 1), (r[u, f, None] * z[u])[..., None])[..., 0]
+        g0, g1, g2 = g[:, 0], g[:, 1], g[:, 2]
+        cross = np.stack([_cross(g1, g2), _cross(g2, g0), _cross(g0, g1)], axis=1)
+        det = _dot(g0, cross[:, 0])
+        solvable = np.abs(det) > _TOL * np.sqrt(_dot(g, g)).prod(axis=1)
+        u, f, t, det, cross = u[solvable], f[solvable], t[solvable], det[solvable], cross[solvable]
+        # Cramer's rule: the weights w of the generators that sum to the
+        # contracted point b, w_i = b . (g_j x g_k) / det.
+        b = r[u, f, None] * z[u]
+        w = _dot(b[:, None], cross) / det[:, None]
         low = w.min(axis=1)
         order = np.lexsort((-low, u))
         head = order[np.diff(u[order], prepend=-1) != 0]

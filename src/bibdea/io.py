@@ -1,7 +1,7 @@
 """File ingestion and report emission.
 
-Input files are UTF-8 CSV with a mandatory header row and period decimal
-separators:
+Input files are UTF-8 CSV (a leading byte order mark is dropped) with a
+mandatory header row and period decimal separators:
 
   staff:        dmu_id, sds_id, fp_years, ap_years, rf_years [, ss]
   publications: pub_id, dmu_id, sds_id, year, citations, categories,
@@ -56,7 +56,7 @@ from .model import (
     byline_problem,
     left_sum,
 )
-from .report import AssessmentConfig, AssessmentReport, ScoreRows, SdsResult
+from .report import AssessmentConfig, AssessmentReport, ScoreRow, SdsResult
 
 CONFIG_ENV_VAR = "BIBDEA_CONFIG"
 
@@ -80,10 +80,11 @@ def _open_csv(path: Path, required: tuple[str, ...]):
     """Open a CSV file, check its header and yield ``(reader, column)``.
 
     ``column`` maps each header name to its cell index; a repeated name maps
-    to its last cell. Bytes that are not UTF-8 and cells over the csv
-    module's field limit are data errors naming the file and the line.
+    to its last cell. A leading byte order mark is dropped. Bytes that are
+    not UTF-8 and cells over the csv module's field limit are data errors
+    naming the file and the line.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, [])
@@ -408,7 +409,7 @@ def load_config(path: str | os.PathLike | None = None) -> AssessmentConfig:
         return AssessmentConfig()
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise DataError(
             f"{path.name} line {_undecodable_line(path)}: not UTF-8 ({exc.reason})"
@@ -491,9 +492,9 @@ def emit(
 # the objects of one kind (score rows, eligibility entries, histograms,
 # quadrants, aggregates) are encoded a field at a time, a whole column at
 # once, and each is then filled into a template of its sorted field names.
-# The pipeline's score rows are columns already; other dataclasses are
-# transposed into columns first. ``_report_json`` lays out the fixed
-# document around them in pieces and joins the pieces once.
+# Score rows are tuples and are transposed with ``zip``, dataclasses by
+# attribute. ``_report_json`` lays out the fixed document around them in
+# pieces and joins the pieces once.
 
 # float.__repr__ spells the non-finite floats as Python does, json.dumps as
 # JavaScript does.
@@ -569,32 +570,25 @@ def _json_table(columns: dict[str, Sequence], depth: int) -> list[str]:
     return [template % row for row in zip(*(_json_column(columns[n], depth + 1) for n in names))]
 
 
-def _columns(items: Sequence, names: tuple[str, ...]) -> dict[str, tuple]:
-    """The attributes ``names`` of ``items`` as one tuple of values each."""
-    values = zip(*map(operator.attrgetter(*names), items)) if items else [()] * len(names)
-    return dict(zip(names, values))
-
-
 def _json_objects(items: Sequence, depth: int) -> list[str]:
-    """The JSON object of each dataclass in ``items``, all of one class, at
-    nesting ``depth``."""
+    """The JSON object of each dataclass in ``items``, all of one class with
+    more than one field, at nesting ``depth``."""
     if not items:
         return []
-    return _json_table(_columns(items, tuple(f.name for f in dataclasses.fields(items[0]))), depth)
+    names = tuple(f.name for f in dataclasses.fields(items[0]))
+    return _json_table(dict(zip(names, zip(*map(operator.attrgetter(*names), items)))), depth)
 
 
 def _report_json(report: AssessmentReport) -> str:
-    """The text of report.json; institutions repeat their SDS rows' text."""
-    text: dict[int, list[str]] = {}  # id of a ScoreRows -> its rows' JSON
+    """The text of report.json; a row met again, such as an SDS's row in
+    its institution, repeats the text it was given the first time."""
+    text: dict[int, str] = {}  # id of a ScoreRow -> its JSON
 
     def rows_text(rows) -> list[str]:
-        if not isinstance(rows, ScoreRows):
-            return _json_objects(tuple(rows), 4)
-        if rows.picks is not None:
-            return [rows_text(source)[i] for source, i in zip(*rows.picks)]
-        if id(rows) not in text:
-            text[id(rows)] = _json_table(rows.columns, 4)
-        return text[id(rows)]
+        new = [row for row in rows if id(row) not in text]
+        if new:
+            text.update(zip(map(id, new), _json_table(_score_columns(new), 4)))
+        return [text[id(row)] for row in rows]
 
     results = sorted(report.sds_results.items())
     histograms = [sorted(res.histograms.items()) for _, res in results]
@@ -669,12 +663,9 @@ _ELIGIBILITY_HEADER = (
 )
 
 
-def _score_columns(rows) -> dict[str, Sequence]:
-    """The score rows' values, one sequence per field: an SDS's columns
-    from the pipeline, or any other rows transposed."""
-    if isinstance(rows, ScoreRows) and rows.picks is None:
-        return rows.columns
-    return _columns(rows, _SCORE_HEADER)
+def _score_columns(rows: Sequence[ScoreRow]) -> dict[str, tuple]:
+    """The score rows' values, one tuple per ScoreRow field."""
+    return dict(zip(ScoreRow._fields, zip(*rows) if rows else [()] * len(ScoreRow._fields)))
 
 
 def _csv_tables(report: AssessmentReport):
@@ -729,6 +720,8 @@ _SVG_W, _SVG_H, _SVG_MARGIN = 360, 260, 40
 
 
 def _svg_document(body: list[str], title: str) -> str:
+    # xml.sax.saxutils.escape, without the urllib it imports
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">\n'
@@ -795,11 +788,9 @@ def _matrix_svg(result: SdsResult, threshold: float) -> str:
         f'font-family="sans-serif" font-size="11" '
         f'transform="rotate(-90 12 {y0 - plot / 2:.1f})">allocative efficiency</text>',
     ]
-    columns = _score_columns(result.rows)
-    points = zip(columns["dmu_id"], columns["te"], columns["ae"])
-    for _, te, ae in sorted(points, key=operator.itemgetter(0)):
+    for row in sorted(result.rows, key=operator.attrgetter("dmu_id")):
         body.append(
-            f'<circle cx="{px(te):.1f}" cy="{py(ae):.1f}" r="3" '
+            f'<circle cx="{px(row.te):.1f}" cy="{py(row.ae):.1f}" r="3" '
             f'fill="#aa3344" fill-opacity="0.8"/>'
         )
     return _svg_document(body, f"{result.sds_id} efficiency matrix")

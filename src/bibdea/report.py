@@ -1,12 +1,12 @@
 """Assessment configuration, the report structure, and the pipeline driver."""
 
-import dataclasses
+import functools
 import itertools
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral, Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ class AssessmentConfig:
             )
 
 
-@dataclass(frozen=True)
-class ScoreRow:
+class ScoreRow(NamedTuple):
     """One university's line in an SDS score table."""
 
     dmu_id: str
@@ -73,47 +72,10 @@ class ScoreRow:
     ce_pct: float | None = None
 
 
-class ScoreRows(Sequence):
-    """Score rows held as columns, each :class:`ScoreRow` built when first
-    read: an SDS's, one list per ScoreRow field in ``columns``, or an
-    institution's, row ``i`` of ``rows`` for each ``rows, i`` in
-    ``zip(*picks)``. It compares and hashes as the tuple of its rows."""
-
-    def __init__(self, columns: dict[str, list] | None = None, picks: tuple | None = None):
-        self.columns, self.picks, self._rows = columns, picks, None
-
-    def rows(self) -> tuple[ScoreRow, ...]:
-        if self._rows is None:
-            self._rows = (
-                tuple(map(ScoreRow, *(self.columns[name] for name in _ROW_FIELDS)))
-                if self.picks is None
-                else tuple(rows.rows()[i] for rows, i in zip(*self.picks))
-            )
-        return self._rows
-
-    def __len__(self) -> int:
-        return len(self.columns["dmu_id"] if self.picks is None else self.picks[1])
-
-    def __getitem__(self, i):
-        return self.rows()[i]
-
-    def __eq__(self, other) -> bool:
-        return self.rows() == (other.rows() if isinstance(other, ScoreRows) else other)
-
-    def __hash__(self) -> int:
-        return hash(self.rows())
-
-    def __repr__(self) -> str:
-        return repr(self.rows())
-
-
-_ROW_FIELDS = tuple(f.name for f in dataclasses.fields(ScoreRow))
-
-
 @dataclass(frozen=True)
 class SdsResult:
     sds_id: str
-    rows: Sequence[ScoreRow]  # ScoreRows from run_assessment
+    rows: tuple[ScoreRow, ...]
     histograms: dict[str, Histogram]  # keyed te / ae / ce
     quadrants: QuadrantSummary
 
@@ -131,7 +93,7 @@ class EligibilityEntry:
 @dataclass(frozen=True)
 class InstitutionResult:
     dmu_id: str
-    rows: Sequence[ScoreRow]  # ScoreRows from run_assessment
+    rows: tuple[ScoreRow, ...]
     aggregate: AggregateScores
 
 
@@ -174,9 +136,8 @@ def run_assessment(
     keys = sorted(dataset.staff)
     keys.sort(key=operator.itemgetter(1))
     staff = list(map(dataset.staff.__getitem__, keys))
-    years = ("fp_years", "ap_years", "rf_years")
-    columns = {name: [getattr(dmu, name) for dmu in staff] for name in years}
-    x = np.column_stack(list(columns.values())).astype(float)
+    years = [[getattr(dmu, n) for dmu in staff] for n in ("fp_years", "ap_years", "rf_years")]
+    x = np.column_stack(years).astype(float)
     y = np.array(list(map(dataset.ss.__getitem__, keys)), dtype=float)
     cost = dea._staff_costs(x, config.costs)
     dmu_ids = [dmu_id for dmu_id, _ in keys]
@@ -217,16 +178,20 @@ def run_assessment(
 
     with np.errstate(over="ignore"):
         per_year = y / (x[:, 0] + x[:, 1] + x[:, 2])
-    columns.update(
-        dmu_id=dmu_ids,
-        sds_id=[sds_id for _, sds_id in keys],
-        ss=y.tolist(),
-        staff_cost=cost.tolist(),
-        ss_per_staff_year=per_year.tolist(),
-        **dict(zip(("te", "ae", "ce"), scores.tolist())),
-        **dict(zip(("te_pct", "ae_pct", "ce_pct"), pct)),
+    # one column per ScoreRow field, in field order
+    columns = (
+        dmu_ids,
+        [sds_id for _, sds_id in keys],
+        y.tolist(),
+        *years,
+        *scores.tolist(),
+        cost.tolist(),
+        per_year.tolist(),
+        *pct,
     )
-    rows = [ScoreRows({name: c[s] for name, c in columns.items()}) for s in spans.values()]
+    # ScoreRow._make without its length check, in half the time
+    make = functools.partial(tuple.__new__, ScoreRow)
+    rows = [tuple(map(make, zip(*(c[s] for c in columns)))) for s in spans.values()]
     scored = sds_index >= 0
     histograms = [analytics._histograms(v[scored], sds_index[scored]) for v in scores]
     sds_results = {
@@ -238,7 +203,9 @@ def run_assessment(
         )
         for (sds_id, s), r, te, ae, ce in zip(spans.items(), rows, *histograms)
     }
-    institutions = _institution_results(rows, cost[scored], *scores[:, scored])
+    institutions = _institution_results(
+        [row for r in rows for row in r], cost[scored], *scores[:, scored]
+    )
     return AssessmentReport(
         ss_mode=dataset.ss_mode,
         census_date=config.census_date,
@@ -251,12 +218,12 @@ def run_assessment(
 
 
 def _institution_results(
-    sds_rows: list[ScoreRows], cost: np.ndarray, *scores: np.ndarray
+    rows: list[ScoreRow], cost: np.ndarray, *scores: np.ndarray
 ) -> tuple[InstitutionResult, ...]:
     """Each institution's rows in SDS order, their cost-weighted aggregates
     and the aggregates' percentile ranks among all institutions; ``cost``
-    and ``scores`` are the columns of ``sds_rows`` laid end to end."""
-    ids = [dmu_id for rows in sds_rows for dmu_id in rows.columns["dmu_id"]]
+    and ``scores`` are the columns of ``rows``."""
+    ids = [row.dmu_id for row in rows]
     dmu_ids = sorted(set(ids))
     code = dict(zip(dmu_ids, itertools.count()))
     group = np.fromiter(map(code.__getitem__, ids), dtype=np.intp, count=len(ids))
@@ -267,15 +234,12 @@ def _institution_results(
         raise DataError(
             f"institution {dmu_ids[over[0]]!r}: staff cost summed over its SDSs overflows a float"
         )
-    # Where each row comes from: its SDS's rows, and its index in those.
-    source = [rows for rows in sds_rows for _ in range(len(rows))]
-    index = [i for rows in sds_rows for i in range(len(rows))]
     parts = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
-    picks = [([source[j] for j in p], [index[j] for j in p]) for p in map(np.ndarray.tolist, parts)]
+    picks = [tuple(map(rows.__getitem__, p)) for p in map(np.ndarray.tolist, parts)]
     means = [m.tolist() for m in means]
     return tuple(
-        InstitutionResult(dmu_id, ScoreRows(picks=rows), AggregateScores(*values))
-        for dmu_id, rows, *values in zip(
+        InstitutionResult(dmu_id, picked, AggregateScores(*values))
+        for dmu_id, picked, *values in zip(
             dmu_ids, picks, *means, total.tolist(), *map(_percentiles, means)
         )
     )

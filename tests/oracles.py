@@ -334,7 +334,7 @@ def reference_report_json(report) -> str:
         "eligibility": [dataclasses.asdict(e) for e in report.eligibility],
         "sds": {
             sds_id: {
-                "rows": [dataclasses.asdict(r) for r in res.rows],
+                "rows": [r._asdict() for r in res.rows],
                 "histograms": {
                     key: dataclasses.asdict(h) for key, h in sorted(res.histograms.items())
                 },
@@ -345,7 +345,7 @@ def reference_report_json(report) -> str:
         "institutions": [
             {
                 "dmu_id": inst.dmu_id,
-                "rows": [dataclasses.asdict(r) for r in inst.rows],
+                "rows": [r._asdict() for r in inst.rows],
                 "aggregate": dataclasses.asdict(inst.aggregate),
             }
             for inst in report.institutions

@@ -1,7 +1,11 @@
 import math
+import os
+import platform
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,7 +259,7 @@ class TestEvaluateSds:
         # less output than D1, a weight past the float range.
         ds = dataset([[0.0, 1e-308, 5e-324], [1.0, 1e30, 1e305]], [1e-308, 2.0])
         assert evaluate_sds(ds)["D1"].reference_weights == {"D0": math.inf}
-        # a triple whose determinant factorisation divides by zero
+        # generators near the float minimum, some triples' determinants subnormal
         inputs = [[1e-300, 3.0, 1e300], [1e305, 0.0, 1e300], [1e305, 1e300, 5e-324]]
         scores = evaluate_sds(dataset(inputs, [1e300, 1e308, 1.0]))
         assert [s.te for s in scores.values()] == [1.0, 1.0, 1.0]
@@ -521,6 +525,48 @@ def test_dots_adds_each_product_left_to_right(z, v):
     for i, (z0, z1, z2) in enumerate(z):
         for j, (v0, v1, v2) in enumerate(v):
             assert float(got[i, j]).hex() == (z0 * v0 + z1 * v1 + z2 * v2).hex()
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OPENBLAS_CORETYPE names x86-64 kernels",
+)
+def test_peer_weights_are_the_same_under_any_blas_kernel():
+    # Prescott's kernels round a LAPACK 3 x 3 solve differently from the
+    # newer ones; no peer weight may depend on which kernel OpenBLAS picks
+    script = (
+        "from benchmarks import pharm_chem_dataset\n"
+        "from bibdea import evaluate_sds\n"
+        "for dmu_id, s in evaluate_sds(pharm_chem_dataset()).items():\n"
+        "    print(dmu_id, sorted((k, w.hex()) for k, w in s.reference_weights.items()))\n"
+    )
+    weights = []
+    for coretype in (None, "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=Path(__file__).parent,
+        )
+        assert result.returncode == 0, result.stderr
+        weights.append(result.stdout)
+    assert weights[0] == weights[1]
+    assert weights[0].count("\n") == len(PHARM_CHEM)
+
+
+def test_evaluate_sds_calls_no_linear_algebra_routine(pharm_chem, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg was called")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    scores = evaluate_sds(pharm_chem)
+    assert all(s.reference_weights for s in scores.values() if s.te > 0)
 
 
 def test_worst_case_sds_stays_within_time_and_memory():

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import random
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,7 @@ from bibdea import (
 from bibdea import dea
 from bibdea.analytics import TIE_TOL
 from bibdea.io import CONFIG_ENV_VAR
-from bibdea.report import EligibilityEntry, ScoreRows
+from bibdea.report import EligibilityEntry
 
 from benchmarks import PHARM_CHEM
 from oracles import (
@@ -53,6 +54,8 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
     return path
 
+
+_SVG_TEXT = "{http://www.w3.org/2000/svg}text"
 
 STAFF_HEADER = ["dmu_id", "sds_id", "fp_years", "ap_years", "rf_years"]
 PUB_HEADER = [
@@ -278,6 +281,27 @@ class TestMalformedCsv:
         )
         dataset = self._ingest(tmp_path, fixtures_dir, "publications", rows.encode() + b"\n")
         assert dataset.publication_count == 5
+
+    def test_byte_order_marks_are_dropped(self, tmp_path, fixtures_dir):
+        # as a spreadsheet saves "CSV UTF-8"
+        paths = []
+        for fixture, _ in self.FILES.values():
+            paths.append(tmp_path / fixture)
+            paths[-1].write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / fixture).read_bytes())
+        expected = ingest(*(fixtures_dir / fixture for fixture, _ in self.FILES.values()))
+        dataset = ingest(*paths)
+        assert dataset == expected
+        assert [v.hex() for v in dataset.ss.values()] == [v.hex() for v in expected.ss.values()]
+        staff = tmp_path / "pharm_chem_staff.csv"
+        staff.write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / staff.name).read_bytes())
+        assert ingest(staff) == ingest(fixtures_dir / staff.name)
+        # the line of an undecodable byte is counted as without the mark
+        extra, message = self._fault("undecodable", self.FILES["staff"][1])
+        with open(paths[0], "ab") as fh:
+            fh.write(extra)
+        line = (fixtures_dir / paths[0].name).read_text().count("\n") + 1
+        with pytest.raises(DataError, match=f"{paths[0].name} line {line}: {message}"):
+            ingest(*paths)
 
     def test_repeated_column_name_reads_the_last_cell(self, tmp_path):
         staff = tmp_path / "staff.csv"
@@ -564,6 +588,11 @@ class TestLoadConfig:
         with pytest.raises(DataError):
             load_config(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, fixtures_dir):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / "config.json").read_bytes())
+        assert load_config(path) == load_config(fixtures_dir / "config.json")
+
     def test_invalid_threshold_rejected(self):
         with pytest.raises(DataError):
             AssessmentConfig(quadrant_threshold=1.5)
@@ -795,8 +824,8 @@ class TestRunAssessment:
 
 
 def _hexed(obj) -> tuple:
-    """A dataclass's field values, floats by ``float.hex``."""
-    values = dataclasses.astuple(obj)
+    """A NamedTuple's or a dataclass's field values, floats by ``float.hex``."""
+    values = tuple(obj) if isinstance(obj, tuple) else dataclasses.astuple(obj)
     return tuple(v.hex() if isinstance(v, float) else v for v in values)
 
 
@@ -869,8 +898,8 @@ class TestScoreColumns:
     def test_rows_behave_as_a_tuple(self, fixtures_dir):
         report = run_assessment(ingest(fixtures_dir / "pharm_chem_staff.csv"))
         rows = report.sds_results["CHIM/08"].rows
-        assert isinstance(rows, ScoreRows) and rows._rows is None
-        assert len(rows) == 28 and rows._rows is None
+        assert isinstance(rows, tuple)
+        assert len(rows) == 28
         as_tuple = tuple(rows)
         assert rows == as_tuple and as_tuple == rows and hash(rows) == hash(as_tuple)
         assert rows[1:3] == as_tuple[1:3] and rows[-1] is as_tuple[-1]
@@ -938,6 +967,16 @@ class TestEmit:
         content = (tmp_path / "hist_ce_CHIM_08.svg").read_text()
         assert content.startswith("<svg")
 
+    def test_svg_titles_escape_the_sds_id(self, tmp_path):
+        rows = [[f"U{i}", "R&D<1>", 1 + i, 1, 1, 1.0 + i] for i in range(3)]
+        staff = write_csv(tmp_path / "staff.csv", STAFF_HEADER + ["ss"], rows)
+        report = run_assessment(ingest(staff), apply_filter=False)
+        files = emit(report, ["svg"], tmp_path / "out")
+        assert len(files) == 4
+        for path in files:
+            title = ElementTree.fromstring(path.read_bytes()).find(_SVG_TEXT)
+            assert title.text.startswith("R&D<1> "), path.name
+
     def test_unknown_format_rejected(self, report, tmp_path):
         with pytest.raises(DataError):
             emit(report, ["pdf"], tmp_path)
@@ -1000,6 +1039,27 @@ class TestEmit:
         TestReportJson.assert_matches_reference(swapped, tmp_path / "json")
         assert len(emit(swapped, ["svg"], tmp_path / "svg")) == 4
 
+    def test_rows_that_share_no_object_emit_the_same_bytes(self, tmp_path):
+        # The pipeline's institution rows are its SDS rows' objects, whose
+        # text report.json reuses; rebuilt, every row is written on its own.
+        staff = _odd_census(tmp_path / "staff.csv")
+        report = run_assessment(ingest(staff), AssessmentConfig(min_active_universities=3))
+
+        def rebuilt(result):
+            return dataclasses.replace(result, rows=tuple(row._replace() for row in result.rows))
+
+        copy = dataclasses.replace(
+            report,
+            sds_results={k: rebuilt(result) for k, result in report.sds_results.items()},
+            institutions=tuple(map(rebuilt, report.institutions)),
+        )
+        assert copy == report
+        sds_rows = {id(row) for result in copy.sds_results.values() for row in result.rows}
+        assert not sds_rows & {id(row) for inst in copy.institutions for row in inst.rows}
+        emit(report, ["json", "csv"], tmp_path / "pipeline")
+        for path in emit(copy, ["json", "csv"], tmp_path / "rebuilt"):
+            assert path.read_bytes() == (tmp_path / "pipeline" / path.name).read_bytes()
+
     def test_csv_single_institution(self, tmp_path):
         rows = [["U1", "ONE/01", 1, 1, 1, 1.0], ["U1", "TWO/01", 1, 0, 0, 0.0]]
         staff = write_csv(tmp_path / "staff.csv", STAFF_HEADER + ["ss"], rows)
@@ -1041,9 +1101,9 @@ _ODD_IDS = st.text(max_size=6) | st.sampled_from(
 _SCORE_ROWS = st.builds(
     ScoreRow,
     **{
-        f.name: _ODD_IDS if f.name.endswith("_id") else _ODD_PCTS if f.name.endswith("_pct")
+        name: _ODD_IDS if name.endswith("_id") else _ODD_PCTS if name.endswith("_pct")
         else _ODD_NUMBERS
-        for f in dataclasses.fields(ScoreRow)
+        for name in ScoreRow._fields
     },
 )
 _HISTOGRAMS = st.builds(
@@ -1144,8 +1204,8 @@ class TestReportJson:
         # writes them
         report = run_assessment(ingest(fixtures_dir / "pharm_chem_staff.csv"))
         result = report.sds_results["CHIM/08"]
-        first = dataclasses.replace(
-            result.rows[0], fp_years=2, ap_years=True, ss=math.inf, ce=-math.inf, te=math.nan
+        first = result.rows[0]._replace(
+            fp_years=2, ap_years=True, ss=math.inf, ce=-math.inf, te=math.nan
         )
         odd = dataclasses.replace(
             report,
@@ -1181,8 +1241,8 @@ class TestReportJson:
         odd = report.sds_results["ODD/01"]
         first, second = odd.rows
         changed = {
-            id(first): dataclasses.replace(first, te=math.nan, ce=-math.inf),
-            id(second): dataclasses.replace(second, te=math.inf),
+            id(first): first._replace(te=math.nan, ce=-math.inf),
+            id(second): second._replace(te=math.inf),
         }
         report = dataclasses.replace(
             report,
