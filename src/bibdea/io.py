@@ -520,17 +520,15 @@ def _json_scalar(value) -> str:
 
 
 def _json_block(brackets: str, items: list[str], depth: int) -> str:
-    """``items``, laid out for nesting ``depth + 1``, as one JSON list or
-    object (``brackets`` is "[]" or "{}") at nesting ``depth``."""
-    if not items:
-        return brackets
-    inner = "\n" + "  " * (depth + 1)
-    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{brackets[1]}"
+    """:func:`_json_pieces` of items of one piece each, joined."""
+    return "".join(_json_pieces(brackets, [[item] for item in items], depth))
 
 
 def _json_pieces(brackets: str, items: list[list[str]], depth: int) -> list[str]:
-    """:func:`_json_block` of items given as lists of pieces, in pieces, so
-    that no text is copied before the document is joined."""
+    """``items``, each given as a list of pieces and laid out for nesting
+    ``depth + 1``, as one JSON list or object (``brackets`` is "[]" or
+    "{}") at nesting ``depth``, in pieces, so that no text is copied before
+    the document is joined."""
     if not items:
         return [brackets]
     inner = "\n" + "  " * (depth + 1)

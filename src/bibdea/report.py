@@ -114,12 +114,6 @@ class AssessmentReport:
         raise DataError(f"no assessed institution {dmu_id!r}")
 
 
-def _percentiles(values) -> list[float | None]:
-    if len(values) < 2:
-        return [None] * len(values)
-    return analytics.percentile_ranks(values)
-
-
 def run_assessment(
     dataset: AssessmentDataset,
     config: AssessmentConfig | None = None,
@@ -141,7 +135,7 @@ def run_assessment(
     y = np.array(list(map(dataset.ss.__getitem__, keys)), dtype=float)
     cost = dea._staff_costs(x, config.costs)
     dmu_ids = [dmu_id for dmu_id, _ in keys]
-    scores, pct = np.zeros((3, len(keys))), [[None] * len(keys) for _ in range(3)]
+    scores = np.zeros((3, len(keys)))
     sds_index = np.full(len(keys), -1)  # each row's place among the scored SDSs
     eligibility, spans, stop = [], {}, 0
     for sds_id, members in itertools.groupby(keys, key=operator.itemgetter(1)):
@@ -149,10 +143,7 @@ def run_assessment(
         active = s.stop - s.start
         publishing = int(np.count_nonzero(y[s] > 0)) / active
         decision = analytics.eligibility_filter(
-            active,
-            publishing,
-            min_active=config.min_active_universities,
-            min_fraction=config.min_fraction_publishing,
+            active, publishing, config.min_active_universities, config.min_fraction_publishing
         )
         included = decision.include or not apply_filter
         eligibility.append(
@@ -172,9 +163,14 @@ def run_assessment(
         if over.size:
             raise DataError(f"{sds_id}/{dmu_ids[s.start + over[0]]}: staff cost overflows a float")
         scores[:, s] = dea._scores(sds_id, dmu_ids[s], x[s], y[s], cost[s])[0]
-        for ranks, values in zip(pct, scores[:, s]):
-            ranks[s] = _percentiles(values)
         sds_index[s], spans[sds_id] = len(spans), s
+
+    scored = sds_index >= 0
+    group = sds_index[scored]
+    pct = np.full(scores.shape, None)
+    pct[:, scored] = [analytics._percentile_ranks(v[scored], group) for v in scores]
+    histograms = [analytics._histograms(v[scored], group) for v in scores]
+    quadrants = analytics._quadrant_counts(*scores[:2, scored], group, config.quadrant_threshold)
 
     with np.errstate(over="ignore"):
         per_year = y / (x[:, 0] + x[:, 1] + x[:, 2])
@@ -187,21 +183,14 @@ def run_assessment(
         *scores.tolist(),
         cost.tolist(),
         per_year.tolist(),
-        *pct,
+        *pct.tolist(),
     )
     # ScoreRow._make without its length check, in half the time
     make = functools.partial(tuple.__new__, ScoreRow)
     rows = [tuple(map(make, zip(*(c[s] for c in columns)))) for s in spans.values()]
-    scored = sds_index >= 0
-    histograms = [analytics._histograms(v[scored], sds_index[scored]) for v in scores]
     sds_results = {
-        sds_id: SdsResult(
-            sds_id=sds_id,
-            rows=r,
-            histograms={"te": te, "ae": ae, "ce": ce},
-            quadrants=analytics._quadrant_counts(*scores[:2, s], config.quadrant_threshold),
-        )
-        for (sds_id, s), r, te, ae, ce in zip(spans.items(), rows, *histograms)
+        sds_id: SdsResult(sds_id, r, {"te": te, "ae": ae, "ce": ce}, quadrant)
+        for sds_id, r, te, ae, ce, quadrant in zip(spans, rows, *histograms, quadrants)
     }
     institutions = _institution_results(
         [row for r in rows for row in r], cost[scored], *scores[:, scored]
@@ -236,10 +225,11 @@ def _institution_results(
         )
     parts = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
     picks = [tuple(map(rows.__getitem__, p)) for p in map(np.ndarray.tolist, parts)]
-    means = [m.tolist() for m in means]
+    one = np.zeros(len(dmu_ids), dtype=np.intp)
+    ranks = [analytics._percentile_ranks(m, one) for m in means]
     return tuple(
         InstitutionResult(dmu_id, picked, AggregateScores(*values))
         for dmu_id, picked, *values in zip(
-            dmu_ids, picks, *means, total.tolist(), *map(_percentiles, means)
+            dmu_ids, picks, *(m.tolist() for m in means), total.tolist(), *ranks
         )
     )

@@ -16,9 +16,10 @@ ingest did before it read the file by columns and cached per distinct key.
 and ``reference_csv_tables`` the CSV tables laid out one row, then one cell,
 at a time.
 
-``reference_histogram``, ``reference_aggregate`` and ``reference_results``
-are the report's scores as they were computed before they were carried as
-columns: one score, one row and one unit at a time.
+``reference_percentile_rank``, ``reference_histogram``,
+``reference_aggregate`` and ``reference_results`` are the report's ranks
+and scores as they were computed before they were carried as columns: one
+score, one row and one unit at a time.
 """
 
 import csv
@@ -40,10 +41,10 @@ from bibdea import (
     PublicationRecord,
     ScoreRow,
     SdsDataset,
-    percentile_ranks,
     scientific_strength,
     staff_cost,
 )
+from bibdea.analytics import TIE_TOL
 from bibdea.dea import score_sds
 from bibdea.model import left_sum
 
@@ -434,6 +435,16 @@ def reference_csv_tables(report) -> dict[str, str]:
     return tables
 
 
+def reference_percentile_rank(scores, target: float) -> float:
+    """Rank of ``target`` within ``scores`` on a 0-100 scale, by one scan:
+    scores more than ``TIE_TOL`` below it count fully, the others within
+    ``TIE_TOL`` of it half."""
+    low, high = target - TIE_TOL, target + TIE_TOL
+    worse = sum(1 for s in scores if s < low)
+    tied_others = sum(1 for s in scores if low <= s <= high) - 1
+    return 100.0 * (worse + 0.5 * tied_others) / (len(scores) - 1)
+
+
 def reference_histogram(scores, bin_width: float = 0.2) -> Histogram:
     """Scores over [0, 1] binned one at a time, by ``round(s / bin_width, 9)``."""
     n_bins = round(1.0 / bin_width)
@@ -456,7 +467,9 @@ def reference_results(dataset, config, apply_filter: bool = True):
     aggregate, built one unit at a time from :func:`score_sds`."""
 
     def pct(values):
-        return [None] * len(values) if len(values) < 2 else percentile_ranks(values)
+        if len(values) < 2:
+            return [None] * len(values)
+        return [reference_percentile_rank(values, v) for v in values]
 
     by_sds: dict[str, list] = {}
     for (dmu_id, sds_id), dmu in sorted(dataset.staff.items()):

@@ -1,3 +1,4 @@
+import collections
 import math
 import statistics
 
@@ -10,9 +11,12 @@ from bibdea import (
     DataError,
     DmuInput,
     EfficiencyScores,
+    QuadrantSummary,
+    SdsDataset,
     aggregate_weighted,
     efficiency_matrix,
     eligibility_filter,
+    evaluate_sds,
     histogram,
     percentile_rank,
     percentile_ranks,
@@ -31,7 +35,7 @@ from benchmarks import (
     PRODUCTIVITY_SPOTS,
     pharm_chem_printed_scores,
 )
-from oracles import reference_aggregate, reference_histogram
+from oracles import reference_aggregate, reference_histogram, reference_percentile_rank
 
 # Ties are likely: a few pooled values, zero of both signs among them.
 tied_scores = st.lists(
@@ -89,8 +93,9 @@ class TestPercentileRank:
     @example([1.0, 0.5])
     @example([-0.0, 0.5, 0.0, 0.5, 0.5 + TIE_TOL / 2, 1.0])
     def test_column_ranks_are_the_scalar_ranks(self, scores):
-        expected = [percentile_rank(scores, s).hex() for s in scores]
+        expected = [reference_percentile_rank(scores, s).hex() for s in scores]
         assert [r.hex() for r in percentile_ranks(scores)] == expected
+        assert [percentile_rank(scores, s).hex() for s in scores] == expected
 
     def test_column_ranks_need_two_scores(self):
         with pytest.raises(DataError):
@@ -220,6 +225,15 @@ def _ulps_away(x: float, ulps: int) -> float:
 _EDGES = sorted({edge for k in range(6) for edge in (k * 0.2, k / 5)})
 edge_scores = st.builds(_ulps_away, st.sampled_from(_EDGES), st.integers(-4, 4)) | st.floats(0, 1)
 
+# Scores a tolerance apart and one ulp beyond it, and floats at the ends of
+# the range. NaN is left out: the scan ties a NaN with nothing while a sort
+# puts it last, and no pipeline score is NaN.
+_TIES = [0.5 + k * TIE_TOL for k in (-1, 1)]
+_SPECIAL = [0.0, -0.0, 1.0, 0.5, 1e-10, 5e-324, 1e300, -1e300, math.inf, -math.inf]
+rank_scores = st.sampled_from(
+    _SPECIAL + _TIES + [math.nextafter(t, math.copysign(math.inf, t - 0.5)) for t in _TIES]
+) | st.floats(allow_nan=False)
+
 
 class TestScoreColumns:
     """The column forms the pipeline calls, against the scalar rules they
@@ -241,6 +255,52 @@ class TestScoreColumns:
             assert got.counts == want.counts
             assert got.median.hex() == want.median.hex()
             assert histogram(scores_of_group) == got
+
+    @settings(max_examples=300)
+    @given(
+        groups=st.lists(st.lists(rank_scores, min_size=1, max_size=10), min_size=1, max_size=5),
+        seed=st.randoms(use_true_random=False),
+    )
+    def test_ranks_are_the_scalar_ranks(self, groups, seed):
+        rows = [(g, s) for g, scores in enumerate(groups) for s in scores]
+        seed.shuffle(rows)
+        group = [g for g, _ in rows]
+        ranks = analytics._percentile_ranks(np.array([s for _, s in rows]), np.array(group))
+        for g in range(len(groups)):
+            got = [r for k, r in zip(group, ranks) if k == g]
+            scores = [s for k, s in rows if k == g]
+            if len(scores) == 1:
+                assert got == [None]
+            else:
+                want = [reference_percentile_rank(scores, s).hex() for s in scores]
+                assert [r.hex() for r in got] == want
+
+    @settings(max_examples=200)
+    @given(
+        st.data(),
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1),
+        st.randoms(use_true_random=False),
+    )
+    def test_quadrants_are_the_unit_quadrants(self, data, threshold, seed):
+        reach = threshold - TIE_TOL
+        near = st.sampled_from([math.nextafter(reach, -1), reach, math.nextafter(reach, 2)])
+        pairs = st.tuples(near | st.floats(0, 1), near | st.floats(0, 1))
+        units = st.lists(pairs, min_size=1, max_size=10)
+        groups = data.draw(st.lists(units, min_size=1, max_size=5))
+        rows = [(g, pair) for g, members in enumerate(groups) for pair in members]
+        seed.shuffle(rows)
+        group = np.array([g for g, _ in rows], dtype=np.intp)
+        te, ae = np.array([pair for _, pair in rows]).T
+        got = analytics._quadrant_counts(te, ae, group, threshold)
+        assert len(got) == len(groups)
+        for quadrants, members in zip(got, groups):
+            cells = collections.Counter((t >= reach, a >= reach) for t, a in members)
+            assert quadrants == QuadrantSummary(
+                both_low=cells[False, False],
+                high_ae_low_te=cells[False, True],
+                both_high=cells[True, True],
+                high_te_low_ae=cells[True, False],
+            )
 
     @settings(max_examples=200)
     @given(
@@ -367,6 +427,18 @@ class TestRankDivergence:
     def test_mismatched_sets(self):
         with pytest.raises(DataError):
             rank_divergence({"a": 1.0}, {"b": 1.0})
+
+    def test_scaled_copy_keeps_the_rank_of_its_unit(self):
+        # The copy's ce and ratio both land an ulp from the unit's; float
+        # noise must not split their tie in either ordering.
+        units = [(0.51, 4.86, 4.08, 5.79), (3.17, 3.58, 4.69, 9.03), (1.29, 1.51, 1.76, 15.87)]
+        units.append(tuple(0.3 * v for v in units[0]))
+        names = ["A", "B", "C", "Copy"]
+        members = tuple((DmuInput(n, "S/01", *u[:3]), u[3]) for n, u in zip(names, units))
+        ce = {k: s.ce for k, s in evaluate_sds(SdsDataset("S/01", members)).items()}
+        ratio = {dmu.dmu_id: productivity_ratio(ss, dmu) for dmu, ss in members}
+        assert ce["A"] != ce["Copy"] and ratio["A"] != ratio["Copy"]
+        assert rank_divergence(ce, ratio) == {"A": 0, "B": 0, "C": 0, "Copy": 0}
 
 
 def test_staff_cost_feeds_aggregation_weights():
