@@ -47,9 +47,7 @@ from .model import (
     PublicationRecord,
     SdsDataset,
     SolverError,
-    dataset_violations,
     staff_cost,
-    validate_dataset,
 )
 from .report import (
     AssessmentConfig,
@@ -88,7 +86,6 @@ __all__ = [
     "allocative_efficiency",
     "build_median_table",
     "cost_efficiency",
-    "dataset_violations",
     "efficiency_matrix",
     "eligibility_filter",
     "emit",
@@ -110,5 +107,4 @@ __all__ = [
     "staff_cost",
     "standardize_citations",
     "technical_efficiency",
-    "validate_dataset",
 ]

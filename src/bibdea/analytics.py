@@ -178,8 +178,17 @@ def _quadrant_counts(te: np.ndarray, ae: np.ndarray, group: np.ndarray, threshol
 
 
 def productivity_ratio(ss: float, dmu: DmuInput) -> float:
-    """Output per staff-year, the naive single-ratio productivity index."""
-    return ss / dmu.total_years()
+    """Output per staff-year, the naive single-ratio productivity index, as
+    a float: the unit's entry of :func:`_per_staff_year`."""
+    years = np.array([[dmu.fp_years, dmu.ap_years, dmu.rf_years]], dtype=float)
+    return float(_per_staff_year(np.array([ss], dtype=float), years)[0])
+
+
+def _per_staff_year(ss: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each unit's output ``ss`` over its staff-years, its row of ``x``
+    added fp + ap + rf, ``inf`` past the float range."""
+    with np.errstate(over="ignore"):
+        return ss / (x[:, 0] + x[:, 1] + x[:, 2])
 
 
 def eligibility_filter(

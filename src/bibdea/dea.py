@@ -24,9 +24,9 @@ floats whichever BLAS kernel numpy loads.
 no peers. :func:`evaluate_sds` scores the same way and then searches each
 unit's peers (its reference set) on the facets already found: a triple of
 an optimal facet that combines into the contracted unit with nonnegative
-weights. Both validate the SDS and then call :func:`_scores`, which takes
-the SDS as columns; the pipeline calls it directly, on columns that ingest
-has already checked.
+weights. Both call :func:`_scores`, which takes the SDS as columns; the
+pipeline calls it directly. An ``SdsDataset`` and the columns of an
+``AssessmentDataset`` are checked when they are built.
 """
 
 import numpy as np
@@ -39,8 +39,8 @@ from .model import (
     EfficiencyScores,
     SdsDataset,
     SolverError,
+    _staff_costs,
     checked_scores,
-    validate_dataset,
 )
 
 # Intensity weights below this are reported as zero.
@@ -195,16 +195,6 @@ def _peers(
         return peer, coef.clip(0.0) * y[:, None] / y[peer]
 
 
-def _staff_costs(x: np.ndarray, costs: CostVector) -> np.ndarray:
-    """:func:`~bibdea.model.staff_cost` of each row of staff-years ``x``,
-    ``inf`` past the float range. The sum is staff_cost's, term by term: a
-    matrix product rounds differently, and ce would not divide by the staff
-    cost the report prints."""
-    fp, ap, rf = (float(c) for c in (costs.fp_cost, costs.ap_cost, costs.rf_cost))
-    with np.errstate(over="ignore"):
-        return x[:, 0] * fp + x[:, 1] * ap + x[:, 2] * rf
-
-
 def _scores(
     sds_id: str, ids, x: np.ndarray, y: np.ndarray, cost: np.ndarray
 ) -> tuple[tuple, tuple | None]:
@@ -249,8 +239,7 @@ def _scores(
 
 
 def _score(ds: SdsDataset, costs: CostVector) -> tuple[tuple, tuple | None]:
-    """:func:`_scores` of the members of ``ds``, once it is validated."""
-    validate_dataset(ds)
+    """:func:`_scores` of the members of ``ds``."""
     x = [(d.fp_years, d.ap_years, d.rf_years) for d, _ in ds.members]
     x, y = np.array(x, dtype=float).reshape(-1, 3), np.array(ds.ss_values(), dtype=float)
     return _scores(ds.sds_id, ds.dmu_ids(), x, y, _staff_costs(x, costs))
@@ -272,7 +261,7 @@ def technical_efficiency(dmu0: int, ds: SdsDataset) -> tuple[float, dict[str, fl
 
     The peers are the intensity weights of units whose combination
     produces at least the DMU's output from at most ``te`` times its inputs.
-    Each call validates and scores the whole SDS through :func:`evaluate_sds`,
+    Each call scores the whole SDS through :func:`evaluate_sds`,
     so to score every unit call that once instead.
     """
     scores = evaluate_sds(ds)[ds.members[dmu0][0].dmu_id]
@@ -282,7 +271,7 @@ def technical_efficiency(dmu0: int, ds: SdsDataset) -> tuple[float, dict[str, fl
 def cost_efficiency(dmu0: int, ds: SdsDataset, costs: CostVector = DEFAULT_COSTS) -> float:
     """Minimum-cost-to-actual-cost ratio of ``ds.members[dmu0]``.
 
-    Each call validates and scores the whole SDS through :func:`score_sds`,
+    Each call scores the whole SDS through :func:`score_sds`,
     so to score every unit call that once instead.
     """
     return float(score_sds(ds, costs)[2][dmu0])

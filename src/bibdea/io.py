@@ -18,14 +18,13 @@ score tables be re-ingested; blank lines are skipped. A row with fewer cells
 than the header, bytes that are not UTF-8 and a cell over the csv module's
 field limit (131,072 characters) are data errors naming the file and line.
 
-The publications file is read in one ``csv.reader`` pass. Per row only the
-citations are parsed and the staff key is looked up. Each distinct raw
-(year, categories) cell and (total_authors, dmu_positions, life_science)
-byline is checked on its own, once, on the first row that has it: the cell
-check yields the cell's divisor and the byline check its fractional count.
-No ``PublicationRecord`` is built for a valid row; a row that fails a check
-is parsed in full as one only to raise the error a row-by-row check would,
-at its own line.
+The publications file is read in one ``csv.reader`` pass, and no cell is
+parsed per row. Each distinct raw (year, categories) cell, (total_authors,
+dmu_positions, life_science) byline and citations cell is checked on its
+own, once, on the first row that has it: the checks yield the cell's
+divisor, the byline's fractional count and the citation count, or what is
+wrong with the field. No ``PublicationRecord`` is built for any row; a bad
+row raises, at its own line, the error that a record built from it would.
 
 Emission is deterministic: identical inputs produce byte-identical output.
 """
@@ -42,18 +41,17 @@ import re
 import statistics
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .bibliometrics import citation_divisor, divide_citations, fractional_count
 from .model import (
-    MAX_CITATIONS,
     AssessmentDataset,
     CostVector,
     DataError,
     DmuInput,
     MedianTable,
-    PublicationRecord,
     byline_problem,
+    citations_problem,
     left_sum,
 )
 from .report import AssessmentConfig, AssessmentReport, ScoreRow, SdsResult
@@ -121,10 +119,12 @@ def _rows(reader, column: dict[str, int], path: Path):
         if len(row) < width:
             if not row:
                 continue
-            raise DataError(
-                f"{path.name} line {reader.line_num}: {len(row)} cells, header has {width}"
-            )
+            raise _width_error(path, reader.line_num, row, width)
         yield reader.line_num, row
+
+
+def _width_error(path: Path, line: int, row: list[str], width: int) -> DataError:
+    return DataError(f"{path.name} line {line}: {len(row)} cells, header has {width}")
 
 
 def _parse_float(raw: str, path: Path, line: int, column: str) -> float:
@@ -178,37 +178,16 @@ def _read_staff(path: Path):
     return staff, (ss if i_ss is not None else None)
 
 
-def _parse_publication(
-    row: list[str], column: dict[str, int], path: Path, line: int
-) -> PublicationRecord:
-    """Validate one publications row in full, as its own record, raising
-    the first of its errors in a fixed order."""
+class _Problem(NamedTuple):
+    """What is wrong with a field of a publications row. A bad row raises
+    its problem of lowest ``rank``, the place of the check in the order a
+    row is checked in: dmu_positions (1), life_science (2), year (3),
+    citations (4) and total_authors (5) are parsed, then the publication's
+    citations (6), categories (7) and byline (8) are checked, and its
+    problems, from rank 6 on, name its pub_id."""
 
-    def value(name: str) -> str:
-        return row[column[name]]
-
-    categories = tuple(c for c in value("categories").split(";") if c)
-    positions = tuple(
-        _parse_int(p, path, line, "dmu_positions") for p in value("dmu_positions").split(";") if p
-    )
-    flag = value("life_science").strip()
-    if flag not in ("0", "1"):
-        raise DataError(f"{path.name} line {line}: life_science must be 0 or 1")
-    year = _parse_int(value("year"), path, line, "year")
-    citations = _parse_int(value("citations"), path, line, "citations")
-    total_authors = _parse_int(value("total_authors"), path, line, "total_authors")
-    try:
-        return PublicationRecord(
-            pub_id=value("pub_id"),
-            year=year,
-            citations=citations,
-            categories=categories,
-            total_authors=total_authors,
-            dmu_author_positions=positions,
-            life_science=flag == "1",
-        )
-    except DataError as exc:
-        raise DataError(f"{path.name} line {line}: {exc}") from None
+    rank: int
+    text: str
 
 
 def _scan_publications(
@@ -220,18 +199,16 @@ def _scan_publications(
     """Validate the publications file; with ``ss``, also add each row's
     contribution to its staff row's SS, in file order.
 
-    Returns the row count. Per row only the citations are parsed. Each
-    distinct raw (year, categories) cell and (total_authors, dmu_positions,
-    life_science) byline is checked on its own, once, on the first row that
-    has it. A row that fails a check, or whose citations are not a valid
-    count, goes to :func:`_parse_publication`, which raises what a
-    row-by-row check would: records are built only to name an error. The
-    row whose contribution makes its unit's SS overflow is an error. After
-    the file, keys without a staff row and (year, category) pairs the
-    medians do not cover are an error naming each one's first line.
+    Returns the row count. Each distinct raw cell, byline and citations
+    cell is checked once, as the module docstring says; a row with a
+    :class:`_Problem` raises the first of its problems. The row whose
+    contribution makes its unit's SS overflow is an error. After the file,
+    keys without a staff row and (year, category) pairs the medians do not
+    cover are an error naming each one's first line.
     """
-    cells: dict[tuple[str, str], tuple | None] = {}  # -> (divisor, year, categories)
-    bylines: dict[tuple[str, str, str], float | None] = {}  # -> fractional count
+    cells: dict[tuple[str, str], tuple | _Problem] = {}  # -> (divisor, year, categories)
+    bylines: dict[tuple[str, str, str], float | _Problem] = {}  # -> fractional count
+    counts: dict[str, int | _Problem] = {}  # raw citations -> count
     orphans: dict[tuple[str, str], int] = {}  # -> first line
     missing: dict[tuple[int, str], int] = {}  # -> first line
     # Once a row is orphaned or uncovered, ingest fails with that error
@@ -239,42 +216,52 @@ def _scan_publications(
     scoring = ss is not None
     count = 0
     with _open_csv(path, _PUB_COLUMNS) as (reader, column):
-        i_dmu, i_sds, i_year, i_cit, i_cat, i_authors, i_pos, i_life = (
-            column[c] for c in _PUB_COLUMNS[1:]
-        )
-        for line, row in _rows(reader, column, path):
-            count += 1
-            cell = cells.get((row[i_year], row[i_cat]))
-            if cell is None:
-                cell = cells[row[i_year], row[i_cat]] = _cell_entry(
-                    row[i_year], row[i_cat], medians, missing, line
-                )
-                scoring = scoring and not missing
-            share = bylines.get((row[i_authors], row[i_pos], row[i_life]))
-            if share is None:
-                share = bylines[row[i_authors], row[i_pos], row[i_life]] = _byline_share(
-                    row[i_authors], row[i_pos], row[i_life]
-                )
+        width = max(column.values()) + 1
+        # Fetching the last cell too makes a short row an IndexError.
+        fields = operator.itemgetter(*(column[c] for c in _PUB_COLUMNS), width - 1)
+        for row in reader:
             try:
-                citations = int(row[i_cit])
-            except ValueError:
-                citations = -1
-            if cell is None or share is None or not 0 <= citations <= MAX_CITATIONS:
-                _parse_publication(row, column, path, line)  # raises the row's error
-            key = (row[i_dmu], row[i_sds])
-            if key not in staff:
-                orphans.setdefault(key, line)
+                pub_id, dmu, sds, year, cit, cat, authors, pos, life, _ = fields(row)
+            except IndexError:
+                if not row:
+                    continue
+                raise _width_error(path, reader.line_num, row, width) from None
+            count += 1
+            cell = cells.get((year, cat))
+            if cell is None:
+                cell = cells[year, cat] = _cell_entry(year, cat, medians, missing, reader.line_num)
+                scoring = scoring and not missing
+            share = bylines.get((authors, pos, life))
+            if share is None:
+                share = bylines[authors, pos, life] = _byline_share(authors, pos, life)
+            citations = counts.get(cit)
+            if citations is None:
+                citations = counts[cit] = _citation_count(cit)
+            if type(cell) is _Problem or type(share) is _Problem or type(citations) is _Problem:
+                rank, text = min(p for p in (cell, share, citations) if type(p) is _Problem)
+                named = f"{pub_id}: " if rank >= 6 else ""
+                raise DataError(f"{path.name} line {reader.line_num}: {named}{text}")
+            key = (dmu, sds)
+            try:
+                # ss holds a value per staff row
+                total = (ss if scoring else staff)[key]
+            except KeyError:
+                orphans.setdefault(key, reader.line_num)
                 scoring = False
+                continue
             # SS starts at +0.0 and only grows, so adding an uncited row's
             # +0.0 would leave it as it is.
             if citations and scoring:
-                try:
-                    total = ss[key] + divide_citations(citations, *cell) * share
-                except DataError as exc:
-                    raise DataError(f"{path.name} line {line}: {exc}") from None
+                divisor = cell[0]
+                if not divisor:  # None, or a zero mean fallback: raises, naming the cell
+                    try:
+                        divide_citations(citations, *cell)
+                    except DataError as exc:
+                        raise DataError(f"{path.name} line {reader.line_num}: {exc}") from None
+                total += citations / divisor * share
                 if not total < math.inf:
                     raise DataError(
-                        f"{path.name} line {line}: scientific strength of {key} "
+                        f"{path.name} line {reader.line_num}: scientific strength of {key} "
                         "overflows a float"
                     )
                 ss[key] = total
@@ -290,17 +277,17 @@ def _scan_publications(
 
 def _cell_entry(
     year: str, categories: str, medians: MedianTable | None, missing: dict, line: int
-) -> tuple | None:
+) -> tuple | _Problem:
     """``(divisor, year, categories)`` of a raw (year, categories) cell, or
-    None if the cell is not valid; notes its uncovered pairs in ``missing``
-    at ``line`` unless seen before."""
+    its first problem; notes its uncovered pairs in ``missing`` at ``line``
+    unless seen before."""
     try:
         year = int(year)
     except ValueError:
-        return None
+        return _Problem(3, f"bad year value {year!r}")
     categories = tuple(c for c in categories.split(";") if c)
     if not categories:
-        return None
+        return _Problem(7, "at least one subject category required")
     if medians is None:
         return None, year, categories
     uncovered = [(year, c) for c in categories if not medians.covers(year, c)]
@@ -310,19 +297,36 @@ def _cell_entry(
     return divisor, year, categories
 
 
-def _byline_share(total_authors: str, positions: str, life_science: str) -> float | None:
-    """Fractional count of a raw byline, or None if the byline is not valid."""
+def _byline_share(total_authors: str, positions: str, life_science: str) -> float | _Problem:
+    """Fractional count of a raw byline, or its first problem."""
+    held = []
+    for p in positions.split(";"):
+        if p:
+            try:
+                held.append(int(p))
+            except ValueError:
+                return _Problem(1, f"bad dmu_positions value {p!r}")
     flag = life_science.strip()
     if flag not in ("0", "1"):
-        return None
+        return _Problem(2, "life_science must be 0 or 1")
     try:
         total = int(total_authors)
-        held = tuple(int(p) for p in positions.split(";") if p)
     except ValueError:
-        return None
-    if byline_problem(total, held) is not None:
-        return None
-    return fractional_count(total, held, flag == "1")
+        return _Problem(5, f"bad total_authors value {total_authors!r}")
+    problem = byline_problem(total, tuple(held))
+    if problem is not None:
+        return _Problem(8, problem)
+    return fractional_count(total, tuple(held), flag == "1")
+
+
+def _citation_count(citations: str) -> int | _Problem:
+    """The count of a raw citations cell, or its first problem."""
+    try:
+        count = int(citations)
+    except ValueError:
+        return _Problem(4, f"bad citations value {citations!r}")
+    problem = citations_problem(count)
+    return count if problem is None else _Problem(6, problem)
 
 
 def _read_medians(path: Path) -> MedianTable:

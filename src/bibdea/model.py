@@ -76,15 +76,22 @@ class PublicationRecord:
     def __post_init__(self):
         object.__setattr__(self, "categories", tuple(self.categories))
         object.__setattr__(self, "dmu_author_positions", tuple(self.dmu_author_positions))
-        if self.citations < 0:
-            raise DataError(f"{self.pub_id}: citations must be >= 0")
-        if self.citations > MAX_CITATIONS:
-            raise DataError(f"{self.pub_id}: citations too large for a float")
-        if not self.categories:
-            raise DataError(f"{self.pub_id}: at least one subject category required")
-        problem = byline_problem(self.total_authors, self.dmu_author_positions)
+        problem = citations_problem(self.citations)
+        if problem is None and not self.categories:
+            problem = "at least one subject category required"
+        if problem is None:
+            problem = byline_problem(self.total_authors, self.dmu_author_positions)
         if problem is not None:
             raise DataError(f"{self.pub_id}: {problem}")
+
+
+def citations_problem(citations: int) -> str | None:
+    """What is wrong with a citation count, or None if it is valid."""
+    if citations < 0:
+        return "citations must be >= 0"
+    if citations > MAX_CITATIONS:
+        return "citations too large for a float"
+    return None
 
 
 def byline_problem(total_authors: int, positions: tuple[int, ...]) -> str | None:
@@ -238,15 +245,23 @@ def checked_scores(te, ae, ce) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class SdsDataset:
     """All participating universities of one SDS: inputs plus output value.
 
-    The container itself is dumb; cross-row invariants are enforced by
-    :func:`validate_dataset` so that violations can be reported in bulk.
+    Checked at construction: each unit appears once and belongs to the SDS,
+    and each output is finite and >= 0; a :class:`DatasetValidationError`
+    lists every violation.
     """
 
     sds_id: str
     members: tuple[tuple[DmuInput, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple((d, float(s)) for d, s in self.members))
+        members = tuple((d, float(s)) for d, s in self.members)
+        object.__setattr__(self, "members", members)
+        duplicates, seen = [], set()
+        for dmu, _ in members:
+            if dmu.dmu_id in seen:
+                duplicates.append(f"{self.sds_id}: duplicate dmu_id {dmu.dmu_id!r}")
+            seen.add(dmu.dmu_id)
+        _check_rows((((d.dmu_id, self.sds_id), d, s) for d, s in members), duplicates)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -258,40 +273,35 @@ class SdsDataset:
         return [ss for _, ss in self.members]
 
 
-def staff_cost(dmu: DmuInput, costs: CostVector = DEFAULT_COSTS) -> float:
-    """Total cost of the unit's staff-years in k EUR."""
-    return (
-        dmu.fp_years * costs.fp_cost
-        + dmu.ap_years * costs.ap_cost
-        + dmu.rf_years * costs.rf_cost
-    )
-
-
-def dataset_violations(ds: SdsDataset) -> list[str]:
-    """Collect invariant violations; empty list means the dataset is valid."""
-    violations = []
-    seen: set[str] = set()
-    for dmu, ss in ds.members:
-        if dmu.dmu_id in seen:
-            violations.append(f"{ds.sds_id}: duplicate dmu_id {dmu.dmu_id!r}")
-        seen.add(dmu.dmu_id)
-        if not math.isfinite(ss):
-            violations.append(f"{ds.sds_id}/{dmu.dmu_id}: non-finite output {ss}")
-        elif ss < 0:
-            violations.append(f"{ds.sds_id}/{dmu.dmu_id}: negative output {ss}")
-        if dmu.sds_id != ds.sds_id:
-            violations.append(
-                f"{ds.sds_id}/{dmu.dmu_id}: row belongs to SDS {dmu.sds_id!r}"
-            )
-    return violations
-
-
-def validate_dataset(ds: SdsDataset) -> SdsDataset:
-    """Return ``ds`` unchanged, or raise with the full list of violations."""
-    violations = dataset_violations(ds)
+def _check_rows(rows: Iterable[tuple[tuple[str, str], DmuInput, float]], violations: list[str]):
+    """Raise a :class:`DatasetValidationError` listing ``violations`` and,
+    row by row, each row ``((dmu_id, sds_id), dmu, ss)`` whose ``dmu`` is
+    another unit's or whose output ``ss`` is not finite and >= 0."""
+    for (dmu_id, sds_id), dmu, ss in rows:
+        if dmu_id != dmu.dmu_id or sds_id != dmu.sds_id:
+            violations.append(f"{sds_id}/{dmu_id}: row is for {dmu.sds_id}/{dmu.dmu_id}")
+        if not 0 <= ss < math.inf:
+            problem = "non-finite" if not math.isfinite(ss) else "negative"
+            violations.append(f"{sds_id}/{dmu_id}: {problem} output {ss}")
     if violations:
         raise DatasetValidationError(violations)
-    return ds
+
+
+def staff_cost(dmu: DmuInput, costs: CostVector = DEFAULT_COSTS) -> float:
+    """Total cost of the unit's staff-years in k EUR, as a float: its row of
+    :func:`_staff_costs`."""
+    years = np.array([[dmu.fp_years, dmu.ap_years, dmu.rf_years]], dtype=float)
+    return float(_staff_costs(years, costs)[0])
+
+
+def _staff_costs(x: np.ndarray, costs: CostVector) -> np.ndarray:
+    """The staff cost of each row of staff-years ``x``, ``inf`` past the
+    float range. Each is added term by term, fp, ap, then rf: a matrix
+    product rounds differently, and ce divides by the staff cost the report
+    prints."""
+    fp, ap, rf = (float(c) for c in (costs.fp_cost, costs.ap_cost, costs.rf_cost))
+    with np.errstate(over="ignore"):
+        return x[:, 0] * fp + x[:, 1] * ap + x[:, 2] * rf
 
 
 @dataclass(frozen=True)
@@ -314,17 +324,7 @@ class AssessmentDataset:
         if self.ss.keys() != self.staff.keys():
             raise DataError("ss must hold exactly one value per staff row")
         # run_assessment trusts these, as it trusts what DmuInput checks.
-        violations = [
-            f"{sds_id}/{dmu_id}: row is for {dmu.sds_id}/{dmu.dmu_id}"
-            for (dmu_id, sds_id), dmu in self.staff.items()
-            if dmu_id != dmu.dmu_id or sds_id != dmu.sds_id
-        ]
-        for (dmu_id, sds_id), ss in self.ss.items():
-            if not 0 <= ss < math.inf:
-                problem = "non-finite" if not math.isfinite(ss) else "negative"
-                violations.append(f"{sds_id}/{dmu_id}: {problem} output {ss}")
-        if violations:
-            raise DatasetValidationError(violations)
+        _check_rows(((key, dmu, self.ss[key]) for key, dmu in self.staff.items()), [])
 
     def sds_ids(self) -> list[str]:
         return sorted({sds_id for _, sds_id in self.staff})

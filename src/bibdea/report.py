@@ -12,7 +12,7 @@ import numpy as np
 
 from . import analytics, dea
 from .analytics import AggregateScores, Histogram, QuadrantSummary
-from .model import DEFAULT_COSTS, AssessmentDataset, CostVector, DataError
+from .model import DEFAULT_COSTS, AssessmentDataset, CostVector, DataError, _staff_costs
 
 # A double carries at most 17 significant digits, and report.json keeps full
 # precision; a larger precision would only pad the tables (or, past 2**31,
@@ -133,7 +133,7 @@ def run_assessment(
     years = [[getattr(dmu, n) for dmu in staff] for n in ("fp_years", "ap_years", "rf_years")]
     x = np.column_stack(years).astype(float)
     y = np.array(list(map(dataset.ss.__getitem__, keys)), dtype=float)
-    cost = dea._staff_costs(x, config.costs)
+    cost = _staff_costs(x, config.costs)
     dmu_ids = [dmu_id for dmu_id, _ in keys]
     scores = np.zeros((3, len(keys)))
     sds_index = np.full(len(keys), -1)  # each row's place among the scored SDSs
@@ -172,8 +172,6 @@ def run_assessment(
     histograms = [analytics._histograms(v[scored], group) for v in scores]
     quadrants = analytics._quadrant_counts(*scores[:2, scored], group, config.quadrant_threshold)
 
-    with np.errstate(over="ignore"):
-        per_year = y / (x[:, 0] + x[:, 1] + x[:, 2])
     # one column per ScoreRow field, in field order
     columns = (
         dmu_ids,
@@ -182,7 +180,7 @@ def run_assessment(
         *years,
         *scores.tolist(),
         cost.tolist(),
-        per_year.tolist(),
+        analytics._per_staff_year(y, x).tolist(),
         *pct.tolist(),
     )
     # ScoreRow._make without its length check, in half the time

@@ -42,7 +42,6 @@ from bibdea import (
     ScoreRow,
     SdsDataset,
     scientific_strength,
-    staff_cost,
 )
 from bibdea.analytics import TIE_TOL
 from bibdea.dea import score_sds
@@ -462,6 +461,13 @@ def reference_aggregate(rows) -> AggregateScores:
     return AggregateScores(te=te, ae=ae, ce=ce, total_weight=total)
 
 
+def reference_staff_cost(dmu, costs) -> float:
+    """The unit's staff cost, its three terms added one at a time in Python."""
+    return (
+        dmu.fp_years * costs.fp_cost + dmu.ap_years * costs.ap_cost + dmu.rf_years * costs.rf_cost
+    )
+
+
 def reference_results(dataset, config, apply_filter: bool = True):
     """The score rows of each included SDS, and each institution's rows and
     aggregate, built one unit at a time from :func:`score_sds`."""
@@ -493,7 +499,7 @@ def reference_results(dataset, config, apply_filter: bool = True):
                 dmu.ap_years,
                 dmu.rf_years,
                 *scores,
-                staff_cost(dmu, config.costs),
+                reference_staff_cost(dmu, config.costs),
                 ss / dmu.total_years(),
                 *ranks,
             )

@@ -3,9 +3,11 @@ import io
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -566,3 +568,41 @@ def test_malformed_input_exits_1_naming_the_file(case):
     assert code == 1, message
     assert target in message
     assert "Traceback" not in message
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """``bench/gen.py`` and ``bench/oracle.py``, imported as ``bench/run.py``
+    imports them. The oracle shares no code with bibdea and needs scipy."""
+    pytest.importorskip("scipy")
+    path = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, path)
+    try:
+        import gen
+        import oracle
+    finally:
+        sys.path.remove(path)
+    return gen, oracle
+
+
+_SMALL_CENSUS = {
+    "census_passthrough": {"n_sds": 5},
+    "census_computed": {"n_sds": 5, "n_pubs": 5000},
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", sorted(_SMALL_CENSUS))
+def test_whole_report_agrees_with_the_bench_oracle(bench, tmp_path, monkeypatch, workload, seed):
+    gen, oracle = bench
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)  # the oracle assumes the defaults
+    rng = random.Random(f"{workload}:{seed}")
+    files, _ = getattr(gen, workload)(rng, tmp_path, **_SMALL_CENSUS[workload])
+    argv = ["assess", "--format", "json,csv", "--out", str(tmp_path / "out")]
+    for role, path in files.items():
+        argv += [f"--{role}", str(path)]
+    assert main(argv) == 0
+    expected = oracle.expected(files)
+    mismatched, problems, report = oracle.check(tmp_path / "out", expected)
+    assert (mismatched, problems) == (0, [])
+    assert all(oracle.self_test(report, expected).values())

@@ -233,15 +233,14 @@ class TestEvaluateSds:
                 assert abs(s.ce - s.te * s.ae) <= 1e-6
 
     def test_invalid_dataset_rejected(self):
-        ds = SdsDataset(
-            "S",
-            (
-                (DmuInput("X", "S", 1, 0, 0), 1.0),
-                (DmuInput("X", "S", 2, 0, 0), 2.0),
-            ),
-        )
         with pytest.raises(DatasetValidationError):
-            evaluate_sds(ds)
+            SdsDataset(
+                "S",
+                (
+                    (DmuInput("X", "S", 1, 0, 0), 1.0),
+                    (DmuInput("X", "S", 2, 0, 0), 2.0),
+                ),
+            )
 
 
     @settings(max_examples=150, deadline=None)

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import random
+from fractions import Fraction
 from xml.etree import ElementTree
 
 import pytest
@@ -30,8 +32,10 @@ from bibdea import (
     emit,
     ingest,
     load_config,
+    productivity_ratio,
     run_assessment,
     scientific_strength,
+    staff_cost,
 )
 from bibdea import dea
 from bibdea.analytics import TIE_TOL
@@ -275,6 +279,17 @@ class TestMalformedCsv:
         assert f"{fixture} line {line}: {message}" in str(err.value)
         assert csv.field_size_limit() == 131072
 
+    def test_row_without_an_extra_named_cell_is_short(self, tmp_path, fixtures_dir):
+        # every column the publications scan reads is present in the last row
+        fixture, row = self.FILES["publications"]
+        lines = (fixtures_dir / fixture).read_text().splitlines()
+        lines = [lines[0] + ",note", *(line + ",x" for line in lines[1:]), "", row.rstrip("\n")]
+        pubs = tmp_path / fixture
+        pubs.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as err:
+            ingest(fixtures_dir / "lab_staff.csv", pubs, fixtures_dir / "lab_medians.csv")
+        assert str(err.value) == f"{fixture} line {len(lines)}: 9 cells, header has 10"
+
     def test_extra_cells_and_blank_lines_are_ignored(self, tmp_path, fixtures_dir):
         rows = "\n".join(
             ["p4,UnivB,TEST/01,2005,1,CatA,1,1,0,extra", "", "p5,UnivB,TEST/01,2005,0,CatA,1,1,0"]
@@ -410,14 +425,13 @@ class TestColumnarIngestOracle:
         assert columnar[0] == "ok" and columnar[2] == 306
         assert columnar[1][("U7", "S/01")] == (0.0).hex()  # unpublished
 
-    def test_keys_are_checked_once_and_records_built_only_for_errors(
-        self, tmp_path, monkeypatch
-    ):
+    def test_keys_are_checked_once_and_no_record_is_built(self, tmp_path, monkeypatch):
         import bibdea.io
 
         staff, pubs, medians = _synthetic_census(random.Random(0), tmp_path)
-        checked_cells, checked_bylines, built = [], [], []
+        checked_cells, checked_bylines, checked_citations, built = [], [], [], []
         cell_entry, byline_share = bibdea.io._cell_entry, bibdea.io._byline_share
+        citation_count, check_record = bibdea.io._citation_count, PublicationRecord.__post_init__
 
         def counting_cell(year, categories, *rest):
             checked_cells.append((year, categories))
@@ -427,13 +441,18 @@ class TestColumnarIngestOracle:
             checked_bylines.append(raw)
             return byline_share(*raw)
 
-        def counting_record(**fields):
-            built.append(fields["pub_id"])
-            return PublicationRecord(**fields)
+        def counting_citations(raw):
+            checked_citations.append(raw)
+            return citation_count(raw)
+
+        def counting_record(record):
+            built.append(record.pub_id)
+            check_record(record)
 
         monkeypatch.setattr(bibdea.io, "_cell_entry", counting_cell)
         monkeypatch.setattr(bibdea.io, "_byline_share", counting_byline)
-        monkeypatch.setattr(bibdea.io, "PublicationRecord", counting_record)
+        monkeypatch.setattr(bibdea.io, "_citation_count", counting_citations)
+        monkeypatch.setattr(PublicationRecord, "__post_init__", counting_record)
         ingest(staff, pubs, medians)
         with open(pubs, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
@@ -441,11 +460,11 @@ class TestColumnarIngestOracle:
         bylines = [(r["total_authors"], r["dmu_positions"], r["life_science"]) for r in rows]
         assert checked_cells == list(dict.fromkeys(cells))
         assert checked_bylines == list(dict.fromkeys(bylines))
+        assert checked_citations == list(dict.fromkeys(r["citations"] for r in rows))
         assert built == []
 
         # A later row whose cell and byline are known, given bad citations or
-        # a bad byline, is the one row built as a record, to raise the
-        # row-by-row message.
+        # a bad byline, raises the row-by-row message without a record.
         later = next(
             i for i in range(200, len(rows)) if cells[i] in cells[:i] and bylines[i] in bylines[:i]
         )
@@ -453,10 +472,11 @@ class TestColumnarIngestOracle:
         for column, value in (("citations", "-3"), ("total_authors", "0")):
             pubs.write_text(_corrupted(clean, [(later + 1, column, value)]))
             built.clear()
+            with pytest.raises(DataError, match=f"line {later + 2}: {rows[later]['pub_id']}: "):
+                ingest(staff, pubs, medians)
+            assert built == []
             columnar, reference = _both_outcomes(staff, pubs, medians)
             assert columnar == reference
-            assert columnar[0] == "error" and f"line {later + 2}:" in columnar[1]
-            assert built == [rows[later]["pub_id"]]
 
     CORRUPTIONS = {
         "pub_id": ["", "P0"],
@@ -489,9 +509,22 @@ class TestColumnarIngestOracle:
             path.write_text(clean[path])
         assert errors >= 10
 
+    # A bad value of each check of a byline, a (year, categories) cell and
+    # citations: a row with two of them fails on the first in row order.
+    FIELD_FAULTS = [
+        [("dmu_positions", "x"), ("life_science", "2"), ("total_authors", "x"),
+         ("total_authors", "0")],
+        [("year", "20x5"), ("categories", "")],
+        [("citations", "x"), ("citations", "-3")],
+    ]
     # Each pair fails: a bad cell with a bad byline, bad citations with a new
-    # cell, and an orphan with a bad row.
+    # cell, an orphan with a bad row, and two faults of different fields.
     CORRUPTION_PAIRS = [
+        *(
+            pair
+            for a, b in itertools.combinations(FIELD_FAULTS, 2)
+            for pair in itertools.product(a, b)
+        ),
         (("year", "20x5"), ("total_authors", "0")),
         (("categories", ""), ("dmu_positions", "1;1")),
         (("year", "2006"), ("life_science", "2")),
@@ -767,6 +800,19 @@ class TestRunAssessment:
             ae = min(1.0, ce / r.te) if r.te else 0.0
             assert ae.hex() == r.ae.hex(), r.dmu_id
             assert r.ce == r.te * r.ae
+
+    def test_staff_cost_and_productivity_ratio_are_the_columns(self, fixtures_dir):
+        dataset = ingest(fixtures_dir / "pharm_chem_staff.csv")
+        for row in run_assessment(dataset).sds_results["CHIM/08"].rows:
+            dmu = dataset.staff[row.dmu_id, row.sds_id]
+            assert staff_cost(dmu).hex() == row.staff_cost.hex()
+            assert productivity_ratio(row.ss, dmu).hex() == row.ss_per_staff_year.hex()
+        # exact inputs are taken as floats
+        exact = DmuInput("U", "S", 1, Fraction(1, 3), 2)
+        cost = staff_cost(exact, CostVector(3, 2, 1))
+        ratio = productivity_ratio(Fraction(1, 2), exact)
+        assert type(cost) is float and cost == 1.0 * 3.0 + (1 / 3) * 2.0 + 2.0 * 1.0
+        assert type(ratio) is float and ratio == 0.5 / (1.0 + 1 / 3 + 2.0)
 
     def test_overflowing_staff_cost_is_a_data_error(self, tmp_path):
         rows = [["U1", "A/01", 1e307, 0, 0, 1.0], ["U2", "A/01", 1, 1, 1, 1.0]]

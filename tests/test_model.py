@@ -18,9 +18,7 @@ from bibdea import (
     MedianTable,
     PublicationRecord,
     SdsDataset,
-    dataset_violations,
     staff_cost,
-    validate_dataset,
 )
 
 from bibdea.model import MAX_AUTHORS
@@ -171,29 +169,39 @@ class TestAssessmentDataset:
 
 
 class TestValidateDataset:
+    """An SdsDataset checks itself at construction."""
+
     def test_duplicate_dmu_id(self):
-        ds = SdsDataset(
-            "S", ((dmu(fp=1, dmu_id="X"), 1.0), (dmu(ap=2, dmu_id="X"), 2.0))
-        )
         with pytest.raises(DatasetValidationError) as err:
-            validate_dataset(ds)
-        assert any("duplicate" in v for v in err.value.violations)
+            SdsDataset("S", ((dmu(fp=1, dmu_id="X"), 1.0), (dmu(ap=2, dmu_id="X"), 2.0)))
+        assert err.value.violations == ["S: duplicate dmu_id 'X'"]
 
     def test_negative_output(self):
-        ds = SdsDataset("S", ((dmu(fp=1, dmu_id="X"), -1.0),))
-        violations = dataset_violations(ds)
-        assert violations and "negative output" in violations[0]
+        with pytest.raises(DatasetValidationError) as err:
+            SdsDataset("S", ((dmu(fp=1, dmu_id="X"), -1.0),))
+        assert err.value.violations == ["S/X: negative output -1.0"]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_output(self, bad):
-        ds = SdsDataset("S", ((dmu(fp=1, dmu_id="X"), bad),))
-        violations = dataset_violations(ds)
-        assert violations and "non-finite output" in violations[0]
+        with pytest.raises(DatasetValidationError) as err:
+            SdsDataset("S", ((dmu(fp=1, dmu_id="X"), bad),))
+        assert err.value.violations == [f"S/X: non-finite output {bad}"]
 
     def test_wrong_sds_membership_flagged(self):
-        ds = SdsDataset("S", ((dmu(fp=1, dmu_id="X", sds_id="OTHER"), 1.0),))
-        assert any("belongs to" in v for v in dataset_violations(ds))
+        with pytest.raises(DatasetValidationError) as err:
+            SdsDataset(
+                "S",
+                (
+                    (dmu(fp=1, dmu_id="X", sds_id="OTHER"), -1.0),
+                    (dmu(fp=1, dmu_id="X"), 1.0),
+                ),
+            )
+        assert err.value.violations == [
+            "S: duplicate dmu_id 'X'",
+            "S/X: row is for OTHER/X",
+            "S/X: negative output -1.0",
+        ]
 
     def test_benchmark_dataset_is_valid(self, pharm_chem):
-        assert validate_dataset(pharm_chem) is pharm_chem
+        assert SdsDataset(pharm_chem.sds_id, pharm_chem.members) == pharm_chem
         assert len(pharm_chem) == 28
