@@ -181,9 +181,10 @@ def _cmd_institution_report(args) -> int:
 
 def _cmd_validate(args) -> int:
     dataset, _ = _load(args)
+    dmu_ids, sds_ids = map(set, zip(*dataset.units))
     print(
-        f"ok: {len(dataset.dmu_ids())} universities, {len(dataset.sds_ids())} SDSs, "
-        f"{len(dataset.staff)} staff rows, {dataset.publication_count} publications, "
+        f"ok: {len(dmu_ids)} universities, {len(sds_ids)} SDSs, "
+        f"{len(dataset.units)} staff rows, {dataset.publication_count} publications, "
         f"output mode {dataset.ss_mode}"
     )
     return EXIT_OK

@@ -9,14 +9,14 @@ mandatory header row and period decimal separators:
                 (categories / dmu_positions are semicolon-joined)
   medians:      year, category, median [, mean]
 
-The optional ``ss`` column switches the whole dataset to passthrough mode;
-otherwise output values are computed from publications and medians as the
-publications are read, so every later stage sees one SS per staff row. The
-optional ``mean`` column feeds the zero-median fallback. Unknown extra
-columns and cells past the header's width are ignored, which lets emitted
-score tables be re-ingested; blank lines are skipped. A row with fewer cells
-than the header, bytes that are not UTF-8 and a cell over the csv module's
-field limit (131,072 characters) are data errors naming the file and line.
+The staff file is read into columns, with no object per row. Its optional
+``ss`` column switches the dataset to passthrough mode; otherwise each
+publication is added to its staff row's SS as it is read. The optional
+``mean`` column feeds the zero-median fallback. Unknown extra columns and
+cells past the header's width are ignored, which lets emitted score tables
+be re-ingested; blank lines are skipped. A row with fewer cells than the
+header, bytes that are not UTF-8 and a cell over the csv module's field
+limit (131,072 characters) are data errors naming the file and line.
 
 The publications file is read in one ``csv.reader`` pass, and no cell is
 parsed per row. Each distinct raw (year, categories) cell, (total_authors,
@@ -43,16 +43,18 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .bibliometrics import citation_divisor, divide_citations, fractional_count
 from .model import (
     AssessmentDataset,
     CostVector,
     DataError,
-    DmuInput,
     MedianTable,
     byline_problem,
     citations_problem,
     left_sum,
+    staff_years_problems,
 )
 from .report import AssessmentConfig, AssessmentReport, ScoreRow, SdsResult
 
@@ -145,37 +147,36 @@ def _parse_int(raw: str, path: Path, line: int, column: str) -> int:
 
 
 def _read_staff(path: Path):
-    staff: dict[tuple[str, str], DmuInput] = {}
-    ss: dict[tuple[str, str], float] = {}
+    """Each key's row in file order, the staff-years array and the ss column or None."""
+    index: dict[tuple[str, str], int] = {}
+    years, ss, lines = [], [], []
     with _open_csv(path, _STAFF_COLUMNS) as (reader, column):
-        i_dmu, i_sds, *i_years = (column[c] for c in _STAFF_COLUMNS)
+        i_dmu, i_sds = column["dmu_id"], column["sds_id"]
+        year_cells = [(column[c], c) for c in _STAFF_COLUMNS[2:]]
         i_ss = column.get("ss")
         for line, row in _rows(reader, column, path):
             key = (row[i_dmu], row[i_sds])
             if not key[0] or not key[1]:
                 raise DataError(f"{path.name} line {line}: empty dmu_id or sds_id")
-            if key in staff:
+            if key in index:
                 raise DataError(f"{path.name} line {line}: duplicate staff row for {key}")
-            years = [
-                _parse_float(row[i], path, line, c)
-                for i, c in zip(i_years, _STAFF_COLUMNS[2:])
-            ]
-            try:
-                staff[key] = DmuInput(*key, *years)
-            except DataError as exc:
-                raise DataError(f"{path.name} line {line}: {exc}") from None
+            index[key] = len(lines)
+            lines.append(line)
+            years.append([_parse_float(row[i], path, line, c) for i, c in year_cells])
             if i_ss is not None:
                 if not row[i_ss].strip():
-                    raise DataError(
-                        f"{path.name} line {line}: ss column present but value missing"
-                    )
+                    raise DataError(f"{path.name} line {line}: ss column present but value missing")
                 value = _parse_float(row[i_ss], path, line, "ss")
                 if value < 0:
                     raise DataError(f"{path.name} line {line}: negative ss {value}")
-                ss[key] = value
-    if not staff:
+                ss.append(value)
+    if not index:
         raise DataError(f"{path.name}: no staff rows")
-    return staff, (ss if i_ss is not None else None)
+    years = np.array(years)
+    if problems := staff_years_problems(years):
+        i, problem = problems[0]
+        raise DataError(f"{path.name} line {lines[i]}: {'/'.join(list(index)[i])}: {problem}")
+    return index, years, (ss if i_ss is not None else None)
 
 
 class _Problem(NamedTuple):
@@ -192,12 +193,12 @@ class _Problem(NamedTuple):
 
 def _scan_publications(
     path: Path,
-    staff: dict[tuple[str, str], DmuInput],
+    index: dict[tuple[str, str], int],
     medians: MedianTable | None,
-    ss: dict[tuple[str, str], float] | None,
+    ss: list[float] | None,
 ):
     """Validate the publications file; with ``ss``, also add each row's
-    contribution to its staff row's SS, in file order.
+    contribution to its staff row's SS, ``ss[index[key]]``, in file order.
 
     Returns the row count. Each distinct raw cell, byline and citations
     cell is checked once, as the module docstring says; a row with a
@@ -242,10 +243,7 @@ def _scan_publications(
                 named = f"{pub_id}: " if rank >= 6 else ""
                 raise DataError(f"{path.name} line {reader.line_num}: {named}{text}")
             key = (dmu, sds)
-            try:
-                # ss holds a value per staff row
-                total = (ss if scoring else staff)[key]
-            except KeyError:
+            if (i := index.get(key)) is None:
                 orphans.setdefault(key, reader.line_num)
                 scoring = False
                 continue
@@ -258,13 +256,13 @@ def _scan_publications(
                         divide_citations(citations, *cell)
                     except DataError as exc:
                         raise DataError(f"{path.name} line {reader.line_num}: {exc}") from None
-                total += citations / divisor * share
+                total = ss[i] + citations / divisor * share
                 if not total < math.inf:
                     raise DataError(
                         f"{path.name} line {reader.line_num}: scientific strength of {key} "
                         "overflows a float"
                     )
-                ss[key] = total
+                ss[i] = total
     for found, message in (
         (orphans, "publications reference unknown staff rows"),
         (missing, "median table does not cover"),
@@ -364,7 +362,7 @@ def ingest(
     occurring in the publications. Their errors name the first line of each
     unknown key and uncovered pair.
     """
-    staff, ss = _read_staff(Path(staff_path))
+    index, years, ss = _read_staff(Path(staff_path))
     medians = _read_medians(Path(medians_path)) if medians_path else None
     ss_mode = "passthrough" if ss is not None else "computed"
     if ss is None:
@@ -375,17 +373,14 @@ def ingest(
             )
         if medians is None:
             raise DataError("computed output mode requires a medians file")
-        ss = dict.fromkeys(staff, 0.0)
+        ss = [0.0] * len(index)
 
     publication_count = 0
     if publications_path:
         publication_count = _scan_publications(
-            Path(publications_path), staff, medians, ss if ss_mode == "computed" else None
+            Path(publications_path), index, medians, ss if ss_mode == "computed" else None
         )
-
-    return AssessmentDataset(
-        staff=staff, ss=ss, ss_mode=ss_mode, publication_count=publication_count
-    )
+    return AssessmentDataset(tuple(index), years, ss, ss_mode, publication_count)
 
 
 def build_median_table(

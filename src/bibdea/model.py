@@ -1,16 +1,17 @@
 """Shared domain types for the assessment pipeline.
 
-Everything in this module is an immutable container validated at
-construction time; the actual computations live in the sibling modules.
+Everything here is an immutable container validated at construction time,
+or a check it shares with ingest; computations live in the sibling modules.
 """
 
 import functools
 import math
 import operator
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -152,18 +153,24 @@ class DmuInput:
     rf_years: float  # assistant professors
 
     def __post_init__(self):
-        years = (self.fp_years, self.ap_years, self.rf_years)
-        # An exact float skips the ABC check, a large part of the cost of a
-        # row at ingest; the accepted types are the same.
-        if not all(
-            (type(v) is float or isinstance(v, Real)) and 0 <= v < math.inf for v in years
-        ):
-            raise DataError(f"{self.dmu_id}/{self.sds_id}: staff-years must be finite and >= 0")
-        if self.total_years() <= 0:
-            raise DataError(f"{self.dmu_id}/{self.sds_id}: zero total staff input")
+        # checked as floats: a year that is no real number, or is past the float range, is NaN
+        years = [self.fp_years, self.ap_years, self.rf_years]
+        x = [v if isinstance(v, Real) and abs(v) <= sys.float_info.max else math.nan for v in years]
+        if problems := staff_years_problems(np.array([x], dtype=float)):
+            raise DataError(f"{self.dmu_id}/{self.sds_id}: {problems[0][1]}")
 
-    def total_years(self) -> float:
-        return self.fp_years + self.ap_years + self.rf_years
+
+def staff_years_problems(years: np.ndarray) -> list[tuple[int, str]]:
+    """Each row of the n x 3 float array ``years`` that breaks the staff-years
+    rule, with its problem, in row order: each of fp, ap and rf must be finite
+    and >= 0, and their sum, added left to right, > 0."""
+    bad = ~((years >= 0) & (years < math.inf)).all(axis=1)
+    with np.errstate(all="ignore"):
+        zero = ~(years[:, 0] + years[:, 1] + years[:, 2] > 0)
+    return [
+        (i, "staff-years must be finite and >= 0" if bad[i] else "zero total staff input")
+        for i in np.flatnonzero(bad | zero).tolist()
+    ]
 
 
 @dataclass(frozen=True)
@@ -256,12 +263,12 @@ class SdsDataset:
     def __post_init__(self):
         members = tuple((d, float(s)) for d, s in self.members)
         object.__setattr__(self, "members", members)
-        duplicates, seen = [], set()
-        for dmu, _ in members:
-            if dmu.dmu_id in seen:
-                duplicates.append(f"{self.sds_id}: duplicate dmu_id {dmu.dmu_id!r}")
-            seen.add(dmu.dmu_id)
-        _check_rows((((d.dmu_id, self.sds_id), d, s) for d, s in members), duplicates)
+        units = [(d.dmu_id, self.sds_id) for d, _ in members]
+        misfiled = [
+            f"{self.sds_id}/{d.dmu_id}: row is for {d.sds_id}/{d.dmu_id}"
+            for d, _ in members if d.sds_id != self.sds_id
+        ]
+        _check_rows(units, np.array(self.ss_values()), misfiled)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -273,18 +280,17 @@ class SdsDataset:
         return [ss for _, ss in self.members]
 
 
-def _check_rows(rows: Iterable[tuple[tuple[str, str], DmuInput, float]], violations: list[str]):
-    """Raise a :class:`DatasetValidationError` listing ``violations`` and,
-    row by row, each row ``((dmu_id, sds_id), dmu, ss)`` whose ``dmu`` is
-    another unit's or whose output ``ss`` is not finite and >= 0."""
-    for (dmu_id, sds_id), dmu, ss in rows:
-        if dmu_id != dmu.dmu_id or sds_id != dmu.sds_id:
-            violations.append(f"{sds_id}/{dmu_id}: row is for {dmu.sds_id}/{dmu.dmu_id}")
-        if not 0 <= ss < math.inf:
-            problem = "non-finite" if not math.isfinite(ss) else "negative"
-            violations.append(f"{sds_id}/{dmu_id}: {problem} output {ss}")
-    if violations:
-        raise DatasetValidationError(violations)
+def _check_rows(units: Sequence[tuple[str, str]], ss: np.ndarray, violations: list[str]):
+    """Raise a :class:`DatasetValidationError` listing each repeat of a unit
+    of ``units``, then ``violations``, then each output not finite and >= 0."""
+    repeats = Counter(units) - Counter(set(units))  # each unit's count past one
+    problems = [f"{sds_id}: duplicate dmu_id {dmu_id!r}" for dmu_id, sds_id in repeats.elements()]
+    problems += violations
+    for i in np.flatnonzero(~((ss >= 0) & (ss < math.inf))).tolist():
+        problem = "negative" if math.isfinite(ss[i]) else "non-finite"
+        problems.append(f"{units[i][1]}/{units[i][0]}: {problem} output {float(ss[i])}")
+    if problems:
+        raise DatasetValidationError(problems)
 
 
 def staff_cost(dmu: DmuInput, costs: CostVector = DEFAULT_COSTS) -> float:
@@ -304,30 +310,34 @@ def _staff_costs(x: np.ndarray, costs: CostVector) -> np.ndarray:
         return x[:, 0] * fp + x[:, 1] * ap + x[:, 2] * rf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssessmentDataset:
     """Cross-referenced multi-SDS input bundle produced by ingestion.
 
-    ``ss`` holds one output value per staff row, wherever it came from:
-    the staff file's ``ss`` column ("passthrough" mode) or the publications
-    scored at ingest ("computed" mode), finite and >= 0. Each staff row sits
-    under its own ``(dmu_id, sds_id)``. ``publication_count`` is the number
-    of publication rows read.
+    Each column holds one entry per staff row, sorted by SDS, then unit:
+    ``units`` the ``(dmu_id, sds_id)`` keys, ``years`` the n x 3 fp, ap and
+    rf staff-years and ``ss`` the outputs (the ``ss`` column, or scored at
+    ingest), read-only float arrays. ``publication_count`` counts the
+    publication rows read. run_assessment trusts the columns, so a
+    :class:`DatasetValidationError` lists every violation at construction.
     """
 
-    staff: dict[tuple[str, str], DmuInput]  # (dmu_id, sds_id) -> input row
-    ss: dict[tuple[str, str], float]  # (dmu_id, sds_id) -> output value
+    units: tuple[tuple[str, str], ...]
+    years: np.ndarray
+    ss: np.ndarray
     ss_mode: str = "passthrough"
     publication_count: int = 0
 
     def __post_init__(self):
-        if self.ss.keys() != self.staff.keys():
-            raise DataError("ss must hold exactly one value per staff row")
-        # run_assessment trusts these, as it trusts what DmuInput checks.
-        _check_rows(((key, dmu, self.ss[key]) for key, dmu in self.staff.items()), [])
-
-    def sds_ids(self) -> list[str]:
-        return sorted({sds_id for _, sds_id in self.staff})
-
-    def dmu_ids(self) -> list[str]:
-        return sorted({dmu_id for dmu_id, _ in self.staff})
+        units = list(self.units)
+        years, ss = np.asarray(self.years, dtype=float), np.asarray(self.ss, dtype=float)
+        if years.shape != (len(units), 3) or ss.shape != (len(units),):
+            shapes = f"{len(units)} units, years {years.shape}, ss {ss.shape}"
+            raise DatasetValidationError([f"columns of unequal length: {shapes}"])
+        order = sorted(range(len(units)), key=[(s, d) for d, s in units].__getitem__)
+        units, years, ss = tuple(map(units.__getitem__, order)), years[order], ss[order]
+        bad_years = [f"{units[i][1]}/{units[i][0]}: {p}" for i, p in staff_years_problems(years)]
+        _check_rows(units, ss, bad_years)
+        years.flags.writeable = ss.flags.writeable = False
+        for name, column in (("units", units), ("years", years), ("ss", ss)):
+            object.__setattr__(self, name, column)

@@ -121,24 +121,18 @@ def run_assessment(
 ) -> AssessmentReport:
     """Run the full pipeline over every SDS of the ingested dataset."""
     config = config or AssessmentConfig()
-    if not dataset.staff:
+    if not dataset.units:
         raise DataError("cannot assess an empty dataset")
 
-    # The staff rows as columns, sorted by SDS, then unit; each SDS is a
-    # span of them. The dataset has checked every row, so no SDS is
-    # validated again.
-    keys = sorted(dataset.staff)
-    keys.sort(key=operator.itemgetter(1))
-    staff = list(map(dataset.staff.__getitem__, keys))
-    years = [[getattr(dmu, n) for dmu in staff] for n in ("fp_years", "ap_years", "rf_years")]
-    x = np.column_stack(years).astype(float)
-    y = np.array(list(map(dataset.ss.__getitem__, keys)), dtype=float)
+    # The dataset holds checked columns sorted by SDS, then unit, so each
+    # SDS is a span of them and none is validated again.
+    x, y = dataset.years, dataset.ss
     cost = _staff_costs(x, config.costs)
-    dmu_ids = [dmu_id for dmu_id, _ in keys]
-    scores = np.zeros((3, len(keys)))
-    sds_index = np.full(len(keys), -1)  # each row's place among the scored SDSs
+    dmu_ids = [dmu_id for dmu_id, _ in dataset.units]
+    scores = np.zeros((3, len(y)))
+    sds_index = np.full(len(y), -1)  # each row's place among the scored SDSs
     eligibility, spans, stop = [], {}, 0
-    for sds_id, members in itertools.groupby(keys, key=operator.itemgetter(1)):
+    for sds_id, members in itertools.groupby(dataset.units, key=operator.itemgetter(1)):
         s = slice(stop, stop := stop + sum(1 for _ in members))
         active = s.stop - s.start
         publishing = int(np.count_nonzero(y[s] > 0)) / active
@@ -175,9 +169,9 @@ def run_assessment(
     # one column per ScoreRow field, in field order
     columns = (
         dmu_ids,
-        [sds_id for _, sds_id in keys],
+        [sds_id for _, sds_id in dataset.units],
         y.tolist(),
-        *years,
+        *x.T.tolist(),
         *scores.tolist(),
         cost.tolist(),
         analytics._per_staff_year(y, x).tolist(),

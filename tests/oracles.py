@@ -37,6 +37,7 @@ import numpy as np
 from bibdea import (
     AggregateScores,
     DataError,
+    DmuInput,
     Histogram,
     PublicationRecord,
     ScoreRow,
@@ -478,8 +479,9 @@ def reference_results(dataset, config, apply_filter: bool = True):
         return [reference_percentile_rank(values, v) for v in values]
 
     by_sds: dict[str, list] = {}
-    for (dmu_id, sds_id), dmu in sorted(dataset.staff.items()):
-        by_sds.setdefault(sds_id, []).append((dmu, dataset.ss[dmu_id, sds_id]))
+    rows = zip(dataset.units, dataset.years.tolist(), dataset.ss.tolist())
+    for (dmu_id, sds_id), years, ss in sorted(rows):
+        by_sds.setdefault(sds_id, []).append((DmuInput(dmu_id, sds_id, *years), ss))
     sds_rows = {}
     for sds_id, members in sorted(by_sds.items()):
         ds = SdsDataset(sds_id=sds_id, members=tuple(members))
@@ -500,7 +502,7 @@ def reference_results(dataset, config, apply_filter: bool = True):
                 dmu.rf_years,
                 *scores,
                 reference_staff_cost(dmu, config.costs),
-                ss / dmu.total_years(),
+                ss / (dmu.fp_years + dmu.ap_years + dmu.rf_years),
                 *ranks,
             )
             for (dmu, ss), *scores, ranks in zip(

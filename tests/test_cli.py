@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -9,10 +10,19 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bibdea import (
+    DEFAULT_COSTS,
+    AssessmentConfig,
+    AssessmentDataset,
+    CostVector,
+    ingest,
+    run_assessment,
+)
 from bibdea.cli import main
 from bibdea.io import CONFIG_ENV_VAR
 
@@ -606,3 +616,40 @@ def test_whole_report_agrees_with_the_bench_oracle(bench, tmp_path, monkeypatch,
     mismatched, problems, report = oracle.check(tmp_path / "out", expected)
     assert (mismatched, problems) == (0, [])
     assert all(oracle.self_test(report, expected).values())
+
+
+def test_census_report_is_invariant_under_unit_and_cost_scaling(bench, tmp_path):
+    # ROADMAP item 5: a unit's staff-years and SS scaled by one factor leave
+    # its scores alike, and staff costs scaled by a power of two leave them
+    # the same floats.
+    gen, _ = bench
+    files, _ = gen.census_passthrough(random.Random("big:1"), tmp_path, n_sds=60)
+    dataset = ingest(files["staff"])
+    factor = np.resize([0.3, 0.7, 3, 1 / 3, 10, 1.1], len(dataset.units))
+    scaled = AssessmentDataset(dataset.units, dataset.years * factor[:, None], dataset.ss * factor)
+
+    def classes(report):
+        return (
+            report.eligibility,
+            {
+                sds_id: (
+                    [(r.te_pct, r.ae_pct, r.ce_pct) for r in result.rows],
+                    [h.counts for h in result.histograms.values()],
+                    result.quadrants,
+                )
+                for sds_id, result in report.sds_results.items()
+            },
+        )
+
+    def scores(report):
+        rows = [r for result in report.sds_results.values() for r in result.rows]
+        aggregates = [inst.aggregate for inst in report.institutions]
+        return [(r.te.hex(), r.ae.hex(), r.ce.hex()) for r in rows + aggregates]
+
+    report = run_assessment(dataset, apply_filter=False)
+    assert len(report.sds_results) == 60
+    assert classes(run_assessment(scaled, apply_filter=False)) == classes(report)
+    for scale in (2, 0.5):
+        costs = CostVector(*(scale * c for c in dataclasses.astuple(DEFAULT_COSTS)))
+        config = AssessmentConfig(costs=costs)
+        assert scores(run_assessment(dataset, config, apply_filter=False)) == scores(report)

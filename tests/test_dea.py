@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from bibdea import (
     DEFAULT_COSTS,
     CostVector,
-    DatasetValidationError,
     DmuInput,
     SdsDataset,
     SolverError,
@@ -231,16 +230,6 @@ class TestEvaluateSds:
             assert -1e-7 <= s.ce <= s.te + 1e-7 <= 1 + 2e-7
             if s.te > 0:
                 assert abs(s.ce - s.te * s.ae) <= 1e-6
-
-    def test_invalid_dataset_rejected(self):
-        with pytest.raises(DatasetValidationError):
-            SdsDataset(
-                "S",
-                (
-                    (DmuInput("X", "S", 1, 0, 0), 1.0),
-                    (DmuInput("X", "S", 2, 0, 0), 2.0),
-                ),
-            )
 
 
     @settings(max_examples=150, deadline=None)

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,8 +80,8 @@ class TestIngest:
     def test_benchmark_fixture(self, fixtures_dir):
         dataset = ingest(fixtures_dir / "pharm_chem_staff.csv")
         assert dataset.ss_mode == "passthrough"
-        assert len(dataset.staff) == 28
-        assert dataset.ss[("Ferrara", "CHIM/08")] == pytest.approx(64.026)
+        assert len(dataset.units) == 28
+        assert dataset.ss[dataset.units.index(("Ferrara", "CHIM/08"))] == pytest.approx(64.026)
 
     def test_computed_mode_fixture(self, fixtures_dir):
         dataset = ingest(
@@ -115,10 +116,11 @@ class TestIngest:
             (fixtures_dir / "lab_staff.csv").read_text() + "UnivC,TEST/01,0,0,1\n"
         )
         dataset = ingest(staff, fixtures_dir / "lab_pubs.csv", fixtures_dir / "lab_medians.csv")
+        ss = dict(zip(dataset.units, dataset.ss.tolist()))
         assert set(records) == {("UnivA", "TEST/01"), ("UnivB", "TEST/01")}
         for key, unit_records in records.items():
-            assert dataset.ss[key] == scientific_strength(unit_records, medians)
-        assert dataset.ss[("UnivC", "TEST/01")] == 0.0
+            assert ss[key] == scientific_strength(unit_records, medians)
+        assert ss[("UnivC", "TEST/01")] == 0.0
 
     def test_orphan_publication(self, tmp_path, fixtures_dir):
         pubs = write_csv(
@@ -229,6 +231,47 @@ class TestIngest:
             ingest(staff)
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("with_ss", [True, False])
+    @pytest.mark.parametrize(
+        "years, problem",
+        [
+            ("1,-0.5,2", "staff-years must be finite and >= 0"),
+            ("0,0,0", "zero total staff input"),
+        ],
+    )
+    def test_staff_years_fault_names_its_line(
+        self, tmp_path, fixtures_dir, with_ss, years, problem
+    ):
+        # a blank line, good rows, the faulty row, then a row with the other fault
+        other = "0,0,0" if years != "0,0,0" else "0,-1,1"
+        ss = ",1.5" if with_ss else ""
+        lines = [
+            ",".join(STAFF_HEADER) + (",ss" if with_ss else ""),
+            f"UnivA,TEST/01,1,0,0{ss}",
+            "",
+            f"UnivB,TEST/01,0,1,0{ss}",
+            f"UnivC,TEST/01,{years}{ss}",
+            f"UnivD,TEST/01,{other}{ss}",
+        ]
+        staff = tmp_path / "staff.csv"
+        staff.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as err:
+            ingest(staff, fixtures_dir / "lab_pubs.csv", fixtures_dir / "lab_medians.csv")
+        assert str(err.value) == f"staff.csv line 5: UnivC/TEST/01: {problem}"
+
+    def test_ingest_and_assessment_build_no_dmu_input(self, fixtures_dir, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ingest and run_assessment hold the staff as columns")
+
+        monkeypatch.setattr(DmuInput, "__post_init__", refuse)
+        for files in (
+            ["pharm_chem_staff.csv"],
+            ["lab_staff.csv", "lab_pubs.csv", "lab_medians.csv"],
+        ):
+            dataset = ingest(*(fixtures_dir / name for name in files))
+            report = run_assessment(dataset, apply_filter=False)
+            assert sum(len(r.rows) for r in report.sds_results.values()) == len(dataset.units)
+
     def test_missing_file_is_an_io_error(self, tmp_path):
         with pytest.raises(OSError):
             ingest(tmp_path / "nope.csv")
@@ -304,12 +347,10 @@ class TestMalformedCsv:
             paths.append(tmp_path / fixture)
             paths[-1].write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / fixture).read_bytes())
         expected = ingest(*(fixtures_dir / fixture for fixture, _ in self.FILES.values()))
-        dataset = ingest(*paths)
-        assert dataset == expected
-        assert [v.hex() for v in dataset.ss.values()] == [v.hex() for v in expected.ss.values()]
+        assert _fields(ingest(*paths)) == _fields(expected)
         staff = tmp_path / "pharm_chem_staff.csv"
         staff.write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / staff.name).read_bytes())
-        assert ingest(staff) == ingest(fixtures_dir / staff.name)
+        assert _fields(ingest(staff)) == _fields(ingest(fixtures_dir / staff.name))
         # the line of an undecodable byte is counted as without the mark
         extra, message = self._fault("undecodable", self.FILES["staff"][1])
         with open(paths[0], "ab") as fh:
@@ -323,7 +364,13 @@ class TestMalformedCsv:
         staff.write_text(
             "dmu_id,sds_id,fp_years,ap_years,rf_years,ss,ss\nU,S,1,0,0,bad,2.5\n"
         )
-        assert ingest(staff).ss[("U", "S")] == 2.5
+        assert ingest(staff).ss.tolist() == [2.5]
+
+
+def _fields(dataset) -> tuple:
+    """An ``AssessmentDataset``'s field values, its floats by ``float.hex``."""
+    hexed = [[v.hex() for v in column.ravel().tolist()] for column in (dataset.years, dataset.ss)]
+    return (dataset.units, *hexed, dataset.ss_mode, dataset.publication_count)
 
 
 def _synthetic_census(rng, out):
@@ -397,7 +444,7 @@ def _both_outcomes(staff, pubs, medians_path):
 
     def columnar():
         dataset = ingest(staff, pubs, medians_path)
-        return dataset.ss, dataset.publication_count
+        return dict(zip(dataset.units, dataset.ss.tolist())), dataset.publication_count
 
     return _outcome(columnar), _outcome(lambda: reference_ingest_ss(staff_keys, pubs, table))
 
@@ -755,9 +802,10 @@ class TestRunAssessment:
         members = {f"U{i}": u for i, u in enumerate(units)}
         members["Duplicate"] = (fp, ap, rf, ss)
         members["Scaled"] = (fp * factor, ap * factor, rf * factor, ss * factor)
-        staff = {(d, "S/01"): DmuInput(d, "S/01", *u[:3]) for d, u in members.items()}
         dataset = AssessmentDataset(
-            staff=staff, ss={(d, "S/01"): u[3] for d, u in members.items()}
+            [(d, "S/01") for d in members],
+            [u[:3] for u in members.values()],
+            [u[3] for u in members.values()],
         )
         config = AssessmentConfig(quadrant_threshold=threshold)
         report = run_assessment(dataset, config, apply_filter=False)
@@ -803,8 +851,9 @@ class TestRunAssessment:
 
     def test_staff_cost_and_productivity_ratio_are_the_columns(self, fixtures_dir):
         dataset = ingest(fixtures_dir / "pharm_chem_staff.csv")
+        years = dict(zip(dataset.units, dataset.years.tolist()))
         for row in run_assessment(dataset).sds_results["CHIM/08"].rows:
-            dmu = dataset.staff[row.dmu_id, row.sds_id]
+            dmu = DmuInput(row.dmu_id, row.sds_id, *years[row.dmu_id, row.sds_id])
             assert staff_cost(dmu).hex() == row.staff_cost.hex()
             assert productivity_ratio(row.ss, dmu).hex() == row.ss_per_staff_year.hex()
         # exact inputs are taken as floats
@@ -814,6 +863,20 @@ class TestRunAssessment:
         assert type(cost) is float and cost == 1.0 * 3.0 + (1 / 3) * 2.0 + 2.0 * 1.0
         assert type(ratio) is float and ratio == 0.5 / (1.0 + 1 / 3 + 2.0)
 
+    def test_exact_staff_years_are_reported_as_floats(self, tmp_path):
+        units = [("U1", "S/01"), ("U2", "S/01"), ("U3", "S/01")]
+        exact = [[Fraction(1, 3), 1, 2], [1, 0, 0], [2, Fraction(5, 2), 1]]
+        written = {}
+        for name, years in (("exact", exact), ("float", [list(map(float, r)) for r in exact])):
+            dataset = AssessmentDataset(units, years, [1.0, 2.0, 0.5])
+            report = run_assessment(dataset, apply_filter=False)
+            rows = report.sds_results["S/01"].rows
+            assert {type(v) for r in rows for v in r[3:6]} == {float}
+            written[name] = emit(report, ["json", "csv"], tmp_path / name)
+        assert [p.name for p in written["exact"]] == [p.name for p in written["float"]]
+        for exact_file, float_file in zip(written["exact"], written["float"]):
+            assert exact_file.read_bytes() == float_file.read_bytes(), exact_file.name
+
     def test_overflowing_staff_cost_is_a_data_error(self, tmp_path):
         rows = [["U1", "A/01", 1e307, 0, 0, 1.0], ["U2", "A/01", 1, 1, 1, 1.0]]
         staff = write_csv(tmp_path / "staff.csv", STAFF_HEADER + ["ss"], rows)
@@ -822,14 +885,13 @@ class TestRunAssessment:
 
     def test_empty_dataset_errors(self):
         with pytest.raises(DataError):
-            run_assessment(AssessmentDataset(staff={}, ss={}))
+            run_assessment(AssessmentDataset((), np.empty((0, 3)), ()))
 
     def test_dataset_needs_one_ss_per_staff_row(self):
-        staff = {("U", "S"): DmuInput("U", "S", 1, 0, 0)}
-        with pytest.raises(DataError):
-            AssessmentDataset(staff=staff, ss={})
-        with pytest.raises(DataError):
-            AssessmentDataset(staff=staff, ss={("U", "S"): 1.0, ("V", "S"): 1.0})
+        with pytest.raises(DataError, match="columns of unequal length"):
+            AssessmentDataset([("U", "S")], [[1, 0, 0]], [])
+        with pytest.raises(DataError, match="columns of unequal length"):
+            AssessmentDataset([("U", "S")], [[1, 0, 0]], [1.0, 1.0])
 
     def test_report_covers_exactly_the_included_staff(self, tmp_path, fixtures_dir):
         rows = [
@@ -928,8 +990,7 @@ class TestScoreColumns:
     )
     def test_institutions_are_the_scalar_aggregates(self, units):
         dataset = AssessmentDataset(
-            staff={key: DmuInput(*key, *u[:3]) for key, u in units.items()},
-            ss={key: u[3] for key, u in units.items()},
+            list(units), [u[:3] for u in units.values()], [u[3] for u in units.values()]
         )
         config = AssessmentConfig()
         _, institutions = reference_results(dataset, config, apply_filter=False)
@@ -1000,10 +1061,12 @@ class TestEmit:
             ],
         )
         dataset = ingest(staff)
+        ss = dict(zip(dataset.units, dataset.ss.tolist()))
+        years = dict(zip(dataset.units, dataset.years.tolist()))
         for r in rows:
             key = (r["dmu_id"], r["sds_id"])
-            assert dataset.ss[key] == r["ss"]  # exact, full precision
-            assert dataset.staff[key].fp_years == r["fp_years"]
+            assert ss[key] == r["ss"]  # exact, full precision
+            assert years[key][0] == r["fp_years"]
 
     def test_svg_files_written(self, report, tmp_path):
         files = emit(report, ["svg"], tmp_path)

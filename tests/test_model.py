@@ -152,12 +152,52 @@ class TestStaffYearTypes:
         with pytest.raises(DataError, match="staff-years must be finite"):
             dmu(fp=value, rf=1.0)
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400, 3)])
+    def test_numbers_past_the_float_range_are_rejected(self, value):
+        # run_assessment takes the years as floats
+        with pytest.raises(DataError, match="U/S: staff-years must be finite and >= 0"):
+            DmuInput("U", "S", value, 1, 1)
+
 
 class TestAssessmentDataset:
-    def test_staff_row_under_another_key_is_rejected(self):
-        staff = {("U1", "A"): dmu(fp=1, sds_id="B", dmu_id="U1")}
-        with pytest.raises(DatasetValidationError, match="A/U1: row is for B/U1"):
-            AssessmentDataset(staff=staff, ss={("U1", "A"): 1.0})
+    def test_repeated_unit_is_rejected(self):
+        with pytest.raises(DatasetValidationError) as err:
+            AssessmentDataset([("U1", "A"), ("U1", "A")], [[1, 0, 0], [0, 2, 0]], [1.0, 2.0])
+        assert err.value.violations == ["A: duplicate dmu_id 'U1'"]
+
+    def test_every_violation_is_listed_in_sorted_row_order(self):
+        units = [("U", "B"), ("V", "A"), ("U", "B"), ("W", "A")]
+        years = [[1, 0, 0], [0, 0, 0], [1, -1, 0], [1, 1, 1]]
+        with pytest.raises(DatasetValidationError) as err:
+            AssessmentDataset(units, years, [1.0, 1.0, 2.0, -1.0])
+        assert err.value.violations == [
+            "B: duplicate dmu_id 'U'",
+            "A/V: zero total staff input",
+            "B/U: staff-years must be finite and >= 0",
+            "A/W: negative output -1.0",
+        ]
+
+    @pytest.mark.parametrize("years", [[[1, 0]], [1, 0, 0], [[1, 0, 0], [1, 0, 0]]])
+    def test_columns_of_unequal_length_are_rejected(self, years):
+        with pytest.raises(DatasetValidationError, match="columns of unequal length"):
+            AssessmentDataset([("U", "S")], years, [1.0])
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), None])
+    def test_staff_years_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(DatasetValidationError) as err:
+            AssessmentDataset([("U", "S")], [[bad, 1, 1]], [1.0])
+        assert err.value.violations == ["S/U: staff-years must be finite and >= 0"]
+
+    def test_columns_are_sorted_by_sds_then_unit_and_read_only(self):
+        dataset = AssessmentDataset(
+            [("U2", "B"), ("U1", "B"), ("U3", "A")], [[1, 0, 0], [2, 0, 0], [3, 0, 0]], [1, 2, 3]
+        )
+        assert dataset.units == (("U3", "A"), ("U1", "B"), ("U2", "B"))
+        assert dataset.years.tolist() == [[3.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        assert dataset.ss.tolist() == [3.0, 2.0, 1.0]
+        for column in (dataset.years, dataset.ss):
+            with pytest.raises(ValueError):
+                column[0] = 0.0
 
     @pytest.mark.parametrize(
         "ss, problem",
@@ -165,7 +205,7 @@ class TestAssessmentDataset:
     )
     def test_output_must_be_finite_and_nonnegative(self, ss, problem):
         with pytest.raises(DatasetValidationError, match=f"S/U: {problem} output"):
-            AssessmentDataset(staff={("U", "S"): dmu(fp=1)}, ss={("U", "S"): ss})
+            AssessmentDataset([("U", "S")], [[1, 0, 0]], [ss])
 
 
 class TestValidateDataset:
