@@ -204,9 +204,12 @@ def _scores(
     the units with output, their scaled points, the Pareto-minimal ones,
     their best facet ratios and the facets (None if no unit has output).
 
-    The columns are trusted to be valid; ``sds_id`` and ``ids`` only name
-    a unit in an error.
+    The columns are trusted to be valid, but a staff cost past the float
+    range, which would score ce 0, is a data error; ``sds_id`` and ``ids``
+    only name a unit in an error.
     """
+    if (over := np.flatnonzero(~(cost < np.inf))).size:
+        raise DataError(f"{sds_id}/{ids[over[0]]}: staff cost overflows a float")
     # Units with zero output, or so little that x / y or cost / y is not
     # finite, score (0, 0, 0) in te and ce alike and are no peers: they
     # would add input for next to no output.

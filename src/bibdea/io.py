@@ -340,10 +340,10 @@ def _read_medians(path: Path) -> MedianTable:
             entries[key] = _parse_float(row[i_median], path, line, "median")
             if i_mean is not None and row[i_mean].strip():
                 means[key] = _parse_float(row[i_mean], path, line, "mean")
-    try:
-        return MedianTable(entries=entries, means=means)
-    except DataError as exc:
-        raise DataError(f"{path.name}: {exc}") from None
+            if entries[key] < 0 or means.get(key, 0.0) < 0:
+                label = "median" if entries[key] < 0 else "mean"
+                raise DataError(f"{path.name} line {line}: negative reference {label} for {key}")
+    return MedianTable(entries=entries, means=means)
 
 
 def ingest(
@@ -487,61 +487,26 @@ def emit(
 
 # report.json is the report's fields as ``json.dumps(..., sort_keys=True,
 # indent=2)`` lays them out, byte for byte. The stdlib encodes indented JSON
-# in pure Python, so the layout is written here directly, by one mechanism:
-# the objects of one kind (score rows, eligibility entries, histograms,
-# quadrants, aggregates) are encoded a field at a time, a whole column at
-# once, and each is then filled into a template of its sorted field names.
-# Score rows are tuples and are transposed with ``zip``, dataclasses by
-# attribute. ``_report_json`` lays out the fixed document around them in
-# pieces and joins the pieces once.
+# in pure Python, a value at a time, and the score rows are 94-98% of the
+# text; so ``json.dumps`` lays out the document with every ``rows`` list
+# empty, and the rows are encoded here a column at a time, each filled into
+# one template of its sorted field names. They are joined back in where the
+# text reads ``"rows": []``, in document order: sorted keys put the
+# institutions before the SDSs. No other text reads so: a JSON string
+# escapes its ``"``, so the ``"`` after ``rows`` ends a key whose value is an
+# empty list, and keys with list values are field names, not ids.
 
 # float.__repr__ spells the non-finite floats as Python does, json.dumps as
 # JavaScript does.
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_NO_ROWS = '"rows": []'
+_ROW_FIELDS = sorted(ScoreRow._fields)
+# a score row at nesting 4, a %s for each value at nesting 5
+_ROW_TEMPLATE = "{" + ",".join(f'\n          "{n}": %s' for n in _ROW_FIELDS) + "\n        }"
 
 
-def _json_scalar(value) -> str:
-    """A string, number, boolean or None as ``json.dumps`` writes it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _JSON_FLOATS.get(text, text)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-def _json_block(brackets: str, items: list[str], depth: int) -> str:
-    """:func:`_json_pieces` of items of one piece each, joined."""
-    return "".join(_json_pieces(brackets, [[item] for item in items], depth))
-
-
-def _json_pieces(brackets: str, items: list[list[str]], depth: int) -> list[str]:
-    """``items``, each given as a list of pieces and laid out for nesting
-    ``depth + 1``, as one JSON list or object (``brackets`` is "[]" or
-    "{}") at nesting ``depth``, in pieces, so that no text is copied before
-    the document is joined."""
-    if not items:
-        return [brackets]
-    inner = "\n" + "  " * (depth + 1)
-    pieces = [brackets[0] + inner]
-    for item in items:
-        pieces += item
-        pieces.append("," + inner)
-    pieces[-1] = f"\n{'  ' * depth}{brackets[1]}"
-    return pieces
-
-
-def _json_column(values: Sequence, depth: int) -> Iterable[str]:
-    """The JSON text of each value, a column of floats or of strings at
-    once; a tuple or list is a list of scalars at nesting ``depth``."""
+def _json_column(values: Sequence) -> Iterable[str]:
+    """The JSON text of each value at nesting 5, a column of floats or of strings at once."""
     kinds = set(map(type, values))
     if kinds == {float}:
         # The sum is finite only if every value is.
@@ -551,74 +516,48 @@ def _json_column(values: Sequence, depth: int) -> Iterable[str]:
         return map(_JSON_FLOATS.get, text, text)
     if kinds == {str}:
         return map(encode_basestring_ascii, values)
-    return [
-        _json_block("[]", list(map(_json_scalar, value)), depth)
-        if isinstance(value, (tuple, list))
-        else _json_scalar(value)
-        for value in values
-    ]
-
-
-def _json_table(columns: dict[str, Sequence], depth: int) -> list[str]:
-    """The JSON object of each row of ``columns``, one sequence of values
-    per field name, at nesting ``depth``."""
-    names = sorted(columns)
-    template = _json_block("{}", [f"{encode_basestring_ascii(name)}: %s" for name in names], depth)
-    return [template % row for row in zip(*(_json_column(columns[n], depth + 1) for n in names))]
-
-
-def _json_objects(items: Sequence, depth: int) -> list[str]:
-    """The JSON object of each dataclass in ``items``, all of one class with
-    more than one field, at nesting ``depth``."""
-    if not items:
-        return []
-    names = tuple(f.name for f in dataclasses.fields(items[0]))
-    return _json_table(dict(zip(names, zip(*map(operator.attrgetter(*names), items)))), depth)
+    # json.dumps lays out a list or object from nesting 0
+    return [json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + " " * 10) for v in values]
 
 
 def _report_json(report: AssessmentReport) -> str:
-    """The text of report.json; a row met again, such as an SDS's row in
-    its institution, repeats the text it was given the first time."""
+    """The text of report.json. Rows are encoded an SDS at a time, and a
+    row met again, such as an SDS's row in its institution, keeps its text."""
     text: dict[int, str] = {}  # id of a ScoreRow -> its JSON
 
-    def rows_text(rows) -> list[str]:
-        new = [row for row in rows if id(row) not in text]
-        if new:
-            text.update(zip(map(id, new), _json_table(_score_columns(new), 4)))
-        return [text[id(row)] for row in rows]
+    def rows_text(rows) -> str:
+        if new := [row for row in rows if id(row) not in text]:
+            columns = _score_columns(new)
+            values = zip(*(_json_column(columns[n]) for n in _ROW_FIELDS))
+            text.update(zip(map(id, new), map(_ROW_TEMPLATE.__mod__, values)))
+        items = ",\n        ".join([text[id(row)] for row in rows])
+        return f'"rows": [\n        {items}\n      ]' if rows else _NO_ROWS
 
     results = sorted(report.sds_results.items())
-    histograms = [sorted(res.histograms.items()) for _, res in results]
-    histogram_text = iter(_json_objects(tuple(h for items in histograms for _, h in items), 4))
-    quadrants = _json_objects(tuple(res.quadrants for _, res in results), 3)
-    sds = []
-    for (sds_id, res), items, quadrant in zip(results, histograms, quadrants):
-        keyed = [f"{_json_scalar(key)}: {next(histogram_text)}" for key, _ in items]
-        fields = [
-            [f'"histograms": {_json_block("{}", keyed, 3)}'],
-            [f'"quadrants": {quadrant}'],
-            ['"rows": ', _json_block("[]", rows_text(res.rows), 3)],
-        ]
-        sds.append([f"{_json_scalar(sds_id)}: ", *_json_pieces("{}", fields, 2)])
-    aggregates = _json_objects(tuple(inst.aggregate for inst in report.institutions), 3)
-    institutions = []
-    for inst, aggregate in zip(report.institutions, aggregates):
-        fields = [
-            [f'"aggregate": {aggregate}'],
-            [f'"dmu_id": {_json_scalar(inst.dmu_id)}'],
-            ['"rows": ', _json_block("[]", rows_text(inst.rows), 3)],
-        ]
-        institutions.append(_json_pieces("{}", fields, 2))
-    document = [
-        [f'"census_date": {_json_scalar(report.census_date)}'],
-        ['"eligibility": ', _json_block("[]", _json_objects(report.eligibility, 2), 1)],
-        ['"institutions": ', *_json_pieces("[]", institutions, 1)],
-        [f'"quadrant_threshold": {_json_scalar(report.quadrant_threshold)}'],
-        [f'"reporting_precision": {_json_scalar(report.reporting_precision)}'],
-        ['"sds": ', *_json_pieces("{}", sds, 1)],
-        [f'"ss_mode": {_json_scalar(report.ss_mode)}'],
-    ]
-    return "".join(_json_pieces("{}", document, 0)) + "\n"
+    sds_rows = [rows_text(res.rows) for _, res in results]
+    document = {
+        "census_date": report.census_date,
+        "eligibility": list(map(vars, report.eligibility)),
+        "institutions": [
+            {"aggregate": vars(inst.aggregate), "dmu_id": inst.dmu_id, "rows": []}
+            for inst in report.institutions
+        ],
+        "quadrant_threshold": report.quadrant_threshold,
+        "reporting_precision": report.reporting_precision,
+        "sds": {
+            sds_id: {
+                "histograms": {key: vars(h) for key, h in res.histograms.items()},
+                "quadrants": vars(res.quadrants),
+                "rows": [],
+            }
+            for sds_id, res in results
+        },
+        "ss_mode": report.ss_mode,
+    }
+    pieces = json.dumps(document, sort_keys=True, indent=2).split(_NO_ROWS)
+    # each piece is followed by its rows, the last by the file's final newline
+    blocks = [*(rows_text(inst.rows) for inst in report.institutions), *sds_rows, "\n"]
+    return "".join(itertools.chain.from_iterable(zip(pieces, blocks, strict=True)))
 
 
 _SCORE_HEADER = (

@@ -153,11 +153,25 @@ class DmuInput:
     rf_years: float  # assistant professors
 
     def __post_init__(self):
-        # checked as floats: a year that is no real number, or is past the float range, is NaN
-        years = [self.fp_years, self.ap_years, self.rf_years]
-        x = [v if isinstance(v, Real) and abs(v) <= sys.float_info.max else math.nan for v in years]
-        if problems := staff_years_problems(np.array([x], dtype=float)):
+        x = [_as_float(v) for v in (self.fp_years, self.ap_years, self.rf_years)]
+        if problems := staff_years_problems(np.array([x])):
             raise DataError(f"{self.dmu_id}/{self.sds_id}: {problems[0][1]}")
+
+
+def _as_float(value) -> float:
+    """``value`` as a float, NaN if it is no real number or is past the float range."""
+    in_range = isinstance(value, Real) and abs(value) <= sys.float_info.max
+    return float(value) if in_range else math.nan
+
+
+def _floats(values) -> np.ndarray:
+    """``values``, numbers or rows of them, as a float array. Where numpy
+    cannot convert them, each value goes through :func:`_as_float`, for the
+    checks to reject, and each row of a wrong length is one NaN."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return np.vectorize(_as_float, otypes=[float])(np.asarray(values, dtype=object))
 
 
 def staff_years_problems(years: np.ndarray) -> list[tuple[int, str]]:
@@ -261,14 +275,14 @@ class SdsDataset:
     members: tuple[tuple[DmuInput, float], ...]
 
     def __post_init__(self):
-        members = tuple((d, float(s)) for d, s in self.members)
-        object.__setattr__(self, "members", members)
-        units = [(d.dmu_id, self.sds_id) for d, _ in members]
+        dmus = [d for d, _ in self.members]
+        ss = _floats([s for _, s in self.members])
+        object.__setattr__(self, "members", tuple(zip(dmus, ss.tolist())))
         misfiled = [
             f"{self.sds_id}/{d.dmu_id}: row is for {d.sds_id}/{d.dmu_id}"
-            for d, _ in members if d.sds_id != self.sds_id
+            for d in dmus if d.sds_id != self.sds_id
         ]
-        _check_rows(units, np.array(self.ss_values()), misfiled)
+        _check_rows([(d.dmu_id, self.sds_id) for d in dmus], ss, misfiled)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -330,7 +344,7 @@ class AssessmentDataset:
 
     def __post_init__(self):
         units = list(self.units)
-        years, ss = np.asarray(self.years, dtype=float), np.asarray(self.ss, dtype=float)
+        years, ss = _floats(self.years), _floats(self.ss)
         if years.shape != (len(units), 3) or ss.shape != (len(units),):
             shapes = f"{len(units)} units, years {years.shape}, ss {ss.shape}"
             raise DatasetValidationError([f"columns of unequal length: {shapes}"])

@@ -152,10 +152,6 @@ def run_assessment(
         )
         if not included:
             continue
-        # an infinite weight would turn the institution aggregates into NaN
-        over = np.flatnonzero(~(cost[s] < math.inf))
-        if over.size:
-            raise DataError(f"{sds_id}/{dmu_ids[s.start + over[0]]}: staff cost overflows a float")
         scores[:, s] = dea._scores(sds_id, dmu_ids[s], x[s], y[s], cost[s])[0]
         sds_index[s], spans[sds_id] = len(spans), s
 

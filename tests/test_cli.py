@@ -20,11 +20,14 @@ from bibdea import (
     AssessmentConfig,
     AssessmentDataset,
     CostVector,
+    emit,
     ingest,
     run_assessment,
 )
 from bibdea.cli import main
 from bibdea.io import CONFIG_ENV_VAR
+
+from oracles import reference_report_json
 
 STAFF = "tests/fixtures/pharm_chem_staff.csv"
 
@@ -653,3 +656,12 @@ def test_census_report_is_invariant_under_unit_and_cost_scaling(bench, tmp_path)
         costs = CostVector(*(scale * c for c in dataclasses.astuple(DEFAULT_COSTS)))
         config = AssessmentConfig(costs=costs)
         assert scores(run_assessment(dataset, config, apply_filter=False)) == scores(report)
+
+
+def test_census_report_json_is_the_stdlib_encoding(bench, tmp_path):
+    # the census of the scaling test, 60 SDSs of 24-100 units, byte for byte
+    gen, _ = bench
+    files, _ = gen.census_passthrough(random.Random("big:1"), tmp_path, n_sds=60)
+    report = run_assessment(ingest(files["staff"]), apply_filter=False)
+    (path,) = emit(report, ["json"], tmp_path / "out")
+    assert path.read_bytes() == reference_report_json(report).encode()

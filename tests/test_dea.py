@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from bibdea import (
     DEFAULT_COSTS,
     CostVector,
+    DataError,
     DmuInput,
     SdsDataset,
     SolverError,
@@ -154,6 +155,14 @@ class TestCostEfficiency:
                 got = cost_efficiency(i, ds)
                 for oracle in (ce_closed_form, ce_by_enumeration):
                     assert got == pytest.approx(oracle(i, inputs, outputs, PRICES), abs=1e-9)
+
+    def test_staff_cost_past_the_float_range_is_a_data_error(self):
+        # te does not depend on the cost, so scoring D0 (0, 0, 0) would be wrong
+        ds = dataset([[1e307, 1.0, 1.0], [1.0, 1.0, 1.0]], [1.0, 1.0])
+        calls = [lambda: cost_efficiency(0, ds), lambda: evaluate_sds(ds), lambda: score_sds(ds)]
+        for call in calls:
+            with pytest.raises(DataError, match="^S/D0: staff cost overflows a float$"):
+                call()
 
 
 class TestAllocativeEfficiency:

@@ -157,6 +157,16 @@ class TestIngest:
             ingest(fixtures_dir / "lab_staff.csv", fixtures_dir / "lab_pubs.csv", medians)
         assert "(2005, 'CatB') at lab_pubs.csv line 4" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "label, row", [("median", [2004, "B", -1, 3]), ("mean", [2004, "B", 1, -3])]
+    )
+    def test_negative_median_or_mean_names_its_line(self, tmp_path, fixtures_dir, label, row):
+        rows = [[2005, "A", 5, ""], [2006, "A", 0, 2.5], row, [2005, "B", -1, ""]]
+        medians = write_csv(tmp_path / "medians.csv", ["year", "category", "median", "mean"], rows)
+        with pytest.raises(DataError) as err:
+            ingest(fixtures_dir / "lab_staff.csv", fixtures_dir / "lab_pubs.csv", medians)
+        assert str(err.value) == f"medians.csv line 4: negative reference {label} for (2004, 'B')"
+
     def test_cross_reference_errors_name_each_first_line(self, tmp_path, fixtures_dir):
         rows = [
             ["p1", "Ghost", "TEST/01", 2005, 3, "CatA", 1, "1", 0],
@@ -1204,8 +1214,9 @@ _ODD_NUMBERS = st.one_of(
     st.booleans(),
 )
 _ODD_PCTS = st.none() | _ODD_NUMBERS
+# with the text that report.json's rows lists are emptied to, as is and quoted
 _ODD_IDS = st.text(max_size=6) | st.sampled_from(
-    ['"quoted"', "line\nbreak", "Università", "東京"]
+    ['"quoted"', "line\nbreak", "Università", "東京", '"rows": []', 'x\\"rows\\": []']
 )
 _SCORE_ROWS = st.builds(
     ScoreRow,
@@ -1314,7 +1325,8 @@ class TestReportJson:
         report = run_assessment(ingest(fixtures_dir / "pharm_chem_staff.csv"))
         result = report.sds_results["CHIM/08"]
         first = result.rows[0]._replace(
-            fp_years=2, ap_years=True, ss=math.inf, ce=-math.inf, te=math.nan
+            fp_years=2, ap_years=True, ss=math.inf, ce=-math.inf, te=math.nan,
+            ss_per_staff_year=(0.5, {"b": [], "a": [None, "x"]}),
         )
         odd = dataclasses.replace(
             report,

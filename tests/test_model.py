@@ -177,12 +177,17 @@ class TestAssessmentDataset:
             "A/W: negative output -1.0",
         ]
 
-    @pytest.mark.parametrize("years", [[[1, 0]], [1, 0, 0], [[1, 0, 0], [1, 0, 0]]])
+    @pytest.mark.parametrize(
+        "years", [[[1, 0]], [1, 0, 0], [[1, 0, 0], [1, 0, 0]], [[1, 0, 0], [1, 0]]]
+    )
     def test_columns_of_unequal_length_are_rejected(self, years):
         with pytest.raises(DatasetValidationError, match="columns of unequal length"):
             AssessmentDataset([("U", "S")], years, [1.0])
 
-    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), None])
+    # a value that is no real number, or is past the float range, reads as NaN
+    @pytest.mark.parametrize(
+        "bad", [-1.0, float("nan"), float("inf"), None, pytest.param(10**400, id="10**400"), "x"]
+    )
     def test_staff_years_must_be_finite_and_nonnegative(self, bad):
         with pytest.raises(DatasetValidationError) as err:
             AssessmentDataset([("U", "S")], [[bad, 1, 1]], [1.0])
@@ -201,7 +206,13 @@ class TestAssessmentDataset:
 
     @pytest.mark.parametrize(
         "ss, problem",
-        [(-1.0, "negative"), (float("nan"), "non-finite"), (float("-inf"), "non-finite")],
+        [
+            (-1.0, "negative"),
+            (float("nan"), "non-finite"),
+            (float("-inf"), "non-finite"),
+            pytest.param(10**400, "non-finite", id="10**400"),
+            ("x", "non-finite"),
+        ],
     )
     def test_output_must_be_finite_and_nonnegative(self, ss, problem):
         with pytest.raises(DatasetValidationError, match=f"S/U: {problem} output"):
@@ -226,6 +237,12 @@ class TestValidateDataset:
         with pytest.raises(DatasetValidationError) as err:
             SdsDataset("S", ((dmu(fp=1, dmu_id="X"), bad),))
         assert err.value.violations == [f"S/X: non-finite output {bad}"]
+
+    @pytest.mark.parametrize("bad", [pytest.param(10**400, id="10**400"), "x"])
+    def test_output_that_is_no_float_reads_as_nan(self, bad):
+        with pytest.raises(DatasetValidationError) as err:
+            SdsDataset("S", ((dmu(fp=1, dmu_id="X"), bad),))
+        assert err.value.violations == ["S/X: non-finite output nan"]
 
     def test_wrong_sds_membership_flagged(self):
         with pytest.raises(DatasetValidationError) as err:
