@@ -60,11 +60,10 @@ class EligibilityDecision:
 def percentile_rank(scores: Sequence[float], target: float) -> float:
     """Rank of ``target`` within ``scores``: its entry in
     :func:`percentile_ranks`, the scores taken as floats."""
-    if len(scores) < 2:
-        raise DataError("percentile rank is undefined for fewer than two scores")
+    ranks = percentile_ranks(scores)
     if target not in scores:
         raise DataError(f"target score {target} not among the scores")
-    return percentile_ranks(scores)[list(scores).index(target)]
+    return ranks[list(scores).index(target)]
 
 
 def percentile_ranks(scores: Sequence[float]) -> list[float]:
@@ -76,7 +75,10 @@ def percentile_ranks(scores: Sequence[float]) -> list[float]:
     """
     if len(scores) < 2:
         raise DataError("percentile rank is undefined for fewer than two scores")
-    return _percentile_ranks(np.asarray(scores, dtype=float), np.zeros(len(scores), dtype=np.intp))
+    values = np.asarray(scores, dtype=float)
+    if np.isnan(values).any():
+        raise DataError("percentile rank is undefined for a NaN score")
+    return _percentile_ranks(values, np.zeros(values.size, dtype=np.intp))
 
 
 def _percentile_ranks(scores: np.ndarray, group: np.ndarray) -> list:
@@ -231,6 +233,8 @@ def rank_divergence(
 
     def ranks(scores: Mapping[str, float]) -> np.ndarray:
         values = np.array([scores[k] for k in scores_by_ce], dtype=float)
+        if np.isnan(values).any():
+            raise DataError("rank divergence is undefined for a NaN score")
         return values.size + 1 - np.searchsorted(np.sort(values), values + TIE_TOL, side="right")
 
     return dict(zip(scores_by_ce, (ranks(scores_by_ratio) - ranks(scores_by_ce)).tolist()))

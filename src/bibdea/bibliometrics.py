@@ -11,6 +11,7 @@ authors carry most of the credit.
 from typing import Iterable, Sequence
 
 from .model import DataError, MedianTable, PublicationRecord, left_sum
+from .model import byline_problem, citations_problem
 
 # Position weights when first and last author sit at the same university:
 # 40% each to the two ends, the rest shared by the middle of the byline.
@@ -80,6 +81,8 @@ def standardize_citations(
     citations of the reference set when the table carries means; a zero
     divisor with zero citations is simply 0.
     """
+    if (problem := citations_problem(citations)) is not None:
+        raise DataError(problem)
     divisor = citation_divisor(year, categories, medians)
     return divide_citations(citations, divisor, year, categories)
 
@@ -98,6 +101,8 @@ def positional_weights(total_authors: int, first_last_same_university: bool) -> 
     (the middle pool may be empty, roles may coincide), so the vector is
     renormalized to sum to exactly 1 while keeping the relative proportions.
     """
+    if (problem := byline_problem(total_authors, ())) is not None:
+        raise DataError(problem)
     n = total_authors
     w = [0.0] * n
     if first_last_same_university:

@@ -40,7 +40,6 @@ from .model import (
     SdsDataset,
     SolverError,
     _staff_costs,
-    checked_scores,
 )
 
 # Intensity weights below this are reported as zero.
@@ -236,9 +235,11 @@ def _scores(
     except SolverError as exc:
         i = np.flatnonzero(ce > te + CLAMP_TOL)[0]
         raise SolverError(f"{sds_id}/{ids[i]}: {exc}") from exc
-    # ce is re-derived from the pair so the decomposition identity is exact
-    # rather than within rounding.
-    return checked_scores(te, ae, te * ae), frontier
+    # The scores lie in [0, 1] as built: te is 1.0 or min(ratio, 1), ratio > 0
+    # as every kept facet has c > 0 and v . z >= c (1 - tol) at each unit with
+    # output; ce = min(y * min(cost / y) / cost, 1) >= 0; ae = min(1, ce / te),
+    # 0 where te is 0. ce = te * ae makes the decomposition exact, with no -0.0.
+    return (te, ae, te * ae), frontier
 
 
 def _score(ds: SdsDataset, costs: CostVector) -> tuple[tuple, tuple | None]:

@@ -10,7 +10,7 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -88,6 +88,8 @@ class PublicationRecord:
 
 def citations_problem(citations: int) -> str | None:
     """What is wrong with a citation count, or None if it is valid."""
+    if not isinstance(citations, Integral) or isinstance(citations, bool):
+        return "citations must be an integer"
     if citations < 0:
         return "citations must be >= 0"
     if citations > MAX_CITATIONS:
@@ -99,8 +101,12 @@ def byline_problem(total_authors: int, positions: tuple[int, ...]) -> str | None
     """What is wrong with a byline, or None if it is valid.
 
     ``total_authors`` must lie in ``1..MAX_AUTHORS`` and the unit's
-    ``positions`` must be distinct and lie in ``1..total_authors``.
+    ``positions`` must be distinct and lie in ``1..total_authors``, all ints.
     """
+    # Ingest passes plain ints, which skip the slow abstract-class check.
+    ints = (total_authors, *positions)
+    if not all(type(n) is int or isinstance(n, Integral) and type(n) is not bool for n in ints):
+        return "total_authors and author positions must be integers"
     if total_authors < 1:
         return "total_authors must be >= 1"
     if total_authors > MAX_AUTHORS:
@@ -126,8 +132,9 @@ class MedianTable:
     def __post_init__(self):
         for table, label in ((self.entries, "median"), (self.means, "mean")):
             for key, value in table.items():
-                if value < 0:
-                    raise DataError(f"negative reference {label} for {key}")
+                if not 0 <= value < math.inf:
+                    problem = "negative" if value < 0 else "non-finite"
+                    raise DataError(f"{problem} reference {label} for {key}")
 
     def median(self, year: int, category: str) -> float:
         try:
@@ -165,13 +172,16 @@ def _as_float(value) -> float:
 
 
 def _floats(values) -> np.ndarray:
-    """``values``, numbers or rows of them, as a float array. Where numpy
-    cannot convert them, each value goes through :func:`_as_float`, for the
-    checks to reject, and each row of a wrong length is one NaN."""
+    """``values``, numbers or rows of them, as a float array: an array of
+    bool, int or float as it is, anything else value by value through
+    :func:`_as_float`, for the checks to reject, a row of a wrong length as NaN."""
     try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        return np.vectorize(_as_float, otypes=[float])(np.asarray(values, dtype=object))
+        values = np.asarray(values)
+    except ValueError:  # rows of unequal length
+        values = np.asarray(values, dtype=object)
+    if values.dtype.kind not in "biuf":
+        values = np.vectorize(_as_float, otypes=[float])(values)
+    return values.astype(float, copy=False)
 
 
 def staff_years_problems(years: np.ndarray) -> list[tuple[int, str]]:
@@ -226,40 +236,19 @@ class EfficiencyScores:
     reference_weights: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        scores = checked_scores([self.te], [self.ae], [self.ce])
-        for name, value in zip(("te", "ae", "ce"), scores):
-            object.__setattr__(self, name, float(value[0]))
+        for name in ("te", "ae", "ce"):
+            value = _as_float(getattr(self, name))
+            if not -CLAMP_TOL <= value <= 1 + CLAMP_TOL:
+                raise DataError(f"{name}={value} outside [0, 1] beyond clamp tolerance")
+            object.__setattr__(self, name, min(max(value, 0.0), 1.0) + 0.0)  # + 0.0: no -0.0
+        te, ae, ce = self.as_triple()
+        if te > 0 and abs(ce - te * ae) > DECOMPOSITION_TOL:
+            raise DataError(f"decomposition violated: ce={ce} != te*ae={te * ae}")
+        if te == 0 and (ae != 0 or ce != 0):
+            raise DataError("te=0 requires ae=0 and ce=0")
 
     def as_triple(self) -> tuple[float, float, float]:
         return (self.te, self.ae, self.ce)
-
-
-def checked_scores(te, ae, ce) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """te, ae and ce arrays of one group of units, clamped into [0, 1].
-
-    A score more than :data:`CLAMP_TOL` outside [0, 1], a ce more than
-    :data:`DECOMPOSITION_TOL` from te * ae where te > 0, and a nonzero ae or
-    ce where te = 0 are data errors.
-    """
-    scores = []
-    for name, values in (("te", te), ("ae", ae), ("ce", ce)):
-        values = np.asarray(values, dtype=float)
-        outside = np.flatnonzero(~((values >= -CLAMP_TOL) & (values <= 1 + CLAMP_TOL)))
-        if outside.size:
-            raise DataError(
-                f"{name}={values[outside[0]]} outside [0, 1] beyond clamp tolerance"
-            )
-        # adding 0.0 turns the -0.0 that clip keeps into 0.0
-        scores.append(values.clip(0.0, 1.0) + 0.0)
-    te, ae, ce = scores
-    product = te * ae
-    broken = np.flatnonzero((te > 0) & (np.abs(ce - product) > DECOMPOSITION_TOL))
-    if broken.size:
-        i = broken[0]
-        raise DataError(f"decomposition violated: ce={ce[i]} != te*ae={product[i]}")
-    if np.any((te == 0) & ((ae != 0) | (ce != 0))):
-        raise DataError("te=0 requires ae=0 and ce=0")
-    return te, ae, ce
 
 
 @dataclass(frozen=True)

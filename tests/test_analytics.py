@@ -75,6 +75,13 @@ class TestPercentileRank:
         with pytest.raises(DataError):
             percentile_rank([1.0, 2.0], 1.5)
 
+    def test_nan_score_has_no_rank(self):
+        scores = [math.nan, 1.0, 0.5]
+        with pytest.raises(DataError, match="undefined for a NaN score"):
+            percentile_ranks(scores)
+        with pytest.raises(DataError, match="undefined for a NaN score"):
+            percentile_rank(scores, 1.0)
+
     @settings(max_examples=150)
     @given(distinct_scores)
     def test_order_isomorphism(self, scores):
@@ -427,6 +434,12 @@ class TestRankDivergence:
     def test_mismatched_sets(self):
         with pytest.raises(DataError):
             rank_divergence({"a": 1.0}, {"b": 1.0})
+
+    def test_nan_score_has_no_rank(self):
+        scores, nan = {"a": 1.0, "b": 0.5}, {"a": math.nan, "b": 0.5}
+        for ce, ratio in ((nan, scores), (scores, nan)):
+            with pytest.raises(DataError, match="undefined for a NaN score"):
+                rank_divergence(ce, ratio)
 
     def test_scaled_copy_keeps_the_rank_of_its_unit(self):
         # The copy's ce and ratio both land an ulp from the unit's; float

@@ -59,6 +59,15 @@ class TestStandardizeCitations:
                 divide_citations(8, divisor, 2005, cell)
             assert message in str(err.value)
 
+    @pytest.mark.parametrize(
+        "citations, problem",
+        [(-3, "citations must be >= 0"), (2.5, "citations must be an integer")],
+    )
+    def test_citations_follow_the_ingest_rule(self, citations, problem):
+        table = MedianTable(entries={(2004, "A"): 4.0})
+        with pytest.raises(DataError, match=problem):
+            standardize_citations(citations, 2004, ["A"], table)
+
     @given(
         st.integers(min_value=0, max_value=500),
         st.sampled_from([["A"], ["A", "B"], ["C", "B", "A"], ["Z"], ["Z", "Y"]]),
@@ -106,6 +115,12 @@ class TestFractionalCountLifeScience:
     def test_middle_of_five_extramural(self):
         # the "all others" pool is a single author here
         assert fractional_count_life_science(5, (3,), False) == pytest.approx(0.10)
+
+    def test_byline_follows_the_ingest_rule(self):
+        with pytest.raises(DataError, match="total_authors must be >= 1"):
+            positional_weights(0, True)
+        with pytest.raises(DataError, match="author positions must be integers"):
+            fractional_count(2.5, (1,), True)
 
     @pytest.mark.parametrize("scheme_a", [True, False])
     @pytest.mark.parametrize("n", range(1, 51))

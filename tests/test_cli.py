@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import platform
 import random
@@ -651,6 +652,12 @@ def test_census_report_is_invariant_under_unit_and_cost_scaling(bench, tmp_path)
 
     report = run_assessment(dataset, apply_filter=False)
     assert len(report.sds_results) == 60
+    # dea._scores checks none of its scores: each lies in [0, 1], ce is
+    # te * ae exactly, te = 0 gives ae = ce = 0, and no score is -0.0
+    for row in (r for result in report.sds_results.values() for r in result.rows):
+        te, ae, ce = row.te, row.ae, row.ce
+        assert all(0.0 <= s <= 1.0 and math.copysign(1.0, s) == 1.0 for s in (te, ae, ce))
+        assert ce == te * ae and (te > 0 or ae == ce == 0)
     assert classes(run_assessment(scaled, apply_filter=False)) == classes(report)
     for scale in (2, 0.5):
         costs = CostVector(*(scale * c for c in dataclasses.astuple(DEFAULT_COSTS)))

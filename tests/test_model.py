@@ -119,6 +119,40 @@ class TestDomainTypes:
         with pytest.raises(DataError):
             MedianTable(entries={(2005, "A"): -1.0})
 
+    @pytest.mark.parametrize(
+        "fields, problem",
+        [
+            ({"citations": 2.5}, "citations must be an integer"),
+            ({"citations": True}, "citations must be an integer"),
+            ({"total_authors": 2.5}, "total_authors and author positions must be integers"),
+            ({"dmu_author_positions": (1.0,)}, "total_authors and author positions must be"),
+        ],
+        ids=["float citations", "bool citations", "float total_authors", "float position"],
+    )
+    def test_publication_counts_must_be_integers(self, fields, problem):
+        # ingest passes the ints it parsed; a float would reach the
+        # life-science weights as an index
+        record = {"citations": 3, "total_authors": 2, "dmu_author_positions": (1,)} | fields
+        with pytest.raises(DataError, match=f"p: {problem}"):
+            PublicationRecord("p", 2005, categories=("A",), life_science=True, **record)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (float("nan"), "non-finite reference {} for (2004, 'A')"),
+            (float("inf"), "non-finite reference {} for (2004, 'A')"),
+            (float("-inf"), "negative reference {} for (2004, 'A')"),
+        ],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_median_table_rejects_non_finite_values(self, value, message):
+        with pytest.raises(DataError) as err:
+            MedianTable(entries={(2004, "A"): value})
+        assert str(err.value) == message.format("median")
+        with pytest.raises(DataError) as err:
+            MedianTable(entries={(2004, "A"): 0.0}, means={(2004, "A"): value})
+        assert str(err.value) == message.format("mean")
+
     def test_median_lookup_error_names_the_key(self):
         table = MedianTable(entries={(2005, "A"): 2.0})
         with pytest.raises(MedianLookupError) as err:
@@ -140,6 +174,14 @@ class TestDomainTypes:
     def test_efficiency_scores_range_enforced(self):
         with pytest.raises(DataError):
             EfficiencyScores(te=1.2, ae=1.0, ce=1.2)
+
+
+    @pytest.mark.parametrize(
+        "scores", [("0.5", "1", "0.5"), (Decimal("0.5"), 1.0, 0.5)], ids=["str", "Decimal"]
+    )
+    def test_efficiency_scores_must_be_numbers(self, scores):
+        with pytest.raises(DataError, match="=nan outside"):
+            EfficiencyScores(*scores)
 
 
 class TestStaffYearTypes:
@@ -186,12 +228,27 @@ class TestAssessmentDataset:
 
     # a value that is no real number, or is past the float range, reads as NaN
     @pytest.mark.parametrize(
-        "bad", [-1.0, float("nan"), float("inf"), None, pytest.param(10**400, id="10**400"), "x"]
+        "bad",
+        [
+            -1.0,
+            float("nan"),
+            float("inf"),
+            None,
+            pytest.param(10**400, id="10**400"),
+            "x",
+            "1.5",
+            pytest.param(Decimal("1"), id="Decimal"),
+        ],
     )
     def test_staff_years_must_be_finite_and_nonnegative(self, bad):
         with pytest.raises(DatasetValidationError) as err:
             AssessmentDataset([("U", "S")], [[bad, 1, 1]], [1.0])
         assert err.value.violations == ["S/U: staff-years must be finite and >= 0"]
+
+    def test_a_bool_is_a_number_of_staff_years(self):
+        # as DmuInput takes it
+        dataset = AssessmentDataset([("U", "S")], [[True, 1, 1]], [1.0])
+        assert dataset.years.tolist() == [[1.0, 1.0, 1.0]]
 
     def test_columns_are_sorted_by_sds_then_unit_and_read_only(self):
         dataset = AssessmentDataset(
@@ -212,6 +269,7 @@ class TestAssessmentDataset:
             (float("-inf"), "non-finite"),
             pytest.param(10**400, "non-finite", id="10**400"),
             ("x", "non-finite"),
+            ("2", "non-finite"),
         ],
     )
     def test_output_must_be_finite_and_nonnegative(self, ss, problem):
@@ -238,7 +296,7 @@ class TestValidateDataset:
             SdsDataset("S", ((dmu(fp=1, dmu_id="X"), bad),))
         assert err.value.violations == [f"S/X: non-finite output {bad}"]
 
-    @pytest.mark.parametrize("bad", [pytest.param(10**400, id="10**400"), "x"])
+    @pytest.mark.parametrize("bad", [pytest.param(10**400, id="10**400"), "x", "2"])
     def test_output_that_is_no_float_reads_as_nan(self, bad):
         with pytest.raises(DatasetValidationError) as err:
             SdsDataset("S", ((dmu(fp=1, dmu_id="X"), bad),))
