@@ -24,10 +24,7 @@ from .analytics import (
     rank_divergence,
 )
 from .bibliometrics import (
-    first_last_share_dmu,
     fractional_count,
-    fractional_count_life_science,
-    fractional_count_standard,
     positional_weights,
     scientific_strength,
     standardize_citations,
@@ -90,10 +87,7 @@ __all__ = [
     "eligibility_filter",
     "emit",
     "evaluate_sds",
-    "first_last_share_dmu",
     "fractional_count",
-    "fractional_count_life_science",
-    "fractional_count_standard",
     "histogram",
     "ingest",
     "load_config",

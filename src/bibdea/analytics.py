@@ -116,8 +116,8 @@ def _aggregates(group: np.ndarray, weights: np.ndarray, *scores: np.ndarray) -> 
     """The total weight of each group of rows, then each score column's
     weighted mean in it. ``np.bincount`` adds a group's terms one at a time
     in row order, as :func:`~bibdea.model.left_sum` does."""
-    if (weights <= 0).any():
-        raise DataError("aggregation weights must be strictly positive")
+    if not ((weights > 0) & (weights < np.inf)).all():
+        raise DataError("aggregation weights must be finite and strictly positive")
     total = np.bincount(group, weights=weights)
     with np.errstate(invalid="ignore"):  # a total past the float range is inf
         return [total, *(np.bincount(group, weights=s * weights) / total for s in scores)]

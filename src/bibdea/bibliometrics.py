@@ -10,7 +10,7 @@ authors carry most of the credit.
 
 from typing import Iterable, Sequence
 
-from .model import DataError, MedianTable, PublicationRecord, left_sum
+from .model import NO_CATEGORIES, DataError, MedianTable, PublicationRecord, left_sum
 from .model import byline_problem, citations_problem
 
 # Position weights when first and last author sit at the same university:
@@ -35,7 +35,7 @@ def citation_divisor(
     division step decides.
     """
     if not categories:
-        raise DataError("publication without subject categories")
+        raise DataError(NO_CATEGORIES)
     meds = [medians.median(year, c) for c in categories]
     divisor = left_sum(meds) / len(meds)
     if divisor > 0:
@@ -87,13 +87,6 @@ def standardize_citations(
     return divide_citations(citations, divisor, year, categories)
 
 
-def fractional_count_standard(
-    total_authors: int, dmu_author_positions: Sequence[int]
-) -> float:
-    """Share of the byline held by the unit: co-authors of the unit / all."""
-    return len(dmu_author_positions) / total_authors
-
-
 def positional_weights(total_authors: int, first_last_same_university: bool) -> list[float]:
     """Per-position credit weights of the life-science scheme; sums to 1.
 
@@ -126,37 +119,25 @@ def positional_weights(total_authors: int, first_last_same_university: bool) -> 
     return [wi / total for wi in w]
 
 
-def fractional_count_life_science(
-    total_authors: int,
-    dmu_author_positions: Sequence[int],
-    first_last_same_university: bool,
-) -> float:
-    """Position-weighted byline share of the unit under the life-science scheme."""
-    weights = positional_weights(total_authors, first_last_same_university)
-    return left_sum(weights[p - 1] for p in dmu_author_positions)
-
-
-def first_last_share_dmu(total_authors: int, dmu_author_positions: Sequence[int]) -> bool:
-    """Whether first and last author both belong to the assessed unit.
-
-    This is the only affiliation knowledge available from a record, so it is
-    what selects between the two life-science weighting schemes.
-    """
-    positions = set(dmu_author_positions)
-    return 1 in positions and total_authors in positions
-
-
 def fractional_count(
     total_authors: int, dmu_author_positions: Sequence[int], life_science: bool
 ) -> float:
-    """Fractional count of a byline, dispatching on its counting scheme."""
-    if life_science:
-        return fractional_count_life_science(
-            total_authors,
-            dmu_author_positions,
-            first_last_share_dmu(total_authors, dmu_author_positions),
-        )
-    return fractional_count_standard(total_authors, dmu_author_positions)
+    """Share of the byline held by the unit's authors at ``dmu_author_positions``.
+
+    The standard scheme gives co-authors of the unit / all; the life-science
+    scheme adds the unit's :func:`positional_weights`, intramural when the
+    unit holds both the first and the last position. A byline that breaks
+    the ingest rule (:func:`~bibdea.model.byline_problem`) is a
+    :class:`DataError`.
+    """
+    if (problem := byline_problem(total_authors, dmu_author_positions)) is not None:
+        raise DataError(problem)
+    if not life_science:
+        return len(dmu_author_positions) / total_authors
+    # A record's only affiliation knowledge selects the life-science weights.
+    intramural = 1 in dmu_author_positions and total_authors in dmu_author_positions
+    weights = positional_weights(total_authors, intramural)
+    return left_sum(weights[p - 1] for p in dmu_author_positions)
 
 
 def scientific_strength(

@@ -1,7 +1,8 @@
 """File ingestion and report emission.
 
 Input files are UTF-8 CSV (a leading byte order mark is dropped) with a
-mandatory header row and period decimal separators:
+mandatory header row and period decimal separators. A number cell holds
+ASCII only, with no ``_`` separator:
 
   staff:        dmu_id, sds_id, fp_years, ap_years, rf_years [, ss]
   publications: pub_id, dmu_id, sds_id, year, citations, categories,
@@ -51,7 +52,7 @@ from .model import (
     CostVector,
     DataError,
     MedianTable,
-    byline_problem,
+    NO_CATEGORIES,
     citations_problem,
     left_sum,
     staff_years_problems,
@@ -129,21 +130,24 @@ def _width_error(path: Path, line: int, row: list[str], width: int) -> DataError
     return DataError(f"{path.name} line {line}: {len(row)} cells, header has {width}")
 
 
-def _parse_float(raw: str, path: Path, line: int, column: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
+def _number(kind: type, raw: str) -> int | float | None:
+    """``kind(raw)``, int or float, or None if ``raw`` is no finite number in
+    CSV syntax: ``int`` and ``float`` also take ``_`` separators and
+    non-ASCII digits and spaces, which no such number has."""
+    if raw.isascii() and "_" not in raw:
+        try:
+            value = kind(raw)
+        except ValueError:
+            return None
+        if value - value == 0:  # not inf or nan, whose difference is nan
+            return value
+    return None
+
+
+def _parse(kind: type, raw: str, path: Path, line: int, column: str) -> int | float:
+    if (value := _number(kind, raw)) is None:
         raise DataError(f"{path.name} line {line}: bad {column} value {raw!r}")
     return value
-
-
-def _parse_int(raw: str, path: Path, line: int, column: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise DataError(f"{path.name} line {line}: bad {column} value {raw!r}") from None
 
 
 def _read_staff(path: Path):
@@ -162,11 +166,11 @@ def _read_staff(path: Path):
                 raise DataError(f"{path.name} line {line}: duplicate staff row for {key}")
             index[key] = len(lines)
             lines.append(line)
-            years.append([_parse_float(row[i], path, line, c) for i, c in year_cells])
+            years.append([_parse(float, row[i], path, line, c) for i, c in year_cells])
             if i_ss is not None:
                 if not row[i_ss].strip():
                     raise DataError(f"{path.name} line {line}: ss column present but value missing")
-                value = _parse_float(row[i_ss], path, line, "ss")
+                value = _parse(float, row[i_ss], path, line, "ss")
                 if value < 0:
                     raise DataError(f"{path.name} line {line}: negative ss {value}")
                 ss.append(value)
@@ -184,8 +188,10 @@ class _Problem(NamedTuple):
     its problem of lowest ``rank``, the place of the check in the order a
     row is checked in: dmu_positions (1), life_science (2), year (3),
     citations (4) and total_authors (5) are parsed, then the publication's
-    citations (6), categories (7) and byline (8) are checked, and its
-    problems, from rank 6 on, name its pub_id."""
+    citations (6), categories (7) and byline (8) are checked by the rules
+    the API applies (``citations_problem``, ``NO_CATEGORIES`` and the
+    ``DataError`` of ``fractional_count``), and its problems, from rank 6
+    on, name its pub_id."""
 
     rank: int
     text: str
@@ -279,13 +285,11 @@ def _cell_entry(
     """``(divisor, year, categories)`` of a raw (year, categories) cell, or
     its first problem; notes its uncovered pairs in ``missing`` at ``line``
     unless seen before."""
-    try:
-        year = int(year)
-    except ValueError:
+    if (value := _number(int, year)) is None:
         return _Problem(3, f"bad year value {year!r}")
-    categories = tuple(c for c in categories.split(";") if c)
+    year, categories = value, tuple(c for c in categories.split(";") if c)
     if not categories:
-        return _Problem(7, "at least one subject category required")
+        return _Problem(7, NO_CATEGORIES)
     if medians is None:
         return None, year, categories
     uncovered = [(year, c) for c in categories if not medians.covers(year, c)]
@@ -300,28 +304,23 @@ def _byline_share(total_authors: str, positions: str, life_science: str) -> floa
     held = []
     for p in positions.split(";"):
         if p:
-            try:
-                held.append(int(p))
-            except ValueError:
+            if (position := _number(int, p)) is None:
                 return _Problem(1, f"bad dmu_positions value {p!r}")
+            held.append(position)
     flag = life_science.strip()
     if flag not in ("0", "1"):
         return _Problem(2, "life_science must be 0 or 1")
-    try:
-        total = int(total_authors)
-    except ValueError:
+    if (total := _number(int, total_authors)) is None:
         return _Problem(5, f"bad total_authors value {total_authors!r}")
-    problem = byline_problem(total, tuple(held))
-    if problem is not None:
-        return _Problem(8, problem)
-    return fractional_count(total, tuple(held), flag == "1")
+    try:
+        return fractional_count(total, held, flag == "1")
+    except DataError as exc:
+        return _Problem(8, str(exc))
 
 
 def _citation_count(citations: str) -> int | _Problem:
     """The count of a raw citations cell, or its first problem."""
-    try:
-        count = int(citations)
-    except ValueError:
+    if (count := _number(int, citations)) is None:
         return _Problem(4, f"bad citations value {citations!r}")
     problem = citations_problem(count)
     return count if problem is None else _Problem(6, problem)
@@ -334,12 +333,12 @@ def _read_medians(path: Path) -> MedianTable:
         i_year, i_category, i_median = (column[c] for c in _MEDIAN_COLUMNS)
         i_mean = column.get("mean")
         for line, row in _rows(reader, column, path):
-            key = (_parse_int(row[i_year], path, line, "year"), row[i_category])
+            key = (_parse(int, row[i_year], path, line, "year"), row[i_category])
             if key in entries:
                 raise DataError(f"{path.name} line {line}: duplicate median for {key}")
-            entries[key] = _parse_float(row[i_median], path, line, "median")
+            entries[key] = _parse(float, row[i_median], path, line, "median")
             if i_mean is not None and row[i_mean].strip():
-                means[key] = _parse_float(row[i_mean], path, line, "mean")
+                means[key] = _parse(float, row[i_mean], path, line, "mean")
             if entries[key] < 0 or means.get(key, 0.0) < 0:
                 label = "median" if entries[key] < 0 else "mean"
                 raise DataError(f"{path.name} line {line}: negative reference {label} for {key}")

@@ -17,6 +17,9 @@ import numpy as np
 
 # Citations are divided as floats, so a count must fit one.
 MAX_CITATIONS = sys.float_info.max
+# What a publication with an empty category list is told, at ingest and in
+# the API alike.
+NO_CATEGORIES = "at least one subject category required"
 # Longest byline accepted. The life-science scheme builds one weight per
 # author, so an absurd author count would exhaust memory; real bylines stay
 # far below this.
@@ -77,9 +80,10 @@ class PublicationRecord:
     def __post_init__(self):
         object.__setattr__(self, "categories", tuple(self.categories))
         object.__setattr__(self, "dmu_author_positions", tuple(self.dmu_author_positions))
-        problem = citations_problem(self.citations)
+        year_ok = isinstance(self.year, Integral) and not isinstance(self.year, bool)
+        problem = citations_problem(self.citations) if year_ok else "year must be an integer"
         if problem is None and not self.categories:
-            problem = "at least one subject category required"
+            problem = NO_CATEGORIES
         if problem is None:
             problem = byline_problem(self.total_authors, self.dmu_author_positions)
         if problem is not None:

@@ -6,6 +6,10 @@ basic solutions of the standard form directly, or with HiGHS from scipy
 (a test-only dependency, imported on first use). The closed forms of the
 constant-returns geometry are kept as a further reference.
 
+``certify_te_by_duality`` solves no LP either: it checks the frontier's
+facets as dual solutions and its peers as primal ones, so that every te
+of a census can be certified in tier-1.
+
 ``reference_facets`` and ``reference_pareto_front`` are the frontier steps
 as they were before the candidate planes were enumerated in one batch: one
 anchor point at a time, and the Pareto test as one (n, n, 3) broadcast.
@@ -44,6 +48,7 @@ from bibdea import (
     SdsDataset,
     scientific_strength,
 )
+from bibdea import dea
 from bibdea.analytics import TIE_TOL
 from bibdea.dea import score_sds
 from bibdea.model import left_sum
@@ -165,6 +170,45 @@ def highs_scores(inputs: np.ndarray, outputs: np.ndarray, prices: np.ndarray):
     return te, ce
 
 
+def certify_te_by_duality(x: np.ndarray, y: np.ndarray, cost: np.ndarray):
+    """Certify every te of one SDS, staff-years ``x`` and outputs ``y``, as
+    the envelopment LP's optimum, with no LP solver: the frontier and peers
+    come from ``dea``, and the checks are this function's own products.
+
+    Each facet ``v . z >= c`` that ``dea._scores`` keeps, found in the
+    scaled coordinates of ``dea._points``, is a multiplier (dual) solution
+    if ``v >= 0``, ``c > 0`` and ``v / scale . z_j >= c`` at every unit with
+    output, ``z_j = x_j / y_j``: then te_i >= ``max c / (v / scale . z_i)``.
+    The peers of ``dea._peers`` are an envelopment (primal) solution if they
+    cover a unit's output from at most te times its inputs: then te_i is at
+    most the reported te. Both bounds must meet it: the worst dual
+    violation, dual gap and primal slack, each relative, are within
+    ``_FEAS_TOL``.
+    """
+    (te, _, _), frontier = dea._scores("S", range(len(y)), x, y, cost)
+    if frontier is None:
+        assert not te.any()
+        return
+    pos, _, z, front, ratio, facets = frontier
+    _, v, c, _ = facets
+    te, x, y = te[pos], x[pos], y[pos]
+    assert (v >= 0).all() and (c > 0).all() and (te > 0).all()
+    q = x / y[:, None]
+    scale = q[front].max(axis=0)
+    height = (q / np.where(scale > 0, scale, 1.0)) @ v.T / c  # v / scale . z_j / c
+    dual = (1 / height).max(axis=1)
+    peer, weight = dea._peers(y, z, front, te, ratio, facets)
+    made = (weight * y[peer]).sum(axis=1)
+    used = (weight[..., None] * x[peer]).sum(axis=1)
+    over = (used - te[:, None] * x).max(axis=1) / (te * x.max(axis=1))
+    worst = (
+        max(1 - height.min(), 0.0),
+        float(np.abs(dual / te - 1).max()),
+        max(float((1 - made / y).max()), float(over.max()), 0.0),
+    )
+    assert max(worst) <= _FEAS_TOL, worst
+
+
 def ce_closed_form(
     dmu0: int, inputs: np.ndarray, outputs: np.ndarray, prices: np.ndarray
 ) -> float:
@@ -250,10 +294,11 @@ def integer_cost_triples(
 
 
 def _parse_int(raw, path, line, column):
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise DataError(f"{path.name} line {line}: bad {column} value {raw!r}") from None
+    # ASCII digits with an optional sign and blanks around them; int() also
+    # reads "_" separators and non-ASCII digits
+    if not (isinstance(raw, str) and raw.isascii() and re.fullmatch("[+-]?[0-9]+", raw.strip())):
+        raise DataError(f"{path.name} line {line}: bad {column} value {raw!r}")
+    return int(raw)
 
 
 def reference_ingest_ss(staff_keys, publications_path, medians):

@@ -132,8 +132,10 @@ class TestAggregateWeighted:
             aggregate_weighted([])
 
     def test_nonpositive_weight(self):
-        with pytest.raises(DataError):
-            aggregate_weighted([((0.5, 0.5, 0.25), 0.0)])
+        # a NaN or infinite weight would make every mean NaN
+        for weight in (0.0, math.nan, math.inf):
+            with pytest.raises(DataError, match="^aggregation weights must be finite and"):
+                aggregate_weighted([((0.5, 0.5, 0.25), weight)])
 
     def test_weights_are_added_left_to_right(self):
         # 1e16 + 1.0 rounds back to 1e16 at each step; a compensated sum,

@@ -7,15 +7,13 @@ from bibdea import (
     MedianLookupError,
     MedianTable,
     PublicationRecord,
-    first_last_share_dmu,
     fractional_count,
-    fractional_count_life_science,
-    fractional_count_standard,
     positional_weights,
     scientific_strength,
     standardize_citations,
 )
 from bibdea.bibliometrics import citation_divisor, divide_citations
+from bibdea.model import NO_CATEGORIES, left_sum
 
 MEDIANS = MedianTable(entries={(2005, "A"): 4.0, (2005, "B"): 6.0, (2005, "C"): 7.0})
 
@@ -92,29 +90,29 @@ class TestStandardizeCitations:
 
 class TestFractionalCountStandard:
     def test_two_of_five(self):
-        assert fractional_count_standard(5, (1, 4)) == pytest.approx(0.4)
+        assert fractional_count(5, (1, 4), False) == pytest.approx(0.4)
 
     def test_sole_author(self):
-        assert fractional_count_standard(1, (1,)) == 1.0
+        assert fractional_count(1, (1,), False) == 1.0
 
     def test_none_of_four(self):
-        assert fractional_count_standard(4, ()) == 0.0
+        assert fractional_count(4, (), False) == 0.0
 
 
 class TestFractionalCountLifeScience:
     def test_both_ends_intramural(self):
-        assert fractional_count_life_science(6, (1, 6), True) == pytest.approx(0.80)
+        assert fractional_count(6, (1, 6), True) == pytest.approx(0.80)
 
     def test_second_author_extramural(self):
-        assert fractional_count_life_science(6, (2,), False) == pytest.approx(0.15)
+        assert fractional_count(6, (2,), True) == pytest.approx(0.15)
 
     def test_single_author(self):
-        assert fractional_count_life_science(1, (1,), True) == pytest.approx(1.0)
-        assert fractional_count_life_science(1, (1,), False) == pytest.approx(1.0)
+        assert fractional_count(1, (1,), True) == pytest.approx(1.0)
+        assert positional_weights(1, False) == pytest.approx([1.0])
 
     def test_middle_of_five_extramural(self):
         # the "all others" pool is a single author here
-        assert fractional_count_life_science(5, (3,), False) == pytest.approx(0.10)
+        assert fractional_count(5, (3,), True) == pytest.approx(0.10)
 
     def test_byline_follows_the_ingest_rule(self):
         with pytest.raises(DataError, match="total_authors must be >= 1"):
@@ -127,35 +125,37 @@ class TestFractionalCountLifeScience:
     def test_weights_sum_to_one(self, n, scheme_a):
         assert sum(positional_weights(n, scheme_a)) == pytest.approx(1.0, abs=1e-12)
 
-    @given(st.integers(min_value=1, max_value=50), st.booleans())
-    def test_full_byline_gets_everything(self, n, scheme_a):
-        f = fractional_count_life_science(n, tuple(range(1, n + 1)), scheme_a)
+    @given(st.integers(min_value=1, max_value=50))
+    def test_full_byline_gets_everything(self, n):
+        f = fractional_count(n, tuple(range(1, n + 1)), True)
         assert f == pytest.approx(1.0, abs=1e-12)
 
     @given(
         st.integers(min_value=1, max_value=30).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.sets(st.integers(min_value=1, max_value=n)),
-                st.booleans(),
-            )
+            lambda n: st.tuples(st.just(n), st.sets(st.integers(min_value=1, max_value=n)))
         )
     )
     def test_fraction_lies_in_unit_interval(self, case):
-        n, positions, scheme_a = case
-        f = fractional_count_life_science(n, tuple(positions), scheme_a)
+        n, positions = case
+        f = fractional_count(n, tuple(positions), True)
         assert -1e-12 <= f <= 1 + 1e-12
+
+
+def share(n, positions, intramural):
+    """The life-science share of ``positions`` under the given weights."""
+    return left_sum(positional_weights(n, intramural)[p - 1] for p in positions)
 
 
 class TestSchemeSelection:
     def test_both_ends_held(self):
-        assert first_last_share_dmu(6, (1, 6))
+        assert fractional_count(6, (1, 6), True) == share(6, (1, 6), True)
 
     def test_one_end_held(self):
-        assert not first_last_share_dmu(6, (1, 3))
+        assert fractional_count(6, (1, 3), True) == share(6, (1, 3), False)
+        assert share(6, (1, 3), False) != share(6, (1, 3), True)
 
     def test_single_author_is_intramural(self):
-        assert first_last_share_dmu(1, (1,))
+        assert fractional_count(1, (1,), True) == share(1, (1,), True)
 
     def test_dispatch_uses_record_flag(self):
         plain = PublicationRecord("p", 2005, 4, ("A",), 6, (1, 6), life_science=False)
@@ -163,6 +163,33 @@ class TestSchemeSelection:
         for record, expected in ((plain, 2 / 6), (life, 0.80)):
             fields = (record.total_authors, record.dmu_author_positions, record.life_science)
             assert fractional_count(*fields) == pytest.approx(expected)
+
+
+# Inputs that ingest rejects and the API once scored, or failed on with an
+# exception other than DataError.
+@pytest.mark.parametrize(
+    "call, problem",
+    [
+        (lambda: fractional_count(2.5, (1,), False), "must be integers"),
+        (lambda: fractional_count(2, (5,), False), "author positions must lie in 1..2"),
+        (lambda: fractional_count(2, (1, 1), False), "duplicate author positions"),
+        (lambda: fractional_count(3, (0,), True), "author positions must lie in 1..3"),
+        (lambda: fractional_count(3, (5,), True), "author positions must lie in 1..3"),
+        (lambda: fractional_count(0, (), False), "total_authors must be >= 1"),
+        (lambda: PublicationRecord("p", 2005.5, 3, ("A",), 1), "year must be an integer"),
+        (lambda: PublicationRecord("p", "2005", 3, ("A",), 1), "year must be an integer"),
+        (lambda: PublicationRecord("p", True, 3, ("A",), 1), "year must be an integer"),
+        (lambda: citation_divisor(2005, (), MEDIANS), f"^{NO_CATEGORIES}$"),
+    ],
+)
+def test_the_api_applies_the_ingest_rules(call, problem):
+    with pytest.raises(DataError, match=problem):
+        call()
+
+
+def test_year_is_checked_before_the_other_fields():
+    with pytest.raises(DataError, match="^p: year must be an integer$"):
+        PublicationRecord("p", 2005.5, -1, (), 0, (1, 1))
 
 
 class TestScientificStrength:

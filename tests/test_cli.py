@@ -28,7 +28,7 @@ from bibdea import (
 from bibdea.cli import main
 from bibdea.io import CONFIG_ENV_VAR
 
-from oracles import reference_report_json
+from oracles import certify_te_by_duality, reference_report_json
 
 STAFF = "tests/fixtures/pharm_chem_staff.csv"
 
@@ -672,3 +672,18 @@ def test_census_report_json_is_the_stdlib_encoding(bench, tmp_path):
     report = run_assessment(ingest(files["staff"]), apply_filter=False)
     (path,) = emit(report, ["json"], tmp_path / "out")
     assert path.read_bytes() == reference_report_json(report).encode()
+
+
+def test_every_te_of_a_national_census_is_certified_by_lp_duality(bench, tmp_path):
+    # 300 SDSs of 24-100 units, 18,469 in all: one HiGHS LP per unit would
+    # take over a minute
+    gen, _ = bench
+    files, _ = gen.census_passthrough(random.Random("big:1"), tmp_path, n_sds=300)
+    dataset = ingest(files["staff"])
+    prices = np.array(dataclasses.astuple(DEFAULT_COSTS))
+    sds = np.array([s for _, s in dataset.units])
+    starts = np.flatnonzero(np.r_[True, sds[1:] != sds[:-1]])
+    assert len(starts) == 300
+    for lo, hi in zip(starts, np.r_[starts[1:], len(sds)]):
+        x, y = dataset.years[lo:hi], dataset.ss[lo:hi]
+        certify_te_by_duality(x, y, x @ prices)

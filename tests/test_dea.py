@@ -32,6 +32,7 @@ from benchmarks import PHARM_CHEM
 from oracles import (
     ce_by_enumeration,
     ce_closed_form,
+    certify_te_by_duality,
     highs_scores,
     reference_facets,
     reference_pareto_front,
@@ -250,6 +251,16 @@ class TestEvaluateSds:
             assert [v.hex() for v in column.tolist()] == [
                 scores[d].as_triple()[k].hex() for d in ds.dmu_ids()
             ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(unit_lists, st.integers(0, 3), st.integers(-300, 300))
+    def test_every_te_is_certified_by_lp_duality(self, units, column, exponent):
+        # one input column, or (column 3) the outputs, scaled near the float limits
+        inputs, outputs = units_sds(units)
+        cells = np.column_stack([inputs, outputs])
+        cells[:, column] *= 10.0**exponent
+        x, y = cells[:, :3], cells[:, 3]
+        certify_te_by_duality(x, y, x @ PRICES)
 
     def test_peer_search_near_the_float_limits_warns_nothing(self):
         # numpy warnings are errors under pytest. D1's peer has 2e308 times

@@ -4,7 +4,9 @@ import itertools
 import json
 import math
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -31,6 +33,7 @@ from bibdea import (
     build_median_table,
     efficiency_matrix,
     emit,
+    fractional_count,
     ingest,
     load_config,
     productivity_ratio,
@@ -287,6 +290,9 @@ class TestIngest:
             ingest(tmp_path / "nope.csv")
 
 
+_ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
 class TestMalformedCsv:
     """Structural faults in any input CSV are data errors naming file and line."""
 
@@ -369,12 +375,82 @@ class TestMalformedCsv:
         with pytest.raises(DataError, match=f"{paths[0].name} line {line}: {message}"):
             ingest(*paths)
 
+    # int() and float() read "0_5" and non-ASCII digits, which no CSV number has
+    @pytest.mark.parametrize(
+        "spell",
+        [lambda raw: "0_" + raw, lambda raw: raw.translate(_ARABIC_INDIC_DIGITS)],
+        ids=["separator", "non-ascii"],
+    )
+    @pytest.mark.parametrize(
+        "role, cell, column",
+        [
+            ("staff", 2, "fp_years"),
+            ("publications", 3, "year"),
+            ("publications", 4, "citations"),
+            ("publications", 6, "total_authors"),
+            ("publications", 7, "dmu_positions"),
+            ("medians", 0, "year"),
+            ("medians", 2, "median"),
+        ],
+    )
+    def test_number_outside_csv_syntax_is_bad(
+        self, tmp_path, fixtures_dir, role, cell, column, spell
+    ):
+        fixture, row = self.FILES[role]
+        cells = row.rstrip("\n").split(",")
+        raw = cells[cell] = spell(cells[cell])
+        with pytest.raises(DataError) as err:
+            self._ingest(tmp_path, fixtures_dir, role, (",".join(cells) + "\n").encode())
+        line = (fixtures_dir / fixture).read_text().count("\n") + 1
+        assert str(err.value) == f"{fixture} line {line}: bad {column} value {raw!r}"
+
+    @pytest.mark.parametrize("raw", ["0_2", "\u0662", "2\u00a0"])
+    def test_ss_and_mean_outside_csv_syntax_are_bad(self, tmp_path, raw):
+        staff = tmp_path / "staff.csv"
+        staff.write_text(f"dmu_id,sds_id,fp_years,ap_years,rf_years,ss\nU,S,1,0,0,{raw}\n")
+        with pytest.raises(DataError) as err:
+            ingest(staff)
+        assert str(err.value) == f"staff.csv line 2: bad ss value {raw!r}"
+        medians = tmp_path / "medians.csv"
+        medians.write_text(f"year,category,median,mean\n2005,A,0,{raw}\n")
+        staff.write_text("dmu_id,sds_id,fp_years,ap_years,rf_years\nU,S,1,0,0\n")
+        pubs = write_csv(tmp_path / "pubs.csv", PUB_HEADER, [])
+        with pytest.raises(DataError) as err:
+            ingest(staff, pubs, medians)
+        assert str(err.value) == f"medians.csv line 2: bad mean value {raw!r}"
+
     def test_repeated_column_name_reads_the_last_cell(self, tmp_path):
         staff = tmp_path / "staff.csv"
         staff.write_text(
             "dmu_id,sds_id,fp_years,ap_years,rf_years,ss,ss\nU,S,1,0,0,bad,2.5\n"
         )
         assert ingest(staff).ss.tolist() == [2.5]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.integers(-2, 12), st.just(100_001)),
+    st.lists(st.integers(-1, 14), max_size=5),
+    st.booleans(),
+)
+def test_ingest_scores_a_byline_as_fractional_count(total, positions, life_science):
+    # citations equal to the median make the row's SS its byline share
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        staff = tmp / "staff.csv"
+        staff.write_text("dmu_id,sds_id,fp_years,ap_years,rf_years\nU,S,1,0,0\n")
+        medians = tmp / "medians.csv"
+        medians.write_text("year,category,median\n2005,A,4\n")
+        byline = [total, ";".join(map(str, positions)), int(life_science)]
+        pubs = write_csv(tmp / "pubs.csv", PUB_HEADER, [["p", "U", "S", 2005, 4, "A", *byline]])
+        try:
+            expected = fractional_count(total, positions, life_science)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                ingest(staff, pubs, medians)
+            assert str(err.value) == f"pubs.csv line 2: p: {exc}"
+        else:
+            assert ingest(staff, pubs, medians).ss.tolist() == [expected]
 
 
 def _fields(dataset) -> tuple:
@@ -538,11 +614,11 @@ class TestColumnarIngestOracle:
     CORRUPTIONS = {
         "pub_id": ["", "P0"],
         "dmu_id": ["Ghost", "U7"],
-        "year": ["2006", "20x5", "", "2004"],
-        "citations": ["0", "5", "-3", "x", "", "40"],
+        "year": ["2006", "20x5", "", "2004", "2_004"],
+        "citations": ["0", "5", "-3", "x", "", "40", "4_0"],
         "categories": ["", "C1;C9", "C0;C0", ";C1", "C4;C3"],
-        "total_authors": ["0", "1", "2", "20", "x"],
-        "dmu_positions": ["", "1;1", "9", "0", "2;1", "x"],
+        "total_authors": ["0", "1", "2", "20", "x", "\u0662"],
+        "dmu_positions": ["", "1;1", "9", "0", "2;1", "x", "1;\u0661"],
         "life_science": ["1", "0", "2", ""],
         "median": ["0", "3.5"],
         "mean": ["", "0", "2.2"],
