@@ -6,7 +6,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import DataError, DmuInput, EfficiencyScores
+from .model import DataError, DmuInput, EfficiencyScores, _floats
 
 Triple = tuple[float, float, float]  # (te, ae, ce)
 
@@ -75,7 +75,7 @@ def percentile_ranks(scores: Sequence[float]) -> list[float]:
     """
     if len(scores) < 2:
         raise DataError("percentile rank is undefined for fewer than two scores")
-    values = np.asarray(scores, dtype=float)
+    values = _floats(scores)
     if np.isnan(values).any():
         raise DataError("percentile rank is undefined for a NaN score")
     return _percentile_ranks(values, np.zeros(values.size, dtype=np.intp))
@@ -103,12 +103,15 @@ def _percentile_ranks(scores: np.ndarray, group: np.ndarray) -> list:
 
 
 def aggregate_weighted(rows: Sequence[tuple[Triple, float]]) -> AggregateScores:
-    """Weighted mean of (te, ae, ce) triples; weights are staff costs in k EUR."""
+    """Weighted mean of (te, ae, ce) triples in [0, 1]; weights are staff
+    costs in k EUR."""
     if not rows:
         raise DataError("cannot aggregate an empty list of rows")
-    scores, weights = zip(*rows)
+    scores, weights = map(_floats, zip(*rows))
+    if scores.shape != (len(rows), 3) or not ((scores >= 0) & (scores <= 1)).all():
+        raise DataError("aggregated scores must be (te, ae, ce) triples in [0, 1]")
     group = np.zeros(len(rows), dtype=np.intp)
-    total, te, ae, ce = _aggregates(group, np.array(weights, float), *np.array(scores, float).T)
+    total, te, ae, ce = _aggregates(group, weights, *scores.T)
     return AggregateScores(float(te[0]), float(ae[0]), float(ce[0]), float(total[0]))
 
 
@@ -126,7 +129,7 @@ def _aggregates(group: np.ndarray, weights: np.ndarray, *scores: np.ndarray) -> 
 def histogram(scores: Sequence[float]) -> Histogram:
     """Bin scores over [0, 1], :data:`BIN_WIDTH` wide; the final bin is
     closed so 1.0 is counted."""
-    values = np.asarray(scores, dtype=float)
+    values = _floats(scores)
     if not values.size:
         raise DataError("cannot build a histogram from no scores")
     if not ((values >= 0) & (values <= 1)).all():
@@ -232,7 +235,7 @@ def rank_divergence(
         raise DataError("rank divergence of an empty DMU set")
 
     def ranks(scores: Mapping[str, float]) -> np.ndarray:
-        values = np.array([scores[k] for k in scores_by_ce], dtype=float)
+        values = _floats([scores[k] for k in scores_by_ce])
         if np.isnan(values).any():
             raise DataError("rank divergence is undefined for a NaN score")
         return values.size + 1 - np.searchsorted(np.sort(values), values + TIE_TOL, side="right")

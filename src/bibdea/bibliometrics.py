@@ -94,7 +94,7 @@ def positional_weights(total_authors: int, first_last_same_university: bool) -> 
     (the middle pool may be empty, roles may coincide), so the vector is
     renormalized to sum to exactly 1 while keeping the relative proportions.
     """
-    if (problem := byline_problem(total_authors, ())) is not None:
+    if (problem := byline_problem(total_authors, (), True)) is not None:
         raise DataError(problem)
     n = total_authors
     w = [0.0] * n
@@ -130,7 +130,7 @@ def fractional_count(
     the ingest rule (:func:`~bibdea.model.byline_problem`) is a
     :class:`DataError`.
     """
-    if (problem := byline_problem(total_authors, dmu_author_positions)) is not None:
+    if (problem := byline_problem(total_authors, dmu_author_positions, life_science)) is not None:
         raise DataError(problem)
     if not life_science:
         return len(dmu_author_positions) / total_authors

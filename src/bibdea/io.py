@@ -485,23 +485,25 @@ def emit(
 
 
 # report.json is the report's fields as ``json.dumps(..., sort_keys=True,
-# indent=2)`` lays them out, byte for byte. The stdlib encodes indented JSON
-# in pure Python, a value at a time, and the score rows are 94-98% of the
-# text; so ``json.dumps`` lays out the document with every ``rows`` list
-# empty, and the rows are encoded here a column at a time, each filled into
-# one template of its sorted field names. They are joined back in where the
-# text reads ``"rows": []``, in document order: sorted keys put the
-# institutions before the SDSs. No other text reads so: a JSON string
-# escapes its ``"``, so the ``"`` after ``rows`` ends a key whose value is an
-# empty list, and keys with list values are field names, not ids.
+# indent=2)`` lays them out, byte for byte, with each score row under its
+# SDS and an institution's rows as references ``{"sds_id": ...}`` to them.
+# The stdlib encodes indented JSON a value at a time, in pure Python; so
+# ``json.dumps`` lays out the document with every ``rows`` list empty, and
+# the rows are encoded here a column at a time, each filled into a template
+# of its sorted field names. They are joined back in where the text reads
+# ``"rows": []``, in document order: sorted keys put the institutions
+# before the SDSs. No other text reads so: a JSON string escapes its ``"``,
+# so the ``"`` after ``rows`` ends a key whose value is an empty list, and
+# keys with list values are field names, not ids.
 
 # float.__repr__ spells the non-finite floats as Python does, json.dumps as
 # JavaScript does.
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _NO_ROWS = '"rows": []'
 _ROW_FIELDS = sorted(ScoreRow._fields)
-# a score row at nesting 4, a %s for each value at nesting 5
+# a row at nesting 4, a %s for each value at nesting 5
 _ROW_TEMPLATE = "{" + ",".join(f'\n          "{n}": %s' for n in _ROW_FIELDS) + "\n        }"
+_REF_TEMPLATE = '{\n          "sds_id": %s\n        }'
 
 
 def _json_column(values: Sequence) -> Iterable[str]:
@@ -519,21 +521,15 @@ def _json_column(values: Sequence) -> Iterable[str]:
     return [json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + " " * 10) for v in values]
 
 
+def _json_rows(template: str, *columns: Sequence) -> str:
+    """A ``rows`` list whose rows fill ``template`` with the values of ``columns``."""
+    items = ",\n        ".join(map(template.__mod__, zip(*map(_json_column, columns))))
+    return f'"rows": [\n        {items}\n      ]' if items else _NO_ROWS
+
+
 def _report_json(report: AssessmentReport) -> str:
-    """The text of report.json. Rows are encoded an SDS at a time, and a
-    row met again, such as an SDS's row in its institution, keeps its text."""
-    text: dict[int, str] = {}  # id of a ScoreRow -> its JSON
-
-    def rows_text(rows) -> str:
-        if new := [row for row in rows if id(row) not in text]:
-            columns = _score_columns(new)
-            values = zip(*(_json_column(columns[n]) for n in _ROW_FIELDS))
-            text.update(zip(map(id, new), map(_ROW_TEMPLATE.__mod__, values)))
-        items = ",\n        ".join([text[id(row)] for row in rows])
-        return f'"rows": [\n        {items}\n      ]' if rows else _NO_ROWS
-
+    """The text of report.json."""
     results = sorted(report.sds_results.items())
-    sds_rows = [rows_text(res.rows) for _, res in results]
     document = {
         "census_date": report.census_date,
         "eligibility": list(map(vars, report.eligibility)),
@@ -555,7 +551,10 @@ def _report_json(report: AssessmentReport) -> str:
     }
     pieces = json.dumps(document, sort_keys=True, indent=2).split(_NO_ROWS)
     # each piece is followed by its rows, the last by the file's final newline
-    blocks = [*(rows_text(inst.rows) for inst in report.institutions), *sds_rows, "\n"]
+    blocks = [_json_rows(_REF_TEMPLATE, [r.sds_id for r in i.rows]) for i in report.institutions]
+    for _, res in results:
+        blocks.append(_json_rows(_ROW_TEMPLATE, *map(_score_columns(res.rows).get, _ROW_FIELDS)))
+    blocks.append("\n")
     return "".join(itertools.chain.from_iterable(zip(pieces, blocks, strict=True)))
 
 

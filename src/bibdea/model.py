@@ -85,7 +85,9 @@ class PublicationRecord:
         if problem is None and not self.categories:
             problem = NO_CATEGORIES
         if problem is None:
-            problem = byline_problem(self.total_authors, self.dmu_author_positions)
+            problem = byline_problem(
+                self.total_authors, self.dmu_author_positions, self.life_science
+            )
         if problem is not None:
             raise DataError(f"{self.pub_id}: {problem}")
 
@@ -101,12 +103,15 @@ def citations_problem(citations: int) -> str | None:
     return None
 
 
-def byline_problem(total_authors: int, positions: tuple[int, ...]) -> str | None:
+def byline_problem(total_authors: int, positions: Sequence[int], life_science: bool) -> str | None:
     """What is wrong with a byline, or None if it is valid.
 
-    ``total_authors`` must lie in ``1..MAX_AUTHORS`` and the unit's
-    ``positions`` must be distinct and lie in ``1..total_authors``, all ints.
+    ``life_science`` must be a bool, ``total_authors`` must lie in
+    ``1..MAX_AUTHORS`` and the unit's ``positions`` must be distinct and lie
+    in ``1..total_authors``, all ints.
     """
+    if type(life_science) is not bool:  # "0" and 0 would select a scheme by truth
+        return "life_science must be a bool"
     # Ingest passes plain ints, which skip the slow abstract-class check.
     ints = (total_authors, *positions)
     if not all(type(n) is int or isinstance(n, Integral) and type(n) is not bool for n in ints):

@@ -371,7 +371,8 @@ def reference_ingest_ss(staff_keys, publications_path, medians):
 
 def reference_report_json(report) -> str:
     """report.json's text: the report's fields through ``dataclasses.asdict``
-    and the standard library's indented, key-sorted encoder."""
+    and the standard library's indented, key-sorted encoder, with each score
+    row under its SDS and an institution's rows as ``{"sds_id": ...}``."""
     document = {
         "ss_mode": report.ss_mode,
         "census_date": report.census_date,
@@ -391,7 +392,7 @@ def reference_report_json(report) -> str:
         "institutions": [
             {
                 "dmu_id": inst.dmu_id,
-                "rows": [r._asdict() for r in inst.rows],
+                "rows": [{"sds_id": r.sds_id} for r in inst.rows],
                 "aggregate": dataclasses.asdict(inst.aggregate),
             }
             for inst in report.institutions

@@ -114,6 +114,25 @@ class TestPercentileRank:
         assert percentile_ranks([0.5, 0.5 - 2 * TIE_TOL]) == [100.0, 0.0]
 
 
+# Since datasets read a string as NaN, the analytics API does too, and its
+# NaN and range checks reject it; numpy used to read "0.5" as 0.5.
+@pytest.mark.parametrize(
+    "call, problem",
+    [
+        (lambda: histogram(["0.5", "1"]), "histogram scores must lie in"),
+        (lambda: percentile_ranks(["0.5", "0.7"]), "undefined for a NaN score"),
+        (lambda: percentile_rank(["0.5", "0.7"], "0.5"), "undefined for a NaN score"),
+        (lambda: rank_divergence({"a": "1", "b": 0.5}, {"a": 1.0, "b": 0.5}), "NaN score"),
+        (lambda: rank_divergence({"a": 1.0, "b": 0.5}, {"a": 1.0, "b": "1"}), "NaN score"),
+        (lambda: aggregate_weighted([(("0.5", 0.5, 0.25), 1.0)]), "aggregated scores must"),
+        (lambda: aggregate_weighted([((0.5, 0.5, 0.25), "1")]), "aggregation weights must"),
+    ],
+)
+def test_strings_are_not_numbers(call, problem):
+    with pytest.raises(DataError, match=problem):
+        call()
+
+
 class TestAggregateWeighted:
     def test_reference_portfolio_aggregate(self):
         rows = [((te, ae, ce), cost) for _, cost, te, ae, ce in BIOLOGY_AREA]
@@ -136,6 +155,14 @@ class TestAggregateWeighted:
         for weight in (0.0, math.nan, math.inf):
             with pytest.raises(DataError, match="^aggregation weights must be finite and"):
                 aggregate_weighted([((0.5, 0.5, 0.25), weight)])
+
+    @pytest.mark.parametrize(
+        "scores", [(math.nan, 0.5, 0.5), (2.0, 0.5, 0.5), (0.5, -1.0, 0.5), (0.5, 0.5)]
+    )
+    def test_scores_must_be_triples_in_the_unit_interval(self, scores):
+        rows = [(scores, 1.0), ((0.5, 0.5, 0.25), 1.0)]
+        with pytest.raises(DataError, match=r"^aggregated scores must be \(te, ae, ce\) triples"):
+            aggregate_weighted(rows)
 
     def test_weights_are_added_left_to_right(self):
         # 1e16 + 1.0 rounds back to 1e16 at each step; a compensated sum,

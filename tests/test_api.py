@@ -1,3 +1,4 @@
+import inspect
 import os
 import re
 import subprocess
@@ -16,10 +17,9 @@ def test_readme_entry_points_are_exported():
     block = text.split("## Library entry points", 1)[1].split("```python", 1)[1]
     imported = block.split("from bibdea import (", 1)[1].split(")", 1)[0]
     names = re.findall(r"\b[A-Za-z_]\w*\b", re.sub(r"#.*", "", imported))
-    assert len(names) >= 15
-    for name in names:
-        assert name in bibdea.__all__, name
-        assert callable(getattr(bibdea, name)), name
+    # the block lists each exported function once, and nothing else
+    functions = [n for n in bibdea.__all__ if inspect.isfunction(getattr(bibdea, n))]
+    assert sorted(names) == sorted(functions)
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])

@@ -187,6 +187,16 @@ def test_the_api_applies_the_ingest_rules(call, problem):
         call()
 
 
+@pytest.mark.parametrize("flag", ["0", "1", 0, 1, None])
+def test_life_science_flag_must_be_a_bool(flag):
+    # "0" is truthy and 0 is not: a flag read by truth could pick the scheme
+    # that ingest does not pick for the cell 0
+    with pytest.raises(DataError, match="^life_science must be a bool$"):
+        fractional_count(6, (2,), flag)
+    with pytest.raises(DataError, match="^p: life_science must be a bool$"):
+        PublicationRecord("p", 2005, 4, ("A",), 6, (2,), life_science=flag)
+
+
 def test_year_is_checked_before_the_other_fields():
     with pytest.raises(DataError, match="^p: year must be an integer$"):
         PublicationRecord("p", 2005.5, -1, (), 0, (1, 1))

@@ -1360,6 +1360,34 @@ def _odd_reports(draw):
     )
 
 
+def _hand_report(sds_rows, institution_rows):
+    """A report put together by hand from each SDS's rows and each
+    institution's rows, with one histogram and aggregate throughout."""
+    hist = Histogram((1, 0, 0, 0, 1), 0.5)
+    return AssessmentReport(
+        ss_mode="passthrough",
+        census_date="2004-12-31",
+        quadrant_threshold=0.5,
+        reporting_precision=3,
+        eligibility=(),
+        sds_results={
+            sds_id: SdsResult(
+                sds_id, rows, dict.fromkeys(("te", "ae", "ce"), hist), QuadrantSummary(0, 0, 1, 0)
+            )
+            for sds_id, rows in sds_rows.items()
+        },
+        institutions=tuple(
+            InstitutionResult(dmu_id, rows, AggregateScores(0.8, 0.5, 0.4, 200.0))
+            for dmu_id, rows in institution_rows.items()
+        ),
+    )
+
+
+def _hand_row(dmu_id, sds_id):
+    scores = (0.8, 0.5, 0.4, 200.0, 1.0, 50.0, 0.0, 100.0)
+    return ScoreRow(dmu_id, sds_id, 1.5, 1.0, 0.5, 0.0, *scores)
+
+
 class TestReportJson:
     """``emit``'s report.json, byte for byte against the standard library's
     indented, key-sorted encoding of the report's fields."""
@@ -1458,6 +1486,55 @@ class TestReportJson:
             ("U3", 1),
         ]
         self.assert_matches_reference(report, tmp_path)
+
+    @pytest.mark.parametrize("census", ["pharm_chem", "lab", "odd"])
+    def test_institution_rows_reference_their_sds_rows(self, fixtures_dir, tmp_path, census):
+        # Each score row is written once, under its SDS; an institution names
+        # the SDS of each of its rows, in the order of InstitutionResult.rows
+        if census == "odd":
+            dataset = ingest(_odd_census(tmp_path / "staff.csv"))
+        elif census == "lab":
+            dataset = ingest(*(fixtures_dir / f"lab_{f}.csv" for f in ("staff", "pubs", "medians")))
+        else:
+            dataset = ingest(fixtures_dir / "pharm_chem_staff.csv")
+        report = run_assessment(dataset, apply_filter=census == "pharm_chem")
+        out = tmp_path / "out"
+        emit(report, ["json", "csv"], out)
+        payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        with open(out / "institutions.csv", newline="", encoding="utf-8") as fh:
+            n_sds = [int(line["n_sds"]) for line in csv.DictReader(fh)]
+        entries = payload["institutions"]
+        assert [e["dmu_id"] for e in entries] == [i.dmu_id for i in report.institutions]
+        assert [len(e["rows"]) for e in entries] == n_sds
+        for entry, inst in zip(entries, report.institutions, strict=True):
+            assert all(list(ref) == ["sds_id"] for ref in entry["rows"])
+            assert [ref["sds_id"] for ref in entry["rows"]] == [r.sds_id for r in inst.rows]
+            for ref, row in zip(entry["rows"], inst.rows):
+                sds_rows = payload["sds"][ref["sds_id"]]["rows"]
+                assert [r for r in sds_rows if r["dmu_id"] == entry["dmu_id"]] == [row._asdict()]
+        if census == "odd":
+            assert max(n_sds) > 1
+
+    def test_institution_without_rows(self, tmp_path):
+        row = _hand_row("U1", "S/01")
+        report = _hand_report({"S/01": (row,)}, {"U1": (row,), "U2": ()})
+        self.assert_matches_reference(report, tmp_path)
+        payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert [e["rows"] for e in payload["institutions"]] == [[{"sds_id": "S/01"}], []]
+
+    def test_sds_ids_that_need_escaping_in_institution_rows(self, tmp_path):
+        ids = ['"rows": []', "東京/01", 'MED "02"', 'x\\"rows\\": []']
+        rows = {sds_id: (_hand_row("U1", sds_id), _hand_row("U2", sds_id)) for sds_id in ids}
+        report = _hand_report(rows, {
+            "U1": tuple(rows[s][0] for s in reversed(ids)),
+            "U2": (rows[ids[2]][1], rows[ids[0]][1]),
+        })
+        self.assert_matches_reference(report, tmp_path)
+        payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert [[r["sds_id"] for r in e["rows"]] for e in payload["institutions"]] == [
+            ids[::-1],
+            [ids[2], ids[0]],
+        ]
 
     def test_ids_that_need_escaping(self, tmp_path):
         staff = _odd_census(tmp_path / "staff.csv")
