@@ -6,7 +6,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import DataError, DmuInput, EfficiencyScores, _floats
+from .model import (
+    DataError,
+    DmuInput,
+    EfficiencyScores,
+    _check_rows,
+    _floats,
+    count_problem,
+    fraction_problem,
+)
 
 Triple = tuple[float, float, float]  # (te, ae, ce)
 
@@ -166,6 +174,8 @@ def efficiency_matrix(
 ) -> QuadrantSummary:
     """Classify DMUs by (te >= threshold, ae >= threshold), where a score
     within :data:`TIE_TOL` below the threshold reaches it."""
+    if (problem := fraction_problem(threshold)) is not None:
+        raise DataError(f"threshold {problem}")
     if not scores:
         raise DataError("cannot classify an empty score map")
     te, ae = np.array([(s.te, s.ae) for s in scores.values()], dtype=float).T
@@ -184,9 +194,12 @@ def _quadrant_counts(te: np.ndarray, ae: np.ndarray, group: np.ndarray, threshol
 
 def productivity_ratio(ss: float, dmu: DmuInput) -> float:
     """Output per staff-year, the naive single-ratio productivity index, as
-    a float: the unit's entry of :func:`_per_staff_year`."""
+    a float: the unit's entry of :func:`_per_staff_year`. ``ss`` is read and
+    checked as a dataset reads and checks an output."""
+    ss = _floats([ss])
+    _check_rows([(dmu.dmu_id, dmu.sds_id)], ss, [])
     years = np.array([[dmu.fp_years, dmu.ap_years, dmu.rf_years]], dtype=float)
-    return float(_per_staff_year(np.array([ss], dtype=float), years)[0])
+    return float(_per_staff_year(ss, years)[0])
 
 
 def _per_staff_year(ss: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -208,10 +221,14 @@ def eligibility_filter(
     meaningful output proxy for the field); ``universities_active`` guards
     robustness of the frontier estimate.
     """
-    if universities_active < 0:
-        raise DataError("universities_active must be >= 0")
-    if not 0 <= fraction_publishing <= 1:
-        raise DataError("fraction_publishing must lie in [0, 1]")
+    for name, value, rule in (
+        ("universities_active", universities_active, count_problem),
+        ("fraction_publishing", fraction_publishing, fraction_problem),
+        ("min_active", min_active, count_problem),
+        ("min_fraction", min_fraction, fraction_problem),
+    ):
+        if (problem := rule(value)) is not None:
+            raise DataError(f"{name} {problem}")
     failed = []
     if fraction_publishing < min_fraction:
         failed.append("significance")

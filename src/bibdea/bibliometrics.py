@@ -94,6 +94,8 @@ def positional_weights(total_authors: int, first_last_same_university: bool) -> 
     (the middle pool may be empty, roles may coincide), so the vector is
     renormalized to sum to exactly 1 while keeping the relative proportions.
     """
+    if type(first_last_same_university) is not bool:  # "0" would select the intramural weights
+        raise DataError("first_last_same_university must be a bool")
     if (problem := byline_problem(total_authors, (), True)) is not None:
         raise DataError(problem)
     n = total_authors

@@ -36,22 +36,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bibdea", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_out=True):
+    def add_common(p, *flags):
+        """The input options, and each of ``flags``: the options the verb acts on."""
         p.add_argument("--staff", required=True, help="staff-years CSV")
         p.add_argument("--publications", help="publications CSV (computed mode)")
         p.add_argument("--medians", help="reference medians CSV (computed mode)")
         p.add_argument("--config", help=f"config JSON (default ${io.CONFIG_ENV_VAR})")
-        p.add_argument(
-            "--threshold-quadrant",
-            type=float,
-            help="override the efficiency-matrix threshold",
-        )
-        p.add_argument(
-            "--no-filter",
-            action="store_true",
-            help="assess every SDS, ignoring the eligibility criteria",
-        )
-        if with_out:
+        if "--threshold-quadrant" in flags:
+            p.add_argument(
+                "--threshold-quadrant",
+                type=float,
+                help="override the efficiency-matrix threshold",
+            )
+        if "--no-filter" in flags:
+            p.add_argument(
+                "--no-filter",
+                action="store_true",
+                help="assess every SDS, ignoring the eligibility criteria",
+            )
+        if "--out" in flags:
             p.add_argument("--out", help="output directory")
             p.add_argument(
                 "--format",
@@ -60,20 +63,20 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p = sub.add_parser("assess", help="run the full assessment")
-    add_common(p)
+    add_common(p, "--threshold-quadrant", "--no-filter", "--out")
     p.set_defaults(out="report")
 
     p = sub.add_parser("sds-report", help="score table of one SDS")
     p.add_argument("sds_id")
-    add_common(p)
+    add_common(p, "--threshold-quadrant", "--no-filter", "--out")
     p.set_defaults(out=None)
 
     p = sub.add_parser("institution-report", help="one university across its SDSs")
     p.add_argument("dmu_id")
-    add_common(p, with_out=False)
+    add_common(p, "--no-filter")
 
     p = sub.add_parser("validate", help="ingest and cross-reference only")
-    add_common(p, with_out=False)
+    add_common(p)
     return parser
 
 

@@ -29,6 +29,8 @@ pipeline calls it directly. An ``SdsDataset`` and the columns of an
 ``AssessmentDataset`` are checked when they are built.
 """
 
+from numbers import Integral
+
 import numpy as np
 
 from .model import (
@@ -39,6 +41,7 @@ from .model import (
     EfficiencyScores,
     SdsDataset,
     SolverError,
+    _floats,
     _staff_costs,
 )
 
@@ -268,7 +271,7 @@ def technical_efficiency(dmu0: int, ds: SdsDataset) -> tuple[float, dict[str, fl
     Each call scores the whole SDS through :func:`evaluate_sds`,
     so to score every unit call that once instead.
     """
-    scores = evaluate_sds(ds)[ds.members[dmu0][0].dmu_id]
+    scores = evaluate_sds(ds)[ds.members[_member(dmu0, ds)][0].dmu_id]
     return scores.te, scores.reference_weights
 
 
@@ -278,15 +281,29 @@ def cost_efficiency(dmu0: int, ds: SdsDataset, costs: CostVector = DEFAULT_COSTS
     Each call scores the whole SDS through :func:`score_sds`,
     so to score every unit call that once instead.
     """
-    return float(score_sds(ds, costs)[2][dmu0])
+    i = _member(dmu0, ds)
+    return float(score_sds(ds, costs)[2][i])
+
+
+def _member(dmu0: int, ds: SdsDataset) -> int:
+    """``dmu0``, checked to be an int, not a bool, in ``0..len(ds) - 1``: an
+    index of ``ds.members``, counted from the front."""
+    if not isinstance(dmu0, Integral) or isinstance(dmu0, bool) or not 0 <= dmu0 < len(ds):
+        raise DataError(f"dmu0 must be an integer in 0..{len(ds) - 1}, not {dmu0!r}")
+    return int(dmu0)
 
 
 def allocative_efficiency(te, ce):
     """CE / TE, with the nil-output convention that te = 0 maps to 0.
 
-    ``te`` and ``ce`` are two scores, or two arrays of them taken pairwise.
+    ``te`` and ``ce`` are two scores, or two arrays of them taken pairwise,
+    read by the datasets' float rule; each must lie in [0, 1].
     """
-    te, ce = np.asarray(te, dtype=float), np.asarray(ce, dtype=float)
+    te, ce = _floats(te), _floats(ce)
+    for name, score in (("te", te), ("ce", ce)):
+        bad = ~((score >= 0) & (score <= 1))
+        if bad.any():
+            raise DataError(f"{name}={float(score[bad].flat[0])} outside [0, 1]")
     over = ce > te + CLAMP_TOL
     if over.any():
         raise SolverError(

@@ -40,7 +40,6 @@ import operator
 import os
 import re
 import statistics
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -56,6 +55,7 @@ from .model import (
     citations_problem,
     left_sum,
     staff_years_problems,
+    year_problem,
 )
 from .report import AssessmentConfig, AssessmentReport, ScoreRow, SdsResult
 
@@ -383,15 +383,19 @@ def ingest(
 
 
 def build_median_table(
-    citations_by_key: Iterable[tuple[int, str, float]]
+    citations_by_key: Iterable[tuple[int, str, int]]
 ) -> MedianTable:
     """Build a reference table from raw per-publication citation counts.
 
     Medians use the midpoint of the two central order statistics for even
-    counts; means are recorded alongside for the zero-median fallback.
+    counts; means are recorded alongside for the zero-median fallback. A
+    year or count that a :class:`PublicationRecord` would reject is a
+    :class:`DataError`.
     """
-    grouped: dict[tuple[int, str], list[float]] = {}
+    grouped: dict[tuple[int, str], list[int]] = {}
     for year, category, citations in citations_by_key:
+        if problem := year_problem(year) or citations_problem(citations):
+            raise DataError(f"({year!r}, {category!r}): {problem}")
         grouped.setdefault((year, category), []).append(citations)
     return MedianTable(
         entries={key: float(statistics.median(vals)) for key, vals in grouped.items()},
@@ -484,57 +488,25 @@ def emit(
     return written
 
 
-# report.json is the report's fields as ``json.dumps(..., sort_keys=True,
-# indent=2)`` lays them out, byte for byte, with each score row under its
-# SDS and an institution's rows as references ``{"sds_id": ...}`` to them.
-# The stdlib encodes indented JSON a value at a time, in pure Python; so
-# ``json.dumps`` lays out the document with every ``rows`` list empty, and
-# the rows are encoded here a column at a time, each filled into a template
-# of its sorted field names. They are joined back in where the text reads
-# ``"rows": []``, in document order: sorted keys put the institutions
-# before the SDSs. No other text reads so: a JSON string escapes its ``"``,
-# so the ``"`` after ``rows`` ends a key whose value is an empty list, and
-# keys with list values are field names, not ids.
-
-# float.__repr__ spells the non-finite floats as Python does, json.dumps as
-# JavaScript does.
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_NO_ROWS = '"rows": []'
-_ROW_FIELDS = sorted(ScoreRow._fields)
-# a row at nesting 4, a %s for each value at nesting 5
-_ROW_TEMPLATE = "{" + ",".join(f'\n          "{n}": %s' for n in _ROW_FIELDS) + "\n        }"
-_REF_TEMPLATE = '{\n          "sds_id": %s\n        }'
-
-
-def _json_column(values: Sequence) -> Iterable[str]:
-    """The JSON text of each value at nesting 5, a column of floats or of strings at once."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        # The sum is finite only if every value is.
-        if math.isfinite(sum(values)):
-            return map(float.__repr__, values)
-        text = list(map(float.__repr__, values))
-        return map(_JSON_FLOATS.get, text, text)
-    if kinds == {str}:
-        return map(encode_basestring_ascii, values)
-    # json.dumps lays out a list or object from nesting 0
-    return [json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + " " * 10) for v in values]
-
-
-def _json_rows(template: str, *columns: Sequence) -> str:
-    """A ``rows`` list whose rows fill ``template`` with the values of ``columns``."""
-    items = ",\n        ".join(map(template.__mod__, zip(*map(_json_column, columns))))
-    return f'"rows": [\n        {items}\n      ]' if items else _NO_ROWS
-
-
 def _report_json(report: AssessmentReport) -> str:
-    """The text of report.json."""
-    results = sorted(report.sds_results.items())
-    document = {
+    """The text of report.json. Without ``indent``, ``json.dumps`` runs the
+    stdlib's C encoder; the document is freed before the newline is added,
+    so that it and two copies of the text are never held at once."""
+    return json.dumps(_report_document(report), sort_keys=True) + "\n"
+
+
+def _report_document(report: AssessmentReport) -> dict:
+    """The report's fields, with each score row under its SDS and an
+    institution's rows as references ``{"sds_id": ...}`` to them."""
+    return {
         "census_date": report.census_date,
         "eligibility": list(map(vars, report.eligibility)),
         "institutions": [
-            {"aggregate": vars(inst.aggregate), "dmu_id": inst.dmu_id, "rows": []}
+            {
+                "aggregate": vars(inst.aggregate),
+                "dmu_id": inst.dmu_id,
+                "rows": [{"sds_id": row.sds_id} for row in inst.rows],
+            }
             for inst in report.institutions
         ],
         "quadrant_threshold": report.quadrant_threshold,
@@ -543,19 +515,12 @@ def _report_json(report: AssessmentReport) -> str:
             sds_id: {
                 "histograms": {key: vars(h) for key, h in res.histograms.items()},
                 "quadrants": vars(res.quadrants),
-                "rows": [],
+                "rows": [dict(zip(ScoreRow._fields, row)) for row in res.rows],
             }
-            for sds_id, res in results
+            for sds_id, res in report.sds_results.items()
         },
         "ss_mode": report.ss_mode,
     }
-    pieces = json.dumps(document, sort_keys=True, indent=2).split(_NO_ROWS)
-    # each piece is followed by its rows, the last by the file's final newline
-    blocks = [_json_rows(_REF_TEMPLATE, [r.sds_id for r in i.rows]) for i in report.institutions]
-    for _, res in results:
-        blocks.append(_json_rows(_ROW_TEMPLATE, *map(_score_columns(res.rows).get, _ROW_FIELDS)))
-    blocks.append("\n")
-    return "".join(itertools.chain.from_iterable(zip(pieces, blocks, strict=True)))
 
 
 _SCORE_HEADER = (

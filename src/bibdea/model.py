@@ -1,7 +1,8 @@
 """Shared domain types for the assessment pipeline.
 
 Everything here is an immutable container validated at construction time,
-or a check it shares with ingest; computations live in the sibling modules.
+or a check it shares with ingest, the config or the analytics API;
+computations live in the sibling modules.
 """
 
 import functools
@@ -80,8 +81,7 @@ class PublicationRecord:
     def __post_init__(self):
         object.__setattr__(self, "categories", tuple(self.categories))
         object.__setattr__(self, "dmu_author_positions", tuple(self.dmu_author_positions))
-        year_ok = isinstance(self.year, Integral) and not isinstance(self.year, bool)
-        problem = citations_problem(self.citations) if year_ok else "year must be an integer"
+        problem = year_problem(self.year) or citations_problem(self.citations)
         if problem is None and not self.categories:
             problem = NO_CATEGORIES
         if problem is None:
@@ -90,6 +90,13 @@ class PublicationRecord:
             )
         if problem is not None:
             raise DataError(f"{self.pub_id}: {problem}")
+
+
+def year_problem(year: int) -> str | None:
+    """What is wrong with a publication year, or None if it is an int, not a bool."""
+    if not isinstance(year, Integral) or isinstance(year, bool):
+        return "year must be an integer"
+    return None
 
 
 def citations_problem(citations: int) -> str | None:
@@ -124,6 +131,26 @@ def byline_problem(total_authors: int, positions: Sequence[int], life_science: b
         return "duplicate author positions"
     if any(p < 1 or p > total_authors for p in positions):
         return f"author positions must lie in 1..{total_authors}"
+    return None
+
+
+def fraction_problem(value: float) -> str | None:
+    """What is wrong with a threshold or a fraction, to follow its name, or
+    None if it is a real number, not a bool, in [0, 1]."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        return f"must be a number, not {value!r}"
+    if not 0 <= value <= 1:
+        return "must lie in [0, 1]"
+    return None
+
+
+def count_problem(value: int) -> str | None:
+    """What is wrong with a count, to follow its name, or None if it is an
+    int, not a bool, >= 0."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        return f"must be an integer, not {value!r}"
+    if value < 0:
+        return "must be >= 0"
     return None
 
 

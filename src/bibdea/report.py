@@ -5,14 +5,22 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from . import analytics, dea
 from .analytics import AggregateScores, Histogram, QuadrantSummary
-from .model import DEFAULT_COSTS, AssessmentDataset, CostVector, DataError, _staff_costs
+from .model import (
+    DEFAULT_COSTS,
+    AssessmentDataset,
+    CostVector,
+    DataError,
+    _staff_costs,
+    count_problem,
+    fraction_problem,
+)
 
 # A double carries at most 17 significant digits, and report.json keeps full
 # precision; a larger precision would only pad the tables (or, past 2**31,
@@ -30,27 +38,22 @@ class AssessmentConfig:
     census_date: str = ""  # metadata only, echoed into reports
 
     def __post_init__(self):
-        for name, kind, label in (
-            ("min_active_universities", Integral, "an integer"),
-            ("reporting_precision", Integral, "an integer"),
-            ("quadrant_threshold", Real, "a number"),
-            ("min_fraction_publishing", Real, "a number"),
+        for name, rule in (
+            ("quadrant_threshold", fraction_problem),
+            ("min_active_universities", count_problem),
+            ("min_fraction_publishing", fraction_problem),
         ):
-            value = getattr(self, name)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise DataError(f"{name} must be {label}, not {value!r}")
-        if not isinstance(self.census_date, str):
-            raise DataError(f"census_date must be a string, not {self.census_date!r}")
-        if not 0 <= self.quadrant_threshold <= 1:
-            raise DataError("quadrant_threshold must lie in [0, 1]")
-        if not 0 <= self.min_fraction_publishing <= 1:
-            raise DataError("min_fraction_publishing must lie in [0, 1]")
-        if self.min_active_universities < 0:
-            raise DataError("min_active_universities must be >= 0")
-        if not 1 <= self.reporting_precision <= MAX_REPORTING_PRECISION:
+            if (problem := rule(getattr(self, name))) is not None:
+                raise DataError(f"{name} {problem}")
+        precision = self.reporting_precision
+        if not isinstance(precision, Integral) or isinstance(precision, bool):
+            raise DataError(f"reporting_precision must be an integer, not {precision!r}")
+        if not 1 <= precision <= MAX_REPORTING_PRECISION:
             raise DataError(
                 f"reporting_precision must lie in 1..{MAX_REPORTING_PRECISION} decimals"
             )
+        if not isinstance(self.census_date, str):
+            raise DataError(f"census_date must be a string, not {self.census_date!r}")
 
 
 class ScoreRow(NamedTuple):

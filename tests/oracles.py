@@ -371,7 +371,7 @@ def reference_ingest_ss(staff_keys, publications_path, medians):
 
 def reference_report_json(report) -> str:
     """report.json's text: the report's fields through ``dataclasses.asdict``
-    and the standard library's indented, key-sorted encoder, with each score
+    and the standard library's compact, key-sorted encoder, with each score
     row under its SDS and an institution's rows as ``{"sds_id": ...}``."""
     document = {
         "ss_mode": report.ss_mode,
@@ -398,7 +398,7 @@ def reference_report_json(report) -> str:
             for inst in report.institutions
         ],
     }
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return json.dumps(document, sort_keys=True) + "\n"
 
 
 _SCORE_COLUMNS = (

@@ -401,6 +401,16 @@ class TestEfficiencyMatrix:
         q = efficiency_matrix({"a": EfficiencyScores(te=te, ae=1.0, ce=te)}, threshold=0.5)
         assert q.high_ae_low_te == 1
 
+    # "0.5" raised TypeError, and NaN or 7 put every unit in both_low
+    @pytest.mark.parametrize(
+        "threshold, problem",
+        [("0.5", "must be a number, not '0.5'"), (True, "must be a number, not True"),
+         (math.nan, "must lie in \\[0, 1\\]"), (7, "must lie in \\[0, 1\\]")],
+    )
+    def test_threshold_follows_the_config_rule(self, threshold, problem):
+        with pytest.raises(DataError, match=f"^threshold {problem}$"):
+            efficiency_matrix(pharm_chem_printed_scores(), threshold)
+
     def test_accepts_efficiency_scores_objects(self, pharm_chem_scores):
         q = efficiency_matrix(pharm_chem_scores, threshold=0.5)
         assert q.total() == 28
@@ -414,6 +424,18 @@ class TestProductivityRatio:
 
     def test_zero_output(self):
         assert productivity_ratio(0.0, DmuInput("U", "S", 1, 2, 3)) == 0.0
+
+    # numpy read "2" as 2.0, and a negative or missing output gave a ratio
+    @pytest.mark.parametrize(
+        "ss, problem",
+        [("2", "non-finite output nan"), (None, "non-finite output nan"),
+         (math.inf, "non-finite output inf"), (-1.0, "negative output -1.0")],
+    )
+    def test_output_follows_the_dataset_rule(self, ss, problem):
+        dmu = DmuInput("U", "S", 1, 1, 0)
+        assert productivity_ratio(2, dmu) == 1.0
+        with pytest.raises(DataError, match=f"^S/U: {problem}$"):
+            productivity_ratio(ss, dmu)
 
 
 class TestEligibilityFilter:
@@ -440,6 +462,26 @@ class TestEligibilityFilter:
     def test_invalid_fraction(self):
         with pytest.raises(DataError):
             eligibility_filter(10, 1.5)
+
+    # the rules of AssessmentConfig's fields; "3" raised TypeError, and 3.5
+    # and a NaN minimum fraction were taken
+    @pytest.mark.parametrize(
+        "args, problem",
+        [
+            (("3", 0.5), "universities_active must be an integer, not '3'"),
+            ((3.5, 0.5), "universities_active must be an integer, not 3.5"),
+            ((True, 0.5), "universities_active must be an integer, not True"),
+            ((-1, 0.5), "universities_active must be >= 0"),
+            ((3, "0.5"), "fraction_publishing must be a number, not '0.5'"),
+            ((3, math.nan), "fraction_publishing must lie in \\[0, 1\\]"),
+            ((3, 0.5, 2.0), "min_active must be an integer, not 2.0"),
+            ((3, 0.5, 2, math.nan), "min_fraction must lie in \\[0, 1\\]"),
+            ((3, 0.5, 2, False), "min_fraction must be a number, not False"),
+        ],
+    )
+    def test_settings_follow_the_config_rules(self, args, problem):
+        with pytest.raises(DataError, match=f"^{problem}$"):
+            eligibility_filter(*args)
 
 
 class TestRankDivergence:

@@ -197,6 +197,13 @@ def test_life_science_flag_must_be_a_bool(flag):
         PublicationRecord("p", 2005, 4, ("A",), 6, (2,), life_science=flag)
 
 
+@pytest.mark.parametrize("flag", ["0", "1", 0, 1, None])
+def test_positional_weights_flag_must_be_a_bool(flag):
+    # "0" used to select the intramural weights
+    with pytest.raises(DataError, match="^first_last_same_university must be a bool$"):
+        positional_weights(3, flag)
+
+
 def test_year_is_checked_before_the_other_fields():
     with pytest.raises(DataError, match="^p: year must be an integer$"):
         PublicationRecord("p", 2005.5, -1, (), 0, (1, 1))

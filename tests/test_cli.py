@@ -120,6 +120,23 @@ class TestValidate:
         assert err.value.code == 1
 
 
+# A verb takes only the flags it acts on: validate applies no eligibility
+# rule and no threshold, and institution-report prints no quadrants.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--no-filter"],
+        ["validate", "--threshold-quadrant", "0.3"],
+        ["institution-report", "Ferrara", "--threshold-quadrant", "0.3"],
+    ],
+)
+def test_a_flag_the_verb_ignores_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--staff", STAFF])
+    assert err.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestAssess:
     def test_writes_report(self, staff, tmp_path, capsys):
         out = tmp_path / "out"
@@ -313,6 +330,18 @@ class TestInstitutionReport:
 
     def test_unknown_institution_exits_1(self, staff, capsys):
         assert main(["institution-report", "Nowhere", "--staff", staff]) == 1
+
+    def test_no_filter_flag(self, tmp_path, capsys):
+        # both SDSs have too few universities for the default filter
+        staff = tmp_path / "staff.csv"
+        staff.write_text(
+            "dmu_id,sds_id,fp_years,ap_years,rf_years,ss\n"
+            "U1,A/01,0,5,0,2.0\nU2,A/01,1,0,0,1.0\nU1,B/01,1,0,0,1.0\n"
+        )
+        assert main(["institution-report", "U1", "--staff", str(staff)]) == 1
+        assert "no assessed institution 'U1'" in capsys.readouterr().err
+        assert main(["institution-report", "U1", "--staff", str(staff), "--no-filter"]) == 0
+        assert "A/01" in capsys.readouterr().out
 
 
 def test_console_script_end_to_end(fixtures_dir, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -179,6 +180,33 @@ class TestAllocativeEfficiency:
     def test_ce_above_te_is_inconsistent(self):
         with pytest.raises(SolverError):
             allocative_efficiency(0.5, 0.6)
+
+    # numpy read "0.5" as 0.5, and scores outside [0, 1] gave a quotient
+    @pytest.mark.parametrize(
+        "te, ce, problem",
+        [
+            ("0.5", "0.4", "te=nan"),
+            (math.nan, 0.4, "te=nan"),
+            (2.0, 1.5, "te=2.0"),
+            (-1, -2, "te=-1.0"),
+            (0.9, 1.2, "ce=1.2"),
+            ([0.5, 1.0], [0.2, -0.5], "ce=-0.5"),
+        ],
+    )
+    def test_scores_outside_the_unit_interval(self, te, ce, problem):
+        with pytest.raises(DataError, match=f"^{problem} outside \\[0, 1\\]$"):
+            allocative_efficiency(te, ce)
+
+
+# IndexError, TypeError, or the last unit scored for dmu0 = -1
+@pytest.mark.parametrize("dmu0", [2, 5, -1, True, "0", 1.0, None])
+@pytest.mark.parametrize("call", [technical_efficiency, cost_efficiency])
+def test_dmu0_is_an_index_of_the_members(call, dmu0):
+    ds = dataset([[1.0], [2.0]], [5.0, 5.0])
+    message = f"^dmu0 must be an integer in 0..1, not {re.escape(repr(dmu0))}$"
+    with pytest.raises(DataError, match=message):
+        call(dmu0, ds)
+    assert call(np.int64(1), ds) == call(1, ds)
 
 
 class TestEvaluateSds:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -695,25 +696,39 @@ class TestColumnarIngestOracle:
 
 
 class TestMedianTableBuilder:
+    # citation counts are ints, as in a PublicationRecord
     def test_even_count_midpoint(self):
-        table = build_median_table(
-            [(2005, "A", 1.0), (2005, "A", 2.0), (2005, "A", 3.0), (2005, "A", 4.0)]
-        )
+        table = build_median_table([(2005, "A", 1), (2005, "A", 2), (2005, "A", 3), (2005, "A", 4)])
         assert table.median(2005, "A") == pytest.approx(2.5)
         assert table.mean(2005, "A") == pytest.approx(2.5)
 
     def test_odd_count(self):
-        table = build_median_table([(2005, "A", 1.0), (2005, "A", 7.0), (2005, "A", 2.0)])
+        table = build_median_table([(2005, "A", 1), (2005, "A", 7), (2005, "A", 2)])
         assert table.median(2005, "A") == pytest.approx(2.0)
 
     def test_means_enable_zero_median_fallback(self):
         from bibdea import standardize_citations
 
-        table = build_median_table(
-            [(2005, "A", 0.0), (2005, "A", 0.0), (2005, "A", 0.0), (2005, "A", 8.0)]
-        )
+        table = build_median_table([(2005, "A", 0), (2005, "A", 0), (2005, "A", 0), (2005, "A", 8)])
         assert table.median(2005, "A") == 0.0
         assert standardize_citations(4, 2005, ["A"], table) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "entry, problem",
+        [
+            ((2005, "A", "3"), "citations must be an integer"),
+            ((2005, "A", 3.0), "citations must be an integer"),
+            ((2005, "A", True), "citations must be an integer"),
+            ((2005, "A", -1), "citations must be >= 0"),
+            ((2005.0, "A", 3), "year must be an integer"),
+            (("2005", "A", 3), "year must be an integer"),
+            ((True, "A", 3), "year must be an integer"),
+        ],
+    )
+    def test_entries_a_publication_record_rejects(self, entry, problem):
+        # a string count used to raise TypeError, and a float count was taken
+        with pytest.raises(DataError, match=f"^{re.escape(repr(entry[:2]))}: {problem}$"):
+            build_median_table([(2005, "A", 1), entry])
 
 
 class TestLoadConfig:
@@ -807,6 +822,24 @@ class TestLoadConfig:
         with pytest.raises(DataError) as err:
             AssessmentConfig(**{field: value})
         assert field in str(err.value)
+
+    # analytics.efficiency_matrix and eligibility_filter apply the same rules
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("quadrant_threshold", "0.5", "quadrant_threshold must be a number, not '0.5'"),
+            ("quadrant_threshold", 1.5, "quadrant_threshold must lie in [0, 1]"),
+            ("min_fraction_publishing", math.nan, "min_fraction_publishing must lie in [0, 1]"),
+            ("min_active_universities", 2.0, "min_active_universities must be an integer, not 2.0"),
+            ("min_active_universities", -1, "min_active_universities must be >= 0"),
+            ("reporting_precision", True, "reporting_precision must be an integer, not True"),
+            ("reporting_precision", -1, "reporting_precision must lie in 1..17 decimals"),
+        ],
+    )
+    def test_field_messages(self, field, value, message):
+        with pytest.raises(DataError) as err:
+            AssessmentConfig(**{field: value})
+        assert str(err.value) == message
 
 
 class TestRunAssessment:
@@ -1290,7 +1323,8 @@ _ODD_NUMBERS = st.one_of(
     st.booleans(),
 )
 _ODD_PCTS = st.none() | _ODD_NUMBERS
-# with the text that report.json's rows lists are emptied to, as is and quoted
+# with the text of an empty rows list, as is and quoted, which a writer that
+# splices rows into the text where it reads so would trip on
 _ODD_IDS = st.text(max_size=6) | st.sampled_from(
     ['"quoted"', "line\nbreak", "Università", "東京", '"rows": []', 'x\\"rows\\": []']
 )
@@ -1390,7 +1424,7 @@ def _hand_row(dmu_id, sds_id):
 
 class TestReportJson:
     """``emit``'s report.json, byte for byte against the standard library's
-    indented, key-sorted encoding of the report's fields."""
+    compact, key-sorted encoding of the report's fields."""
 
     @settings(max_examples=100, deadline=None)
     @given(report=_odd_reports())
@@ -1487,17 +1521,32 @@ class TestReportJson:
         ]
         self.assert_matches_reference(report, tmp_path)
 
-    @pytest.mark.parametrize("census", ["pharm_chem", "lab", "odd"])
-    def test_institution_rows_reference_their_sds_rows(self, fixtures_dir, tmp_path, census):
-        # Each score row is written once, under its SDS; an institution names
-        # the SDS of each of its rows, in the order of InstitutionResult.rows
+    @staticmethod
+    def census_report(fixtures_dir, tmp_path, census):
         if census == "odd":
             dataset = ingest(_odd_census(tmp_path / "staff.csv"))
         elif census == "lab":
             dataset = ingest(*(fixtures_dir / f"lab_{f}.csv" for f in ("staff", "pubs", "medians")))
         else:
             dataset = ingest(fixtures_dir / "pharm_chem_staff.csv")
-        report = run_assessment(dataset, apply_filter=census == "pharm_chem")
+        return run_assessment(dataset, apply_filter=census == "pharm_chem")
+
+    @pytest.mark.parametrize("census", ["pharm_chem", "lab", "odd"])
+    def test_file_is_the_compact_key_sorted_encoding_of_its_content(
+        self, fixtures_dir, tmp_path, census
+    ):
+        # a check of the layout that does not go through the reference
+        report = self.census_report(fixtures_dir, tmp_path, census)
+        (path,) = emit(report, ["json"], tmp_path / "out")
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        assert "\n" not in text[:-1] and text.isascii()
+
+    @pytest.mark.parametrize("census", ["pharm_chem", "lab", "odd"])
+    def test_institution_rows_reference_their_sds_rows(self, fixtures_dir, tmp_path, census):
+        # Each score row is written once, under its SDS; an institution names
+        # the SDS of each of its rows, in the order of InstitutionResult.rows
+        report = self.census_report(fixtures_dir, tmp_path, census)
         out = tmp_path / "out"
         emit(report, ["json", "csv"], out)
         payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
