@@ -84,6 +84,8 @@ def percentile_ranks(scores: Sequence[float]) -> list[float]:
     if len(scores) < 2:
         raise DataError("percentile rank is undefined for fewer than two scores")
     values = _floats(scores)
+    if values.ndim != 1:
+        raise DataError("percentile rank is undefined for scores that are not a flat sequence")
     if np.isnan(values).any():
         raise DataError("percentile rank is undefined for a NaN score")
     return _percentile_ranks(values, np.zeros(values.size, dtype=np.intp))
@@ -115,7 +117,13 @@ def aggregate_weighted(rows: Sequence[tuple[Triple, float]]) -> AggregateScores:
     costs in k EUR."""
     if not rows:
         raise DataError("cannot aggregate an empty list of rows")
-    scores, weights = map(_floats, zip(*rows))
+    try:
+        triples, weights = zip(*[(triple, weight) for triple, weight in rows])
+    except (TypeError, ValueError):  # a row that does not unpack into two
+        raise DataError("aggregated rows must be (triple, weight) pairs") from None
+    scores, weights = _floats(triples), _floats(weights)
+    if weights.shape != (len(rows),):
+        raise DataError("aggregated rows must be (triple, weight) pairs")
     if scores.shape != (len(rows), 3) or not ((scores >= 0) & (scores <= 1)).all():
         raise DataError("aggregated scores must be (te, ae, ce) triples in [0, 1]")
     group = np.zeros(len(rows), dtype=np.intp)
@@ -138,6 +146,8 @@ def histogram(scores: Sequence[float]) -> Histogram:
     """Bin scores over [0, 1], :data:`BIN_WIDTH` wide; the final bin is
     closed so 1.0 is counted."""
     values = _floats(scores)
+    if values.ndim != 1:
+        raise DataError("histogram scores must be a flat sequence")
     if not values.size:
         raise DataError("cannot build a histogram from no scores")
     if not ((values >= 0) & (values <= 1)).all():

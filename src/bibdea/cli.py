@@ -41,13 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--staff", required=True, help="staff-years CSV")
         p.add_argument("--publications", help="publications CSV (computed mode)")
         p.add_argument("--medians", help="reference medians CSV (computed mode)")
-        p.add_argument("--config", help=f"config JSON (default ${io.CONFIG_ENV_VAR})")
-        if "--threshold-quadrant" in flags:
-            p.add_argument(
-                "--threshold-quadrant",
-                type=float,
-                help="override the efficiency-matrix threshold",
-            )
+        p.add_argument("--config", help="config JSON (default: built-in settings)")
         if "--no-filter" in flags:
             p.add_argument(
                 "--no-filter",
@@ -63,12 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p = sub.add_parser("assess", help="run the full assessment")
-    add_common(p, "--threshold-quadrant", "--no-filter", "--out")
+    add_common(p, "--no-filter", "--out")
     p.set_defaults(out="report")
 
     p = sub.add_parser("sds-report", help="score table of one SDS")
     p.add_argument("sds_id")
-    add_common(p, "--threshold-quadrant", "--no-filter", "--out")
+    add_common(p, "--no-filter", "--out")
     p.set_defaults(out=None)
 
     p = sub.add_parser("institution-report", help="one university across its SDSs")
@@ -82,10 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> tuple:
     dataset = io.ingest(args.staff, args.publications, args.medians)
-    config = io.load_config(args.config)
-    if getattr(args, "threshold_quadrant", None) is not None:
-        config = dataclasses.replace(config, quadrant_threshold=args.threshold_quadrant)
-    return dataset, config
+    return dataset, io.load_config(args.config)
 
 
 def _assess(args) -> AssessmentReport:

@@ -20,13 +20,12 @@ is added left to right (:func:`_dot`), and the peer weights solve their
 3 x 3 systems by Cramer's rule, so the scores and the weights are the same
 floats whichever BLAS kernel numpy loads.
 
-:func:`score_sds` gives the three scores of an SDS as arrays and computes
-no peers. :func:`evaluate_sds` scores the same way and then searches each
-unit's peers (its reference set) on the facets already found: a triple of
-an optimal facet that combines into the contracted unit with nonnegative
-weights. Both call :func:`_scores`, which takes the SDS as columns; the
-pipeline calls it directly. An ``SdsDataset`` and the columns of an
-``AssessmentDataset`` are checked when they are built.
+:func:`evaluate_sds` scores an SDS and then searches each unit's peers
+(its reference set) on the facets already found: a triple of an optimal
+facet that combines into the contracted unit with nonnegative weights. It
+scores through :func:`_scores`, which takes the SDS as columns; the
+pipeline calls that directly and searches no peers. An ``SdsDataset`` and
+the columns of an ``AssessmentDataset`` are checked when they are built.
 """
 
 from numbers import Integral
@@ -245,24 +244,6 @@ def _scores(
     return (te, ae, te * ae), frontier
 
 
-def _score(ds: SdsDataset, costs: CostVector) -> tuple[tuple, tuple | None]:
-    """:func:`_scores` of the members of ``ds``."""
-    x = [(d.fp_years, d.ap_years, d.rf_years) for d, _ in ds.members]
-    x, y = np.array(x, dtype=float).reshape(-1, 3), np.array(ds.ss_values(), dtype=float)
-    return _scores(ds.sds_id, ds.dmu_ids(), x, y, _staff_costs(x, costs))
-
-
-def score_sds(
-    ds: SdsDataset, costs: CostVector = DEFAULT_COSTS
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """te, ae and ce of every DMU of one SDS, as arrays in member order.
-
-    DMUs with zero output score (0, 0, 0) by convention. No peers are
-    searched; :func:`evaluate_sds` gives the same scores with them.
-    """
-    return _score(ds, costs)[0]
-
-
 def technical_efficiency(dmu0: int, ds: SdsDataset) -> tuple[float, dict[str, float]]:
     """Radial input-contraction score of ``ds.members[dmu0]`` and its peers.
 
@@ -278,11 +259,11 @@ def technical_efficiency(dmu0: int, ds: SdsDataset) -> tuple[float, dict[str, fl
 def cost_efficiency(dmu0: int, ds: SdsDataset, costs: CostVector = DEFAULT_COSTS) -> float:
     """Minimum-cost-to-actual-cost ratio of ``ds.members[dmu0]``.
 
-    Each call scores the whole SDS through :func:`score_sds`,
+    Each call scores the whole SDS through :func:`evaluate_sds`,
     so to score every unit call that once instead.
     """
-    i = _member(dmu0, ds)
-    return float(score_sds(ds, costs)[2][i])
+    dmu_id = ds.members[_member(dmu0, ds)][0].dmu_id
+    return evaluate_sds(ds, costs)[dmu_id].ce
 
 
 def _member(dmu0: int, ds: SdsDataset) -> int:
@@ -300,6 +281,8 @@ def allocative_efficiency(te, ce):
     read by the datasets' float rule; each must lie in [0, 1].
     """
     te, ce = _floats(te), _floats(ce)
+    if te.shape != ce.shape:
+        raise DataError(f"te and ce must have one shape, not {te.shape} and {ce.shape}")
     for name, score in (("te", te), ("ce", ce)):
         bad = ~((score >= 0) & (score <= 1))
         if bad.any():
@@ -320,8 +303,10 @@ def evaluate_sds(
 
     DMUs with zero output score (0, 0, 0) by convention and have no peers.
     """
-    (te, ae, ce), frontier = _score(ds, costs)
     ids = ds.dmu_ids()
+    x = [(d.fp_years, d.ap_years, d.rf_years) for d, _ in ds.members]
+    x, y = np.array(x, dtype=float).reshape(-1, 3), np.array(ds.ss_values(), dtype=float)
+    (te, ae, ce), frontier = _scores(ds.sds_id, ids, x, y, _staff_costs(x, costs))
     weights: list[dict[str, float]] = [{} for _ in ids]
     if frontier is not None:
         pos, y, z, front, ratio, facets = frontier

@@ -55,11 +55,10 @@ from .model import (
     citations_problem,
     left_sum,
     staff_years_problems,
+    unit_key_problem,
     year_problem,
 )
 from .report import AssessmentConfig, AssessmentReport, ScoreRow, SdsResult
-
-CONFIG_ENV_VAR = "BIBDEA_CONFIG"
 
 _STAFF_COLUMNS = ("dmu_id", "sds_id", "fp_years", "ap_years", "rf_years")
 _PUB_COLUMNS = (
@@ -160,8 +159,8 @@ def _read_staff(path: Path):
         i_ss = column.get("ss")
         for line, row in _rows(reader, column, path):
             key = (row[i_dmu], row[i_sds])
-            if not key[0] or not key[1]:
-                raise DataError(f"{path.name} line {line}: empty dmu_id or sds_id")
+            if problem := unit_key_problem(key):
+                raise DataError(f"{path.name} line {line}: {problem}")
             if key in index:
                 raise DataError(f"{path.name} line {line}: duplicate staff row for {key}")
             index[key] = len(lines)
@@ -404,9 +403,7 @@ def build_median_table(
 
 
 def load_config(path: str | os.PathLike | None = None) -> AssessmentConfig:
-    """Load configuration, falling back to $BIBDEA_CONFIG, then defaults."""
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR) or None
+    """Load the configuration file at ``path``; without one, the defaults."""
     if path is None:
         return AssessmentConfig()
     path = Path(path)

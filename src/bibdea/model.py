@@ -92,6 +92,17 @@ class PublicationRecord:
             raise DataError(f"{self.pub_id}: {problem}")
 
 
+def unit_key_problem(key) -> str | None:
+    """What is wrong with a unit key, or None if it is a ``(dmu_id, sds_id)``
+    tuple of two non-empty strings."""
+    pair = isinstance(key, tuple) and len(key) == 2
+    if not (pair and isinstance(key[0], str) and isinstance(key[1], str)):
+        return "not a (dmu_id, sds_id) pair of strings"
+    if not (key[0] and key[1]):
+        return "empty dmu_id or sds_id"
+    return None
+
+
 def year_problem(year: int) -> str | None:
     """What is wrong with a publication year, or None if it is an int, not a bool."""
     if not isinstance(year, Integral) or isinstance(year, bool):
@@ -354,11 +365,12 @@ class AssessmentDataset:
     """Cross-referenced multi-SDS input bundle produced by ingestion.
 
     Each column holds one entry per staff row, sorted by SDS, then unit:
-    ``units`` the ``(dmu_id, sds_id)`` keys, ``years`` the n x 3 fp, ap and
-    rf staff-years and ``ss`` the outputs (the ``ss`` column, or scored at
-    ingest), read-only float arrays. ``publication_count`` counts the
-    publication rows read. run_assessment trusts the columns, so a
-    :class:`DatasetValidationError` lists every violation at construction.
+    ``units`` the ``(dmu_id, sds_id)`` keys, each a tuple of two non-empty
+    strings, ``years`` the n x 3 fp, ap and rf staff-years and ``ss`` the
+    outputs (the ``ss`` column, or scored at ingest), read-only float
+    arrays. ``publication_count`` counts the publication rows read.
+    run_assessment trusts the columns, so a :class:`DatasetValidationError`
+    lists every violation at construction.
     """
 
     units: tuple[tuple[str, str], ...]
@@ -373,6 +385,8 @@ class AssessmentDataset:
         if years.shape != (len(units), 3) or ss.shape != (len(units),):
             shapes = f"{len(units)} units, years {years.shape}, ss {ss.shape}"
             raise DatasetValidationError([f"columns of unequal length: {shapes}"])
+        if bad_keys := [f"unit {u!r}: {p}" for u in units if (p := unit_key_problem(u))]:
+            raise DatasetValidationError(bad_keys)
         order = sorted(range(len(units)), key=[(s, d) for d, s in units].__getitem__)
         units, years, ss = tuple(map(units.__getitem__, order)), years[order], ss[order]
         bad_years = [f"{units[i][1]}/{units[i][0]}: {p}" for i, p in staff_years_problems(years)]

@@ -38,6 +38,8 @@ class AssessmentConfig:
     census_date: str = ""  # metadata only, echoed into reports
 
     def __post_init__(self):
+        if not isinstance(self.costs, CostVector):
+            raise DataError(f"costs must be a CostVector, not {self.costs!r}")
         for name, rule in (
             ("quadrant_threshold", fraction_problem),
             ("min_active_universities", count_problem),

@@ -46,11 +46,11 @@ from bibdea import (
     PublicationRecord,
     ScoreRow,
     SdsDataset,
+    evaluate_sds,
     scientific_strength,
 )
 from bibdea import dea
 from bibdea.analytics import TIE_TOL
-from bibdea.dea import score_sds
 from bibdea.model import left_sum
 
 _FEAS_TOL = 1e-9
@@ -517,7 +517,7 @@ def reference_staff_cost(dmu, costs) -> float:
 
 def reference_results(dataset, config, apply_filter: bool = True):
     """The score rows of each included SDS, and each institution's rows and
-    aggregate, built one unit at a time from :func:`score_sds`."""
+    aggregate, built one unit at a time from :func:`evaluate_sds`."""
 
     def pct(values):
         if len(values) < 2:
@@ -537,7 +537,8 @@ def reference_results(dataset, config, apply_filter: bool = True):
             or publishing < config.min_fraction_publishing
         ):
             continue
-        te, ae, ce = (v.tolist() for v in score_sds(ds, config.costs))
+        scores = [s.as_triple() for s in evaluate_sds(ds, config.costs).values()]
+        te, ae, ce = map(list, zip(*scores))
         sds_rows[sds_id] = tuple(
             ScoreRow(
                 dmu.dmu_id,

@@ -104,6 +104,14 @@ class TestPercentileRank:
         assert [r.hex() for r in percentile_ranks(scores)] == expected
         assert [percentile_rank(scores, s).hex() for s in scores] == expected
 
+    # numpy's ValueError
+    @pytest.mark.parametrize(
+        "scores", [[[0.1, 0.2], [0.3, 0.4]], [[0.1], [0.2]]], ids=["square", "column"]
+    )
+    def test_scores_must_be_flat(self, scores):
+        with pytest.raises(DataError, match="not a flat sequence$"):
+            percentile_ranks(scores)
+
     def test_column_ranks_need_two_scores(self):
         with pytest.raises(DataError):
             percentile_ranks([0.5])
@@ -155,6 +163,21 @@ class TestAggregateWeighted:
         for weight in (0.0, math.nan, math.inf):
             with pytest.raises(DataError, match="^aggregation weights must be finite and"):
                 aggregate_weighted([((0.5, 0.5, 0.25), weight)])
+
+    # a ValueError or TypeError from unpacking or from numpy
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [((0.1, 0.2, 0.02), 2.0, 3)],
+            [0.5],
+            [((0.1, 0.2, 0.02),)],
+            [((0.1, 0.2, 0.02), (2.0, 3.0))],
+        ],
+        ids=["triple", "number", "single", "two_weights"],
+    )
+    def test_rows_must_be_pairs(self, rows):
+        with pytest.raises(DataError, match=r"^aggregated rows must be \(triple, weight\) pairs$"):
+            aggregate_weighted(rows)
 
     @pytest.mark.parametrize(
         "scores", [(math.nan, 0.5, 0.5), (2.0, 0.5, 0.5), (0.5, -1.0, 0.5), (0.5, 0.5)]
@@ -242,6 +265,14 @@ class TestHistogram:
     def test_out_of_range_scores_rejected(self):
         with pytest.raises(DataError):
             histogram([1.2])
+
+    # numpy's ValueError or IndexError
+    @pytest.mark.parametrize(
+        "scores", [[[0.1, 0.5]], [[0.1], [0.5]], 0.5], ids=["row", "column", "scalar"]
+    )
+    def test_scores_must_be_flat(self, scores):
+        with pytest.raises(DataError, match="^histogram scores must be a flat sequence$"):
+            histogram(scores)
 
     @given(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=50))
     def test_counts_sum_to_score_count(self, scores):

@@ -26,7 +26,6 @@ from bibdea import (
     run_assessment,
 )
 from bibdea.cli import main
-from bibdea.io import CONFIG_ENV_VAR
 
 from oracles import certify_te_by_duality, reference_report_json
 
@@ -121,13 +120,16 @@ class TestValidate:
 
 
 # A verb takes only the flags it acts on: validate applies no eligibility
-# rule and no threshold, and institution-report prints no quadrants.
+# rule, and no verb takes --threshold-quadrant, since the threshold is set
+# in the config file as {"quadrant_threshold": X}.
 @pytest.mark.parametrize(
     "argv",
     [
         ["validate", "--no-filter"],
         ["validate", "--threshold-quadrant", "0.3"],
         ["institution-report", "Ferrara", "--threshold-quadrant", "0.3"],
+        ["assess", "--threshold-quadrant", "0.3"],
+        ["sds-report", "CHIM/08", "--threshold-quadrant", "0.3"],
     ],
 )
 def test_a_flag_the_verb_ignores_is_a_usage_error(argv, capsys):
@@ -167,31 +169,33 @@ class TestAssess:
         assert code == 0
         assert "excluded (robustness)" in capsys.readouterr().out
 
-    def test_quadrant_threshold_flag(self, staff, tmp_path):
+    def test_quadrant_threshold_from_the_config_file(self, staff, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"quadrant_threshold": 0}')
         out = tmp_path / "out"
-        main(["assess", "--staff", staff, "--out", str(out), "--threshold-quadrant", "0"])
+        assert main(["assess", "--staff", staff, "--config", str(cfg), "--out", str(out)]) == 0
         payload = json.loads((out / "report.json").read_text())
         assert payload["sds"]["CHIM/08"]["quadrants"]["both_high"] == 28
 
-    def test_config_via_env(self, staff, tmp_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"census_date": "from-env"}')
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
-        out = tmp_path / "out"
-        main(["assess", "--staff", staff, "--out", str(out)])
-        payload = json.loads((out / "report.json").read_text())
-        assert payload["census_date"] == "from-env"
-
-    def test_config_flag_beats_env(self, staff, tmp_path, monkeypatch):
-        env_cfg = tmp_path / "env.json"
-        env_cfg.write_text('{"census_date": "from-env"}')
-        flag_cfg = tmp_path / "flag.json"
-        flag_cfg.write_text('{"census_date": "from-flag"}')
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(env_cfg))
-        out = tmp_path / "out"
-        main(["assess", "--staff", staff, "--config", str(flag_cfg), "--out", str(out)])
-        payload = json.loads((out / "report.json").read_text())
-        assert payload["census_date"] == "from-flag"
+    def test_config_env_var_is_not_read(self, staff, tmp_path):
+        # BIBDEA_CONFIG used to name a config file when --config was absent
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        env = {k: v for k, v in os.environ.items() if k != "BIBDEA_CONFIG"}
+        runs = []
+        for name, extra in (("plain", {}), ("env", {"BIBDEA_CONFIG": str(bad)})):
+            out = tmp_path / name
+            argv = ["assess", "--staff", staff, "--format", "json,csv,svg", "--out", str(out)]
+            result = subprocess.run(
+                [sys.executable, "-m", "bibdea.cli", *argv],
+                capture_output=True,
+                env={**env, **extra},
+                cwd=tmp_path,
+            )
+            assert result.returncode == 0, result.stderr
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs.append((result.stdout.replace(bytes(out), b"OUT"), result.stderr, files))
+        assert runs[0] == runs[1]
 
     @staticmethod
     def _assess_staff(tmp_path, rows):
@@ -433,9 +437,8 @@ def test_malformed_numbers_exit_1_naming_the_location(tmp_path, row, config, loc
     if config:
         (tmp_path / "cfg.json").write_text(config)
         args += ["--config", str(tmp_path / "cfg.json")]
-    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
     result = subprocess.run(
-        [sys.executable, "-m", "bibdea.cli", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "bibdea.cli", *args], capture_output=True, text=True
     )
     assert result.returncode == 1, result.stderr
     assert location in result.stderr
@@ -636,9 +639,8 @@ _SMALL_CENSUS = {
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("workload", sorted(_SMALL_CENSUS))
-def test_whole_report_agrees_with_the_bench_oracle(bench, tmp_path, monkeypatch, workload, seed):
+def test_whole_report_agrees_with_the_bench_oracle(bench, tmp_path, workload, seed):
     gen, oracle = bench
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)  # the oracle assumes the defaults
     rng = random.Random(f"{workload}:{seed}")
     files, _ = getattr(gen, workload)(rng, tmp_path, **_SMALL_CENSUS[workload])
     argv = ["assess", "--format", "json,csv", "--out", str(tmp_path / "out")]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from bibdea import (
     DEFAULT_COSTS,
+    AssessmentDataset,
     CostVector,
     DataError,
     DmuInput,
@@ -24,10 +25,10 @@ from bibdea import (
     cost_efficiency,
     evaluate_sds,
     percentile_ranks,
+    run_assessment,
     technical_efficiency,
 )
 from bibdea import dea
-from bibdea.dea import score_sds
 
 from benchmarks import PHARM_CHEM
 from oracles import (
@@ -161,8 +162,7 @@ class TestCostEfficiency:
     def test_staff_cost_past_the_float_range_is_a_data_error(self):
         # te does not depend on the cost, so scoring D0 (0, 0, 0) would be wrong
         ds = dataset([[1e307, 1.0, 1.0], [1.0, 1.0, 1.0]], [1.0, 1.0])
-        calls = [lambda: cost_efficiency(0, ds), lambda: evaluate_sds(ds), lambda: score_sds(ds)]
-        for call in calls:
+        for call in (lambda: cost_efficiency(0, ds), lambda: evaluate_sds(ds)):
             with pytest.raises(DataError, match="^S/D0: staff cost overflows a float$"):
                 call()
 
@@ -195,6 +195,14 @@ class TestAllocativeEfficiency:
     )
     def test_scores_outside_the_unit_interval(self, te, ce, problem):
         with pytest.raises(DataError, match=f"^{problem} outside \\[0, 1\\]$"):
+            allocative_efficiency(te, ce)
+
+    # numpy broadcast error, or a quotient of arrays it could broadcast
+    @pytest.mark.parametrize(
+        "te, ce", [([0.5, 0.6], [0.1, 0.2, 0.3]), ([0.5], [0.1, 0.2]), (0.5, [0.1, 0.2])]
+    )
+    def test_scores_of_two_shapes(self, te, ce):
+        with pytest.raises(DataError, match="^te and ce must have one shape"):
             allocative_efficiency(te, ce)
 
 
@@ -273,12 +281,16 @@ class TestEvaluateSds:
     @settings(max_examples=150, deadline=None)
     @given(unit_lists)
     def test_scores_without_peers_are_the_scores_with_them(self, units):
-        ds = dataset(*units_sds(units))
+        # run_assessment scores through dea._scores and searches no peers
+        inputs, outputs = units_sds(units)
+        ds = dataset(inputs, outputs)
         scores = evaluate_sds(ds)
-        for k, column in enumerate(score_sds(ds)):
-            assert [v.hex() for v in column.tolist()] == [
-                scores[d].as_triple()[k].hex() for d in ds.dmu_ids()
-            ]
+        keys = [(d, "S") for d in ds.dmu_ids()]
+        report = run_assessment(AssessmentDataset(keys, inputs, outputs), apply_filter=False)
+        rows = report.sds_results["S"].rows
+        assert {r.dmu_id: [v.hex() for v in (r.te, r.ae, r.ce)] for r in rows} == {
+            d: [v.hex() for v in s.as_triple()] for d, s in scores.items()
+        }
 
     @settings(max_examples=150, deadline=None)
     @given(unit_lists, st.integers(0, 3), st.integers(-300, 300))

@@ -44,7 +44,6 @@ from bibdea import (
 )
 from bibdea import dea
 from bibdea.analytics import TIE_TOL
-from bibdea.io import CONFIG_ENV_VAR
 from bibdea.report import EligibilityEntry
 
 from benchmarks import PHARM_CHEM
@@ -226,6 +225,15 @@ class TestIngest:
         with pytest.raises(DataError) as err:
             ingest(staff)
         assert "duplicate" in str(err.value)
+
+    # the staff file and AssessmentDataset share the key rule
+    @pytest.mark.parametrize("key", [["", "S"], ["U", ""], ["", ""]], ids=["dmu", "sds", "both"])
+    def test_empty_key_names_its_line(self, tmp_path, key):
+        rows = [["U", "S", 1, 0, 0, 1.0], [*key, 1, 0, 0, 1.0]]
+        staff = write_csv(tmp_path / "staff.csv", STAFF_HEADER + ["ss"], rows)
+        with pytest.raises(DataError) as err:
+            ingest(staff)
+        assert str(err.value) == "staff.csv line 3: empty dmu_id or sds_id"
 
     def test_partial_ss_column_rejected(self, tmp_path):
         staff = write_csv(
@@ -751,12 +759,6 @@ class TestLoadConfig:
         assert config.costs.fp_cost == CostVector().fp_cost
         assert config.quadrant_threshold == 0.6
 
-    def test_env_var_fallback(self, tmp_path, monkeypatch):
-        path = tmp_path / "cfg.json"
-        path.write_text('{"reporting_precision": 5}')
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(path))
-        assert load_config().reporting_precision == 5
-
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"quadrant": 0.4}')
@@ -840,6 +842,14 @@ class TestLoadConfig:
         with pytest.raises(DataError) as err:
             AssessmentConfig(**{field: value})
         assert str(err.value) == message
+
+    # run_assessment used to fail on them with an AttributeError
+    @pytest.mark.parametrize(
+        "costs", [(1, 2, 3), {"fp": 1.0, "ap": 1.0, "rf": 1.0}, None], ids=["tuple", "dict", "None"]
+    )
+    def test_costs_must_be_a_cost_vector(self, costs):
+        with pytest.raises(DataError, match="^costs must be a CostVector, not "):
+            AssessmentConfig(costs=costs)
 
 
 class TestRunAssessment:

@@ -207,6 +207,20 @@ class TestAssessmentDataset:
             AssessmentDataset([("U1", "A"), ("U1", "A")], [[1, 0, 0], [0, 2, 0]], [1.0, 2.0])
         assert err.value.violations == ["A: duplicate dmu_id 'U1'"]
 
+    # "ab" was scored as unit a of SDS b, and (1, 2) failed in emit
+    def test_every_bad_unit_key_is_listed(self):
+        units = [("U", "S"), "ab", ("", "S"), (1, 2), ("U", "S", "x"), ["V", "S"]]
+        with pytest.raises(DatasetValidationError) as err:
+            AssessmentDataset(units, [[1, 0, 0]] * len(units), [1.0] * len(units))
+        pair = "not a (dmu_id, sds_id) pair of strings"
+        assert err.value.violations == [
+            f"unit 'ab': {pair}",
+            "unit ('', 'S'): empty dmu_id or sds_id",
+            f"unit (1, 2): {pair}",
+            f"unit ('U', 'S', 'x'): {pair}",
+            f"unit ['V', 'S']: {pair}",
+        ]
+
     def test_every_violation_is_listed_in_sorted_row_order(self):
         units = [("U", "B"), ("V", "A"), ("U", "B"), ("W", "A")]
         years = [[1, 0, 0], [0, 0, 0], [1, -1, 0], [1, 1, 1]]
