@@ -197,6 +197,17 @@ class TestAssess:
             runs.append((result.stdout.replace(bytes(out), b"OUT"), result.stderr, files))
         assert runs[0] == runs[1]
 
+    def test_config_flag_beats_env(self, staff, tmp_path, monkeypatch):
+        env_cfg = tmp_path / "env.json"
+        env_cfg.write_text('{"census_date": "from-env"}')
+        flag_cfg = tmp_path / "flag.json"
+        flag_cfg.write_text('{"census_date": "from-flag"}')
+        monkeypatch.setenv("BIBDEA_CONFIG", str(env_cfg))
+        out = tmp_path / "out"
+        main(["assess", "--staff", staff, "--config", str(flag_cfg), "--out", str(out)])
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["census_date"] == "from-flag"
+
     @staticmethod
     def _assess_staff(tmp_path, rows):
         staff = tmp_path / "staff.csv"

@@ -759,6 +759,13 @@ class TestLoadConfig:
         assert config.costs.fp_cost == CostVector().fp_cost
         assert config.quadrant_threshold == 0.6
 
+    def test_no_path_gives_the_defaults_whatever_the_env(self, tmp_path, monkeypatch):
+        # load_config(None) used to fall back to the file BIBDEA_CONFIG named
+        path = tmp_path / "cfg.json"
+        path.write_text('{"reporting_precision": 5}')
+        monkeypatch.setenv("BIBDEA_CONFIG", str(path))
+        assert load_config() == AssessmentConfig()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"quadrant": 0.4}')
