@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Verbs:
-  assess              full pipeline over every SDS, written to --out
-  sds-report SDS      score table of one SDS, printed (and emitted with --out)
+  assess              full pipeline over every SDS, written to --out (the
+                      one verb that writes files)
+  sds-report SDS      score table of one SDS, printed
   institution-report U  one university across its SDSs, with the cost-weighted
                         aggregate row
   validate            ingest and cross-reference only
@@ -12,7 +13,6 @@ Exit codes: 0 success, 1 data error (including usage), 2 solver error,
 """
 
 import argparse
-import dataclasses
 import sys
 
 from . import io
@@ -36,41 +36,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bibdea", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *flags):
-        """The input options, and each of ``flags``: the options the verb acts on."""
+    def add_common(p, no_filter=True):
+        """The input options, and --no-filter if the verb applies eligibility."""
         p.add_argument("--staff", required=True, help="staff-years CSV")
         p.add_argument("--publications", help="publications CSV (computed mode)")
         p.add_argument("--medians", help="reference medians CSV (computed mode)")
         p.add_argument("--config", help="config JSON (default: built-in settings)")
-        if "--no-filter" in flags:
+        if no_filter:
             p.add_argument(
                 "--no-filter",
                 action="store_true",
                 help="assess every SDS, ignoring the eligibility criteria",
             )
-        if "--out" in flags:
-            p.add_argument("--out", help="output directory")
-            p.add_argument(
-                "--format",
-                default="json,csv",
-                help="comma-joined subset of json,csv,svg (default json,csv)",
-            )
 
     p = sub.add_parser("assess", help="run the full assessment")
-    add_common(p, "--no-filter", "--out")
-    p.set_defaults(out="report")
+    add_common(p)
+    p.add_argument("--out", default="report", help="output directory (default: report)")
+    p.add_argument(
+        "--format",
+        default="json,csv",
+        help="comma-joined subset of json,csv,svg (default json,csv)",
+    )
 
     p = sub.add_parser("sds-report", help="score table of one SDS")
     p.add_argument("sds_id")
-    add_common(p, "--no-filter", "--out")
-    p.set_defaults(out=None)
+    add_common(p)
 
     p = sub.add_parser("institution-report", help="one university across its SDSs")
     p.add_argument("dmu_id")
-    add_common(p, "--no-filter")
+    add_common(p)
 
     p = sub.add_parser("validate", help="ingest and cross-reference only")
-    add_common(p)
+    add_common(p, no_filter=False)
     return parser
 
 
@@ -134,17 +131,6 @@ def _cmd_sds_report(args) -> int:
         hist = result.histograms[measure]
         print(f"{measure} median {hist.median:.{report.reporting_precision}f} "
               f"bins {list(hist.counts)}")
-    if args.out:
-        # restrict emission to the requested SDS's view
-        single = dataclasses.replace(
-            report,
-            sds_results={args.sds_id: result},
-            institutions=(),
-            eligibility=tuple(e for e in report.eligibility if e.sds_id == args.sds_id),
-        )
-        formats = [f for f in args.format.split(",") if f]
-        for path in io.emit(single, formats, args.out):
-            print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -11,13 +11,15 @@ ASCII only, with no ``_`` separator:
   medians:      year, category, median [, mean]
 
 The staff file is read into columns, with no object per row. Its optional
-``ss`` column switches the dataset to passthrough mode; otherwise each
-publication is added to its staff row's SS as it is read. The optional
-``mean`` column feeds the zero-median fallback. Unknown extra columns and
-cells past the header's width are ignored, which lets emitted score tables
-be re-ingested; blank lines are skipped. A row with fewer cells than the
-header, bytes that are not UTF-8 and a cell over the csv module's field
-limit (131,072 characters) are data errors naming the file and line.
+``ss`` column switches the dataset to passthrough mode, in which the staff
+file is the one input file and a publications or medians file is an
+error; otherwise both are required, and each publication is added to its
+staff row's SS as it is read. The optional ``mean`` column feeds the
+zero-median fallback. Unknown extra columns and cells past the header's
+width are ignored, which lets emitted score tables be re-ingested; blank
+lines are skipped. A row with fewer cells than the header, bytes that are
+not UTF-8 and a cell over the csv module's field limit (131,072
+characters) are data errors naming the file and line.
 
 The publications file is read in one ``csv.reader`` pass, and no cell is
 parsed per row. Each distinct raw (year, categories) cell, (total_authors,
@@ -197,13 +199,10 @@ class _Problem(NamedTuple):
 
 
 def _scan_publications(
-    path: Path,
-    index: dict[tuple[str, str], int],
-    medians: MedianTable | None,
-    ss: list[float] | None,
+    path: Path, index: dict[tuple[str, str], int], medians: MedianTable, ss: list[float]
 ):
-    """Validate the publications file; with ``ss``, also add each row's
-    contribution to its staff row's SS, ``ss[index[key]]``, in file order.
+    """Check the publications file and add each row's contribution to its
+    staff row's SS, ``ss[index[key]]``, in file order.
 
     Returns the row count. Each distinct raw cell, byline and citations
     cell is checked once, as the module docstring says; a row with a
@@ -219,7 +218,7 @@ def _scan_publications(
     missing: dict[tuple[int, str], int] = {}  # -> first line
     # Once a row is orphaned or uncovered, ingest fails with that error
     # after the file, so scoring stops.
-    scoring = ss is not None
+    scoring = True
     count = 0
     with _open_csv(path, _PUB_COLUMNS) as (reader, column):
         width = max(column.values()) + 1
@@ -279,7 +278,7 @@ def _scan_publications(
 
 
 def _cell_entry(
-    year: str, categories: str, medians: MedianTable | None, missing: dict, line: int
+    year: str, categories: str, medians: MedianTable, missing: dict, line: int
 ) -> tuple | _Problem:
     """``(divisor, year, categories)`` of a raw (year, categories) cell, or
     its first problem; notes its uncovered pairs in ``missing`` at ``line``
@@ -289,8 +288,6 @@ def _cell_entry(
     year, categories = value, tuple(c for c in categories.split(";") if c)
     if not categories:
         return _Problem(7, NO_CATEGORIES)
-    if medians is None:
-        return None, year, categories
     uncovered = [(year, c) for c in categories if not medians.covers(year, c)]
     for pair in uncovered:
         missing.setdefault(pair, line)
@@ -351,9 +348,12 @@ def ingest(
 ) -> AssessmentDataset:
     """Load and cross-reference the input files into one validated dataset.
 
-    This is where the output source is settled. Without an ``ss`` column,
-    each publication row is added to its staff row's SS as it is read, so
-    no publication is kept; staff rows without publications get 0.0.
+    This is where the output source is settled. A staff file with an ``ss``
+    column is the one input file: a publications or medians path beside it
+    is a :class:`DataError`, raised before either file is opened. Without
+    one, both are required, and each publication row is added to its staff
+    row's SS as it is read, so no publication is kept; staff rows without
+    publications get 0.0.
 
     Referential checks: every publication's (dmu_id, sds_id) must match a
     staff row, and the median table must cover every (year, category) pair
@@ -361,24 +361,22 @@ def ingest(
     unknown key and uncovered pair.
     """
     index, years, ss = _read_staff(Path(staff_path))
-    medians = _read_medians(Path(medians_path)) if medians_path else None
-    ss_mode = "passthrough" if ss is not None else "computed"
-    if ss is None:
-        if publications_path is None:
+    if ss is not None:
+        if publications_path or medians_path:
             raise DataError(
-                "staff file has no ss column and no publications file was given: "
-                "no output source"
+                "staff file has an ss column, so no publications or medians file is read"
             )
-        if medians is None:
-            raise DataError("computed output mode requires a medians file")
-        ss = [0.0] * len(index)
-
-    publication_count = 0
-    if publications_path:
-        publication_count = _scan_publications(
-            Path(publications_path), index, medians, ss if ss_mode == "computed" else None
+        return AssessmentDataset(tuple(index), years, ss, "passthrough")
+    if not publications_path:
+        raise DataError(
+            "staff file has no ss column and no publications file was given: no output source"
         )
-    return AssessmentDataset(tuple(index), years, ss, ss_mode, publication_count)
+    if not medians_path:
+        raise DataError("computed output mode requires a medians file")
+    medians = _read_medians(Path(medians_path))
+    ss = [0.0] * len(index)
+    count = _scan_publications(Path(publications_path), index, medians, ss)
+    return AssessmentDataset(tuple(index), years, ss, "computed", count)
 
 
 def build_median_table(

@@ -219,16 +219,17 @@ def _as_float(value) -> float:
 
 
 def _floats(values) -> np.ndarray:
-    """``values``, numbers or rows of them, as a float array: an array of
-    bool, int or float as it is, anything else value by value through
-    :func:`_as_float`, for the checks to reject, a row of a wrong length as NaN."""
+    """``values``, numbers or rows of them, as a new float array: an array
+    of bool, int or float as it is, anything else value by value through
+    :func:`_as_float`, for the checks to reject, a row of a wrong length as
+    NaN. ``-0.0`` becomes ``0.0``, so no report prints ``-0``."""
     try:
         values = np.asarray(values)
     except ValueError:  # rows of unequal length
         values = np.asarray(values, dtype=object)
     if values.dtype.kind not in "biuf":
         values = np.vectorize(_as_float, otypes=[float])(values)
-    return values.astype(float, copy=False)
+    return np.add(values, 0.0, out=np.empty(values.shape))
 
 
 def staff_years_problems(years: np.ndarray) -> list[tuple[int, str]]:
@@ -368,9 +369,10 @@ class AssessmentDataset:
     ``units`` the ``(dmu_id, sds_id)`` keys, each a tuple of two non-empty
     strings, ``years`` the n x 3 fp, ap and rf staff-years and ``ss`` the
     outputs (the ``ss`` column, or scored at ingest), read-only float
-    arrays. ``publication_count`` counts the publication rows read.
-    run_assessment trusts the columns, so a :class:`DatasetValidationError`
-    lists every violation at construction.
+    arrays. ``ss_mode`` is ``"passthrough"`` or ``"computed"``, and
+    ``publication_count`` counts the publication rows read, 0 in
+    passthrough mode. run_assessment trusts the columns, so a
+    :class:`DatasetValidationError` lists every violation at construction.
     """
 
     units: tuple[tuple[str, str], ...]
@@ -380,17 +382,31 @@ class AssessmentDataset:
     publication_count: int = 0
 
     def __post_init__(self):
+        mode = self._mode_problems()
         units = list(self.units)
         years, ss = _floats(self.years), _floats(self.ss)
         if years.shape != (len(units), 3) or ss.shape != (len(units),):
             shapes = f"{len(units)} units, years {years.shape}, ss {ss.shape}"
-            raise DatasetValidationError([f"columns of unequal length: {shapes}"])
+            raise DatasetValidationError([*mode, f"columns of unequal length: {shapes}"])
         if bad_keys := [f"unit {u!r}: {p}" for u in units if (p := unit_key_problem(u))]:
-            raise DatasetValidationError(bad_keys)
+            raise DatasetValidationError([*mode, *bad_keys])
         order = sorted(range(len(units)), key=[(s, d) for d, s in units].__getitem__)
         units, years, ss = tuple(map(units.__getitem__, order)), years[order], ss[order]
         bad_years = [f"{units[i][1]}/{units[i][0]}: {p}" for i, p in staff_years_problems(years)]
-        _check_rows(units, ss, bad_years)
+        _check_rows(units, ss, [*mode, *bad_years])
         years.flags.writeable = ss.flags.writeable = False
         for name, column in (("units", units), ("years", years), ("ss", ss)):
             object.__setattr__(self, name, column)
+
+    def _mode_problems(self) -> list[str]:
+        """What is wrong with ``ss_mode`` and ``publication_count``."""
+        problems = []
+        if self.ss_mode not in ("passthrough", "computed"):
+            problems.append(f"ss_mode must be 'passthrough' or 'computed', not {self.ss_mode!r}")
+        if problem := count_problem(self.publication_count):
+            problems.append(f"publication_count {problem}")
+        elif self.ss_mode == "passthrough" and self.publication_count:
+            problems.append(
+                f"publication_count must be 0 in passthrough mode, not {self.publication_count}"
+            )
+        return problems

@@ -537,6 +537,10 @@ class TestRankDivergence:
         with pytest.raises(DataError):
             rank_divergence({"a": 1.0}, {"b": 1.0})
 
+    def test_empty_sets(self):
+        with pytest.raises(DataError, match="^rank divergence of an empty DMU set$"):
+            rank_divergence({}, {})
+
     def test_nan_score_has_no_rank(self):
         scores, nan = {"a": 1.0, "b": 0.5}, {"a": math.nan, "b": 0.5}
         for ce, ratio in ((nan, scores), (scores, nan)):

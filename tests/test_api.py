@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import os
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import bibdea
+from bibdea.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,6 +22,26 @@ def test_readme_entry_points_are_exported():
     # the block lists each exported function once, and nothing else
     functions = [n for n in bibdea.__all__ if inspect.isfunction(getattr(bibdea, n))]
     assert sorted(names) == sorted(functions)
+
+
+def test_readme_flag_table_is_the_parser():
+    text = README.read_text(encoding="utf-8")
+    lines = text.split("## CLI", 1)[1].split("## File formats", 1)[0].splitlines()
+    header, _, *rows = [line.strip("|").split("|") for line in lines if line.startswith("|")]
+    verbs = [re.sub(r"[` ]", "", cell) for cell in header[1:]]
+    documented = {verb: set() for verb in verbs}
+    for flags, *marks in rows:
+        for verb, mark in zip(verbs, marks):
+            if mark.strip() == "yes":
+                documented[verb].update(re.findall(r"`(--[\w-]+)", flags))
+    # the options of each subparser, but --help
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        verb: {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
+        - {"--help"}
+        for verb, parser in sub.choices.items()
+    }
+    assert documented == parsed
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -25,6 +26,7 @@ from bibdea import (
     ingest,
     run_assessment,
 )
+from bibdea import dea
 from bibdea.cli import main
 
 from oracles import certify_te_by_duality, reference_report_json
@@ -119,9 +121,23 @@ class TestValidate:
         assert err.value.code == 1
 
 
+# A staff file with an ss column is a passthrough run's one input file.
+@pytest.mark.parametrize(
+    "verb", [["validate"], ["assess"], ["sds-report", "CHIM/08"], ["institution-report", "Ferrara"]]
+)
+def test_ss_column_with_publications_exits_1_on_every_verb(verb, staff, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "out")] if verb == ["assess"] else []
+    argv = [*verb, "--staff", staff, "--publications", str(tmp_path / "pubs.csv"), *out]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "data error: staff file has an ss column, so no publications or medians file is read\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 # A verb takes only the flags it acts on: validate applies no eligibility
-# rule, and no verb takes --threshold-quadrant, since the threshold is set
-# in the config file as {"quadrant_threshold": X}.
+# rule, only assess writes files, and no verb takes --threshold-quadrant,
+# since the threshold is set in the config file as {"quadrant_threshold": X}.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -130,6 +146,9 @@ class TestValidate:
         ["institution-report", "Ferrara", "--threshold-quadrant", "0.3"],
         ["assess", "--threshold-quadrant", "0.3"],
         ["sds-report", "CHIM/08", "--threshold-quadrant", "0.3"],
+        ["sds-report", "CHIM/08", "--out", "out"],
+        ["sds-report", "CHIM/08", "--format", "json"],
+        ["institution-report", "Ferrara", "--out", "out"],
     ],
 )
 def test_a_flag_the_verb_ignores_is_a_usage_error(argv, capsys):
@@ -230,6 +249,33 @@ class TestAssess:
         err = capsys.readouterr().err
         assert "data error: S/01/U2: staff-years per unit of output underflow to zero" in err
 
+    def test_no_output_cell_reads_negative_zero(self, tmp_path, capsys):
+        code, out = self._assess_staff(tmp_path, ["U1,S/01,1,-0,0,-0", "U2,S/01,1,1,0,2"])
+        assert code == 0
+        with open(out / "scores_S_01.csv", newline="", encoding="utf-8") as fh:
+            cells = [cell for row in csv.reader(fh) for cell in row]
+        assert "-0.000" not in cells and "0.000" in cells
+        floats = []
+        json.loads((out / "report.json").read_text(), parse_float=lambda t: floats.append(t))
+        assert "0.0" in floats and "-0.0" not in floats
+
+    def test_ce_above_te_exits_2_naming_the_unit(self, staff, tmp_path, monkeypatch, capsys):
+        # A fault injected into DEA: the frontier units' te halved, so that
+        # ce exceeds te at a frontier unit.
+        technical = dea._technical
+
+        def halved(z, front):
+            te, ratio, facets = technical(z, front)
+            return np.where(te == 1.0, 0.5 * te, te), ratio, facets
+
+        monkeypatch.setattr(dea, "_technical", halved)
+        assert main(["assess", "--staff", staff, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "solver error: CHIM/08/Bologna: cost efficiency 0.9451843991285219 "
+            "exceeds technical efficiency 0.5\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_output_too_small_for_its_inputs_scores_zero(self, tmp_path, capsys):
         # U0's staff-years and staff cost per unit of output pass the float
         # range, so it scores as a zero-output unit in te and in ce alike
@@ -295,35 +341,16 @@ class TestSdsReport:
         assert main(["sds-report", "NOPE/00", "--staff", staff]) == 1
         assert "data error" in capsys.readouterr().err
 
-    def test_out_emits_only_that_sds(self, tmp_path, capsys):
+    def test_unit_alone_in_its_sds_has_blank_percentiles(self, tmp_path, capsys):
         staff = tmp_path / "staff.csv"
         staff.write_text(
             "dmu_id,sds_id,fp_years,ap_years,rf_years,ss\n"
-            "U1,A/01,1,0,0,2.0\nU2,A/01,2,0,0,1.0\n"
-            "U1,B/01,1,0,0,1.0\nU2,B/01,1,1,0,1.0\n"
+            "U1,A/01,1,0,0,2.0\nU1,B/01,1,0,0,1.0\nU2,B/01,1,1,0,1.0\n"
         )
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"min_active_universities": 1}')
-        out = tmp_path / "out"
-        code = main(
-            [
-                "sds-report",
-                "A/01",
-                "--staff",
-                str(staff),
-                "--config",
-                str(cfg),
-                "--out",
-                str(out),
-                "--format",
-                "json,csv",
-            ]
-        )
-        assert code == 0
-        assert (out / "scores_A_01.csv").exists()
-        assert not (out / "scores_B_01.csv").exists()
-        payload = json.loads((out / "report.json").read_text())
-        assert list(payload["sds"]) == ["A/01"]
+        assert main(["sds-report", "A/01", "--staff", str(staff), "--no-filter"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        cells = "    2.000     1.0     0.0     0.0     1.000     1.000     1.000"
+        assert row == f"{'U1':<12} {cells} {' ' * 9} {' ' * 9} {' ' * 9}"
 
 
 class TestInstitutionReport:
@@ -556,11 +583,15 @@ def _config_text(values: dict) -> str:
 def _malformed_inputs(draw):
     """A valid input set with one fault, and the name of the faulty file."""
     tables = {name: [list(row) for row in rows] for name, rows in _CSV_BASE.items()}
-    if draw(st.booleans()):  # computed mode: no ss column
-        tables["staff.csv"] = [row[:-1] for row in tables["staff.csv"]]
     config = dict(_CONFIG_BASE)
     names = sorted(tables) + ["cfg.json"]
     target = draw(st.sampled_from(names))
+    # A passthrough input set is the staff file (with its ss column) and the
+    # config alone, so a publications or medians fault is drawn in computed mode.
+    if target in ("pubs.csv", "medians.csv") or draw(st.booleans()):
+        tables["staff.csv"] = [row[:-1] for row in tables["staff.csv"]]
+    else:
+        del tables["pubs.csv"], tables["medians.csv"]
     kinds = ["undecodable"] + (
         ["value", "truncated"] if target == "cfg.json"
         else ["value", "missing column", "truncated row", "oversized cell"]
@@ -610,17 +641,13 @@ def test_malformed_input_exits_1_naming_the_file(case):
             paths[name] = os.path.join(tmp, name)
             with open(paths[name], "wb") as fh:
                 fh.write(data.replace(_OVERSIZED.encode(), b"7" * 131073))
+        argv = ["validate", "--staff", paths["staff.csv"], "--config", paths["cfg.json"]]
+        for flag, name in (("--publications", "pubs.csv"), ("--medians", "medians.csv")):
+            if name in paths:
+                argv += [flag, paths[name]]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(
-                [
-                    "validate",
-                    "--staff", paths["staff.csv"],
-                    "--publications", paths["pubs.csv"],
-                    "--medians", paths["medians.csv"],
-                    "--config", paths["cfg.json"],
-                ]
-            )
+            code = main(argv)
     message = err.getvalue()
     assert code == 1, message
     assert target in message

@@ -135,11 +135,18 @@ class TestIngest:
             ingest(fixtures_dir / "lab_staff.csv", pubs, fixtures_dir / "lab_medians.csv")
         assert "('Ghost', 'TEST/01') at pubs.csv line 2" in str(err.value)
 
-    def test_empty_publications_with_passthrough_ss(self, tmp_path, fixtures_dir):
-        pubs = write_csv(tmp_path / "pubs.csv", PUB_HEADER, [])
-        dataset = ingest(fixtures_dir / "pharm_chem_staff.csv", pubs)
-        assert dataset.ss_mode == "passthrough"
-        assert dataset.publication_count == 0
+    @pytest.mark.parametrize("given", ["publications", "medians", "both"])
+    def test_ss_column_with_publications_or_medians_is_a_conflict(
+        self, tmp_path, fixtures_dir, given
+    ):
+        # Neither file exists: the conflict is raised before either is opened.
+        pubs = None if given == "medians" else tmp_path / "pubs.csv"
+        medians = None if given == "publications" else tmp_path / "medians.csv"
+        with pytest.raises(DataError) as err:
+            ingest(fixtures_dir / "pharm_chem_staff.csv", pubs, medians)
+        assert str(err.value) == (
+            "staff file has an ss column, so no publications or medians file is read"
+        )
 
     def test_no_output_source(self, tmp_path):
         staff = write_csv(tmp_path / "staff.csv", STAFF_HEADER, [["U", "S", 1, 0, 0]])
@@ -234,6 +241,29 @@ class TestIngest:
         with pytest.raises(DataError) as err:
             ingest(staff)
         assert str(err.value) == "staff.csv line 3: empty dmu_id or sds_id"
+
+    def test_negative_ss_names_its_line(self, tmp_path):
+        rows = [["U", "S", 1, 0, 0, 1.0], ["V", "S", 1, 0, 0, -2]]
+        staff = write_csv(tmp_path / "staff.csv", STAFF_HEADER + ["ss"], rows)
+        with pytest.raises(DataError) as err:
+            ingest(staff)
+        assert str(err.value) == "staff.csv line 3: negative ss -2.0"
+
+    def test_header_without_rows_is_no_staff(self, tmp_path):
+        staff = write_csv(tmp_path / "staff.csv", STAFF_HEADER + ["ss"], [])
+        with pytest.raises(DataError) as err:
+            ingest(staff)
+        assert str(err.value) == "staff.csv: no staff rows"
+
+    def test_duplicate_median_names_its_line(self, tmp_path, fixtures_dir):
+        medians = write_csv(
+            tmp_path / "medians.csv",
+            ["year", "category", "median"],
+            [[2005, "CatA", 5], [2005, "CatB", 7], [2005, "CatA", 6]],
+        )
+        with pytest.raises(DataError) as err:
+            ingest(fixtures_dir / "lab_staff.csv", fixtures_dir / "lab_pubs.csv", medians)
+        assert str(err.value) == "medians.csv line 4: duplicate median for (2005, 'CatA')"
 
     def test_partial_ss_column_rejected(self, tmp_path):
         staff = write_csv(
@@ -778,6 +808,22 @@ class TestLoadConfig:
         with pytest.raises(DataError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("[0.5]", "config must be a JSON object"),
+            ('{"costs": [1, 2, 3]}', "costs must be an object with fp/ap/rf keys"),
+            ('{"costs": {"fp": 100, "pa": 80}}', "unknown cost keys ['pa']"),
+        ],
+        ids=["not-an-object", "costs-not-an-object", "unknown-cost-key"],
+    )
+    def test_config_shape_errors_name_the_file(self, tmp_path, text, problem):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(DataError) as err:
+            load_config(path)
+        assert str(err.value) == f"cfg.json: {problem}"
+
     def test_byte_order_mark_is_dropped(self, tmp_path, fixtures_dir):
         path = tmp_path / "cfg.json"
         path.write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / "config.json").read_bytes())
@@ -1262,7 +1308,7 @@ class TestEmit:
         self.assert_csv_matches_reference(report, tmp_path / "out")
 
     def test_csv_single_sds_view(self, report, tmp_path):
-        # what `sds-report --out` writes
+        # emit takes any report, here one with no institutions
         single = dataclasses.replace(report, institutions=())
         self.assert_csv_matches_reference(single, tmp_path)
         assert (tmp_path / "institutions.csv").read_text() == (

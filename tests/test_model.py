@@ -290,6 +290,28 @@ class TestAssessmentDataset:
         with pytest.raises(DatasetValidationError, match=f"S/U: {problem} output"):
             AssessmentDataset([("U", "S")], [[1, 0, 0]], [ss])
 
+    @pytest.mark.parametrize(
+        "mode, count, violations",
+        [
+            (
+                "bogus",
+                -3,
+                [
+                    "ss_mode must be 'passthrough' or 'computed', not 'bogus'",
+                    "publication_count must be >= 0",
+                ],
+            ),
+            ("computed", 2.5, ["publication_count must be an integer, not 2.5"]),
+            ("computed", True, ["publication_count must be an integer, not True"]),
+            ("passthrough", 3, ["publication_count must be 0 in passthrough mode, not 3"]),
+        ],
+    )
+    def test_ss_mode_and_publication_count_are_checked(self, mode, count, violations):
+        # listed before the rows' own violations
+        with pytest.raises(DatasetValidationError) as err:
+            AssessmentDataset([("U", "S")], [[1, 0, 0]], [-1.0], mode, count)
+        assert err.value.violations == [*violations, "S/U: negative output -1.0"]
+
 
 class TestValidateDataset:
     """An SdsDataset checks itself at construction."""
