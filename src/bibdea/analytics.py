@@ -134,7 +134,8 @@ def aggregate_weighted(rows: Sequence[tuple[Triple, float]]) -> AggregateScores:
 def _aggregates(group: np.ndarray, weights: np.ndarray, *scores: np.ndarray) -> list:
     """The total weight of each group of rows, then each score column's
     weighted mean in it. ``np.bincount`` adds a group's terms one at a time
-    in row order, as :func:`~bibdea.model.left_sum` does."""
+    in row order. The report's rows come in the dataset's order, by SDS and
+    unit, so its aggregates do not depend on the order of the input files."""
     if not ((weights > 0) & (weights < np.inf)).all():
         raise DataError("aggregation weights must be finite and strictly positive")
     total = np.bincount(group, weights=weights)

@@ -6,12 +6,20 @@ and subject category, multiplied by the unit's fractional share of the
 byline. Two fractional schemes exist: the plain co-author ratio and a
 position-weighted scheme used for the life sciences, where first and last
 authors carry most of the credit.
+
+Every sum of a variable number of terms (SS, a cell's mean of medians or of
+means, the position weights and a unit's share of them) is ``math.fsum``:
+exactly rounded (Shewchuk 1997, "Adaptive precision floating-point
+arithmetic"), so it does not depend on the order of its terms or on the
+Python version.
 """
 
+import math
+from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .model import NO_CATEGORIES, DataError, MedianTable, PublicationRecord, left_sum
-from .model import byline_problem, citations_problem
+from .model import DataError, MedianTable, PublicationRecord
+from .model import byline_problem, categories_problem, citations_problem
 
 # Position weights when first and last author sit at the same university:
 # 40% each to the two ends, the rest shared by the middle of the byline.
@@ -32,18 +40,27 @@ def citation_divisor(
     The arithmetic mean of the categories' medians. When that is zero, the
     mean of their reference means, or None when the table lacks a mean for
     one of them; whether that is an error depends on the citations, so the
-    division step decides.
+    division step decides. Categories that break
+    :func:`~bibdea.model.categories_problem` are a :class:`DataError`.
     """
-    if not categories:
-        raise DataError(NO_CATEGORIES)
-    meds = [medians.median(year, c) for c in categories]
-    divisor = left_sum(meds) / len(meds)
+    if (problem := categories_problem(categories)) is not None:
+        raise DataError(problem)
+    divisor = _mean([medians.median(year, c) for c in categories])
     if divisor > 0:
         return divisor
     fallback = [medians.mean(year, c) for c in categories]
     if any(m is None for m in fallback):
         return None
-    return left_sum(fallback) / len(fallback)
+    return _mean(fallback)
+
+
+def _mean(values: list[float]) -> float:
+    """The mean of finite ``values``: their ``math.fsum`` over their count,
+    or, when that sum is past the float range, the exact mean rounded once."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        return float(sum(map(Fraction, values)) / len(values))
 
 
 def divide_citations(
@@ -117,7 +134,7 @@ def positional_weights(total_authors: int, first_last_same_university: bool) -> 
         share = pool / len(interior)
         for i in interior:
             w[i] += share
-    total = left_sum(w)
+    total = math.fsum(w)
     return [wi / total for wi in w]
 
 
@@ -139,15 +156,20 @@ def fractional_count(
     # A record's only affiliation knowledge selects the life-science weights.
     intramural = 1 in dmu_author_positions and total_authors in dmu_author_positions
     weights = positional_weights(total_authors, intramural)
-    return left_sum(weights[p - 1] for p in dmu_author_positions)
+    return math.fsum(weights[p - 1] for p in dmu_author_positions)
 
 
 def scientific_strength(
     publications: Iterable[PublicationRecord], medians: MedianTable
 ) -> float:
-    """Output indicator of one unit: sum of standardized, fractioned citations."""
-    return left_sum(
+    """Output indicator of one unit: sum of standardized, fractioned
+    citations, ``inf`` when that sum is past the float range."""
+    terms = [
         standardize_citations(p.citations, p.year, p.categories, medians)
         * fractional_count(p.total_authors, p.dmu_author_positions, p.life_science)
         for p in publications
-    )
+    ]
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # finite terms whose exact sum rounds past the float range
+        return math.inf

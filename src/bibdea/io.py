@@ -13,13 +13,16 @@ ASCII only, with no ``_`` separator:
 The staff file is read into columns, with no object per row. Its optional
 ``ss`` column switches the dataset to passthrough mode, in which the staff
 file is the one input file and a publications or medians file is an
-error; otherwise both are required, and each publication is added to its
-staff row's SS as it is read. The optional ``mean`` column feeds the
-zero-median fallback. Unknown extra columns and cells past the header's
-width are ignored, which lets emitted score tables be re-ingested; blank
-lines are skipped. A row with fewer cells than the header, bytes that are
-not UTF-8 and a cell over the csv module's field limit (131,072
-characters) are data errors naming the file and line.
+error; otherwise both are required, and each publication's contribution
+is kept with its staff row as it is read. A staff row's SS is the
+``math.fsum`` of its contributions, exactly rounded, so it depends on
+neither the order of the publication rows nor the Python version. The
+optional ``mean`` column feeds the zero-median fallback. Unknown extra
+columns and cells past the header's width are ignored, which lets
+emitted score tables be re-ingested; blank lines are skipped. A row with
+fewer cells than the header, bytes that are not UTF-8 and a cell over
+the csv module's field limit (131,072 characters) are data errors naming
+the file and line.
 
 The publications file is read in one ``csv.reader`` pass, and no cell is
 parsed per row. Each distinct raw (year, categories) cell, (total_authors,
@@ -42,6 +45,7 @@ import operator
 import os
 import re
 import statistics
+from array import array
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -53,9 +57,8 @@ from .model import (
     CostVector,
     DataError,
     MedianTable,
-    NO_CATEGORIES,
+    categories_problem,
     citations_problem,
-    left_sum,
     staff_years_problems,
     unit_key_problem,
     year_problem,
@@ -190,7 +193,7 @@ class _Problem(NamedTuple):
     row is checked in: dmu_positions (1), life_science (2), year (3),
     citations (4) and total_authors (5) are parsed, then the publication's
     citations (6), categories (7) and byline (8) are checked by the rules
-    the API applies (``citations_problem``, ``NO_CATEGORIES`` and the
+    the API applies (``citations_problem``, ``categories_problem`` and the
     ``DataError`` of ``fractional_count``), and its problems, from rank 6
     on, name its pub_id."""
 
@@ -199,15 +202,18 @@ class _Problem(NamedTuple):
 
 
 def _scan_publications(
-    path: Path, index: dict[tuple[str, str], int], medians: MedianTable, ss: list[float]
-):
-    """Check the publications file and add each row's contribution to its
-    staff row's SS, ``ss[index[key]]``, in file order.
+    path: Path, index: dict[tuple[str, str], int], medians: MedianTable
+) -> tuple[int, list[float]]:
+    """Check the publications file and score each staff row of ``index``.
 
-    Returns the row count. Each distinct raw cell, byline and citations
-    cell is checked once, as the module docstring says; a row with a
-    :class:`_Problem` raises the first of its problems. The row whose
-    contribution makes its unit's SS overflow is an error. After the file,
+    Returns the row count and each staff row's SS, in ``index`` order: the
+    ``math.fsum`` of its rows' contributions, 0.0 for a row without any.
+    Each distinct raw cell, byline and citations cell is checked once, as
+    the module docstring says; a row with a :class:`_Problem` raises the
+    first of its problems. The contributions are also added up in file
+    order, so that the row which takes that running sum past the float
+    range is an error naming its line; a unit whose exact sum alone is
+    past it is an error naming its last contributing line. After the file,
     keys without a staff row and (year, category) pairs the medians do not
     cover are an error naming each one's first line.
     """
@@ -220,6 +226,9 @@ def _scan_publications(
     # after the file, so scoring stops.
     scoring = True
     count = 0
+    running = [0.0] * len(index)
+    terms = [array("d") for _ in index]  # 8 bytes a term, where a float object takes 24
+    last = [0] * len(index)  # each staff row's last contributing line
     with _open_csv(path, _PUB_COLUMNS) as (reader, column):
         width = max(column.values()) + 1
         # Fetching the last cell too makes a short row an IndexError.
@@ -251,8 +260,7 @@ def _scan_publications(
                 orphans.setdefault(key, reader.line_num)
                 scoring = False
                 continue
-            # SS starts at +0.0 and only grows, so adding an uncited row's
-            # +0.0 would leave it as it is.
+            # An uncited row adds +0.0, which moves no sum.
             if citations and scoring:
                 divisor = cell[0]
                 if not divisor:  # None, or a zero mean fallback: raises, naming the cell
@@ -260,13 +268,13 @@ def _scan_publications(
                         divide_citations(citations, *cell)
                     except DataError as exc:
                         raise DataError(f"{path.name} line {reader.line_num}: {exc}") from None
-                total = ss[i] + citations / divisor * share
+                term = citations / divisor * share
+                total = running[i] + term
                 if not total < math.inf:
-                    raise DataError(
-                        f"{path.name} line {reader.line_num}: scientific strength of {key} "
-                        "overflows a float"
-                    )
-                ss[i] = total
+                    raise _overflow_error(path, reader.line_num, key)
+                running[i] = total
+                terms[i].append(term)
+                last[i] = reader.line_num
     for found, message in (
         (orphans, "publications reference unknown staff rows"),
         (missing, "median table does not cover"),
@@ -274,7 +282,17 @@ def _scan_publications(
         if found:
             located = (f"{key} at {path.name} line {line}" for key, line in sorted(found.items()))
             raise DataError(f"{message}: {'; '.join(located)}")
-    return count
+    ss = []
+    for key, unit_terms, line in zip(index, terms, last):
+        try:
+            ss.append(math.fsum(unit_terms))
+        except OverflowError:  # finite terms whose exact sum rounds past the float range
+            raise _overflow_error(path, line, key) from None
+    return count, ss
+
+
+def _overflow_error(path: Path, line: int, key: tuple[str, str]) -> DataError:
+    return DataError(f"{path.name} line {line}: scientific strength of {key} overflows a float")
 
 
 def _cell_entry(
@@ -286,8 +304,8 @@ def _cell_entry(
     if (value := _number(int, year)) is None:
         return _Problem(3, f"bad year value {year!r}")
     year, categories = value, tuple(c for c in categories.split(";") if c)
-    if not categories:
-        return _Problem(7, NO_CATEGORIES)
+    if (problem := categories_problem(categories)) is not None:
+        return _Problem(7, problem)
     uncovered = [(year, c) for c in categories if not medians.covers(year, c)]
     for pair in uncovered:
         missing.setdefault(pair, line)
@@ -351,8 +369,9 @@ def ingest(
     This is where the output source is settled. A staff file with an ``ss``
     column is the one input file: a publications or medians path beside it
     is a :class:`DataError`, raised before either file is opened. Without
-    one, both are required, and each publication row is added to its staff
-    row's SS as it is read, so no publication is kept; staff rows without
+    one, both are required, and each staff row's SS is the exactly rounded
+    sum (``math.fsum``) of its publication rows' contributions, whatever
+    their order; no publication is kept, and staff rows without
     publications get 0.0.
 
     Referential checks: every publication's (dmu_id, sds_id) must match a
@@ -374,8 +393,7 @@ def ingest(
     if not medians_path:
         raise DataError("computed output mode requires a medians file")
     medians = _read_medians(Path(medians_path))
-    ss = [0.0] * len(index)
-    count = _scan_publications(Path(publications_path), index, medians, ss)
+    count, ss = _scan_publications(Path(publications_path), index, medians)
     return AssessmentDataset(tuple(index), years, ss, "computed", count)
 
 
@@ -385,9 +403,9 @@ def build_median_table(
     """Build a reference table from raw per-publication citation counts.
 
     Medians use the midpoint of the two central order statistics for even
-    counts; means are recorded alongside for the zero-median fallback. A
-    year or count that a :class:`PublicationRecord` would reject is a
-    :class:`DataError`.
+    counts; means, each from its exact int sum, are recorded alongside for
+    the zero-median fallback. A year or count that a
+    :class:`PublicationRecord` would reject is a :class:`DataError`.
     """
     grouped: dict[tuple[int, str], list[int]] = {}
     for year, category, citations in citations_by_key:
@@ -396,7 +414,7 @@ def build_median_table(
         grouped.setdefault((year, category), []).append(citations)
     return MedianTable(
         entries={key: float(statistics.median(vals)) for key, vals in grouped.items()},
-        means={key: left_sum(vals) / len(vals) for key, vals in grouped.items()},
+        means={key: sum(vals) / len(vals) for key, vals in grouped.items()},
     )
 
 
@@ -452,11 +470,14 @@ def emit(
     """Write the report to ``out_dir``; returns the files written.
 
     Score tables apply the configured reporting precision; the JSON report
-    keeps full precision so it can be re-ingested losslessly. Two SDSs whose
-    ids share a file name slug are a data error when csv or svg is written,
-    raised before any file is.
+    keeps full precision so it can be re-ingested losslessly. No formats,
+    an unknown format, and two SDSs whose ids share a file name slug when
+    csv or svg is written, are data errors raised before ``out_dir`` is
+    made.
     """
     formats = list(formats)
+    if not formats:
+        raise DataError(f"no output formats; available: {list(FORMATS)}")
     unknown = sorted(set(formats) - set(FORMATS))
     if unknown:
         raise DataError(f"unknown output formats {unknown}; available: {list(FORMATS)}")

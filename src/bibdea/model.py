@@ -5,14 +5,12 @@ or a check it shares with ingest, the config or the analytics API;
 computations live in the sibling modules.
 """
 
-import functools
 import math
-import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,16 +23,6 @@ NO_CATEGORIES = "at least one subject category required"
 # author, so an absurd author count would exhaust memory; real bylines stay
 # far below this.
 MAX_AUTHORS = 100_000
-
-
-def left_sum(values: Iterable[float]) -> float:
-    """The sum of ``values`` added one at a time, left to right, from int 0.
-
-    This is how builtin ``sum`` adds floats up to Python 3.11. From 3.12 it
-    compensates their rounding, which would move scores, and the report
-    bytes, by ulps from one interpreter to another.
-    """
-    return functools.reduce(operator.add, values, 0)
 
 
 class DataError(Exception):
@@ -81,13 +69,12 @@ class PublicationRecord:
     def __post_init__(self):
         object.__setattr__(self, "categories", tuple(self.categories))
         object.__setattr__(self, "dmu_author_positions", tuple(self.dmu_author_positions))
-        problem = year_problem(self.year) or citations_problem(self.citations)
-        if problem is None and not self.categories:
-            problem = NO_CATEGORIES
-        if problem is None:
-            problem = byline_problem(
-                self.total_authors, self.dmu_author_positions, self.life_science
-            )
+        problem = (
+            year_problem(self.year)
+            or citations_problem(self.citations)
+            or categories_problem(self.categories)
+            or byline_problem(self.total_authors, self.dmu_author_positions, self.life_science)
+        )
         if problem is not None:
             raise DataError(f"{self.pub_id}: {problem}")
 
@@ -118,6 +105,17 @@ def citations_problem(citations: int) -> str | None:
         return "citations must be >= 0"
     if citations > MAX_CITATIONS:
         return "citations too large for a float"
+    return None
+
+
+def categories_problem(categories: Sequence[str]) -> str | None:
+    """What is wrong with a publication's subject categories, or None if
+    there is at least one and none repeats: a repeated category would count
+    its median twice in the cell's mean."""
+    if not categories:
+        return NO_CATEGORIES
+    if len(set(categories)) != len(categories):
+        return "duplicate subject categories"
     return None
 
 

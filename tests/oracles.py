@@ -15,7 +15,8 @@ as they were before the candidate planes were enumerated in one batch: one
 anchor point at a time, and the Pareto test as one (n, n, 3) broadcast.
 
 ``reference_ingest_ss`` scores a publications file row by row, the way
-ingest did before it read the file by columns and cached per distinct key.
+ingest did before it read the file by columns and cached per distinct key,
+and sums each unit's rows with ``math.fsum`` after the file.
 ``reference_report_json`` is report.json as the standard library encodes it,
 and ``reference_csv_tables`` the CSV tables laid out one row, then one cell,
 at a time.
@@ -28,10 +29,12 @@ score, one row and one unit at a time.
 
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
 import math
+import operator
 import re
 import statistics
 from pathlib import Path
@@ -51,7 +54,6 @@ from bibdea import (
 )
 from bibdea import dea
 from bibdea.analytics import TIE_TOL
-from bibdea.model import left_sum
 
 _FEAS_TOL = 1e-9
 
@@ -304,14 +306,19 @@ def _parse_int(raw, path, line, column):
 def reference_ingest_ss(staff_keys, publications_path, medians):
     """``(ss, publication_count)`` of a computed-mode ingest, row by row.
 
-    Every row becomes a validated ``PublicationRecord``, and
-    ``scientific_strength((record,), medians)`` is added to its staff row in
-    file order. Raises the same ``DataError`` as ingest on the first bad row
-    or SS overflow, then for unknown staff rows and uncovered (year, category)
-    pairs, each named with the first line that has it.
+    Every row becomes a validated ``PublicationRecord``, and each staff
+    row's SS is the ``math.fsum`` of its records'
+    ``scientific_strength((record,), medians)``. Raises the same
+    ``DataError`` as ingest on the first bad row or on the row that takes
+    a unit's sum in file order past the float range, then for unknown staff
+    rows and uncovered (year, category) pairs, each named with the first
+    line that has it, then for a unit whose exact sum overflows, named with
+    its last cited row.
     """
     path = Path(publications_path)
-    ss = dict.fromkeys(staff_keys, 0.0)
+    running = dict.fromkeys(staff_keys, 0.0)
+    terms = {key: [] for key in staff_keys}
+    last = {}
     orphans, missing = {}, {}
     count = 0
     with open(path, newline="", encoding="utf-8") as handle:
@@ -344,21 +351,25 @@ def reference_ingest_ss(staff_keys, publications_path, medians):
                 raise DataError(f"{path.name} line {line}: {exc}") from None
             count += 1
             key = (row["dmu_id"], row["sds_id"])
-            if key not in ss:
+            if key not in running:
                 orphans.setdefault(key, line)
             for c in record.categories:
                 if not medians.covers(record.year, c):
                     missing.setdefault((record.year, c), line)
             if not (orphans or missing):
                 try:
-                    ss[key] += scientific_strength((record,), medians)
+                    term = scientific_strength((record,), medians)
                 except DataError as exc:
                     raise DataError(f"{path.name} line {line}: {exc}") from None
-                if not math.isfinite(ss[key]):
+                running[key] += term
+                if not math.isfinite(running[key]):
                     raise DataError(
                         f"{path.name} line {line}: scientific strength of {key} "
                         "overflows a float"
                     )
+                terms[key].append(term)
+                if record.citations:  # an uncited row contributes nothing
+                    last[key] = line
     for found, message in (
         (orphans, "publications reference unknown staff rows"),
         (missing, "median table does not cover"),
@@ -366,6 +377,14 @@ def reference_ingest_ss(staff_keys, publications_path, medians):
         if found:
             located = [f"{key} at {path.name} line {line}" for key, line in sorted(found.items())]
             raise DataError(f"{message}: {'; '.join(located)}")
+    ss = {}
+    for key, unit_terms in terms.items():
+        try:
+            ss[key] = math.fsum(unit_terms)
+        except OverflowError:
+            raise DataError(
+                f"{path.name} line {last[key]}: scientific strength of {key} overflows a float"
+            ) from None
     return ss, count
 
 
@@ -503,8 +522,11 @@ def reference_histogram(scores, bin_width: float = 0.2) -> Histogram:
 def reference_aggregate(rows) -> AggregateScores:
     """Weighted mean of ``((te, ae, ce), weight)`` rows, each sum added
     left to right."""
-    total = left_sum(w for _, w in rows)
-    te, ae, ce = (left_sum(t[k] * w for t, w in rows) / total for k in range(3))
+    def left_to_right(values):
+        return functools.reduce(operator.add, values, 0)
+
+    total = left_to_right(w for _, w in rows)
+    te, ae, ce = (left_to_right(t[k] * w for t, w in rows) / total for k in range(3))
     return AggregateScores(te=te, ae=ae, ce=ce, total_weight=total)
 
 

@@ -1,3 +1,7 @@
+import itertools
+import math
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +17,7 @@ from bibdea import (
     standardize_citations,
 )
 from bibdea.bibliometrics import citation_divisor, divide_citations
-from bibdea.model import NO_CATEGORIES, left_sum
+from bibdea.model import NO_CATEGORIES
 
 MEDIANS = MedianTable(entries={(2005, "A"): 4.0, (2005, "B"): 6.0, (2005, "C"): 7.0})
 
@@ -143,7 +147,7 @@ class TestFractionalCountLifeScience:
 
 def share(n, positions, intramural):
     """The life-science share of ``positions`` under the given weights."""
-    return left_sum(positional_weights(n, intramural)[p - 1] for p in positions)
+    return math.fsum(positional_weights(n, intramural)[p - 1] for p in positions)
 
 
 class TestSchemeSelection:
@@ -180,6 +184,9 @@ class TestSchemeSelection:
         (lambda: PublicationRecord("p", "2005", 3, ("A",), 1), "year must be an integer"),
         (lambda: PublicationRecord("p", True, 3, ("A",), 1), "year must be an integer"),
         (lambda: citation_divisor(2005, (), MEDIANS), f"^{NO_CATEGORIES}$"),
+        (lambda: citation_divisor(2005, ("A", "B", "A"), MEDIANS), "^duplicate subject categ"),
+        (lambda: standardize_citations(3, 2005, ("A", "A"), MEDIANS), "^duplicate subject cat"),
+        (lambda: PublicationRecord("p", 2005, 3, ("A", "A"), 1), "^p: duplicate subject cat"),
     ],
 )
 def test_the_api_applies_the_ingest_rules(call, problem):
@@ -253,3 +260,42 @@ class TestScientificStrength:
         assert scientific_strength([pub], table) == standardize_citations(
             7, 2005, ("A",), table
         ) * fractional_count(3, (1, 2), False)
+
+
+class TestExactSums:
+    """Every sum of a variable number of terms is ``math.fsum``, so the order
+    of the terms does not move it."""
+
+    def test_divisor_does_not_depend_on_category_order(self):
+        table = MedianTable(
+            entries={(2005, c): m for c, m in zip("ABCXYZ", (0.1, 0.2, 0.3, 0, 0, 0))},
+            means={(2005, c): m for c, m in zip("XYZ", (0.1, 0.2, 0.3))},
+        )
+        for cell in ("ABC", "XYZ"):
+            cells = itertools.permutations(cell)
+            assert len({citation_divisor(2005, c, table).hex() for c in cells}) == 1, cell
+        assert citation_divisor(2005, ("B", "C", "A"), table) == 0.6 / 3
+
+    def test_mean_of_medians_past_the_float_range_is_the_exact_mean(self):
+        big = sys.float_info.max
+        table = MedianTable(entries={(2005, "A"): big, (2005, "B"): big, (2005, "C"): big / 4})
+        assert citation_divisor(2005, ("A", "B"), table) == big
+        assert citation_divisor(2005, ("A", "B", "C"), table) == big * 0.75
+
+    def test_strength_past_the_float_range_is_inf_in_any_order(self):
+        # M + h rounds back to M, so a left-to-right sum of M, h, h stays M
+        big, half = sys.float_info.max, sys.float_info.max * 2**-54
+        table = MedianTable(entries={(2005, "A"): 1.0})
+        pubs = [PublicationRecord(f"p{c}", 2005, int(c), ("A",), 1, (1,)) for c in (big, half)]
+        for order in itertools.permutations([pubs[0], pubs[1], pubs[1]]):
+            assert scientific_strength(order, table) == math.inf
+
+    def test_strength_does_not_depend_on_publication_order(self):
+        table = MedianTable(entries={(2005, "A"): 0.3, (2005, "B"): 0.7})
+        cells = [(1, ("A",)), (7, ("A", "B")), (3, ("B",)), (11, ("B", "A"))]
+        pubs = [
+            PublicationRecord(f"p{i}", 2005, c, cats, 3, (1, 3), life_science=i % 2 == 0)
+            for i, (c, cats) in enumerate(cells)
+        ]
+        totals = {scientific_strength(order, table).hex() for order in itertools.permutations(pubs)}
+        assert len(totals) == 1

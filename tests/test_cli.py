@@ -105,6 +105,26 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "pubs.csv line 10: scientific strength of ('UnivA', 'TEST/01') overflows" in err
 
+    def test_exact_sum_overflow_is_a_located_data_error(self, lab_args, tmp_path, capsys):
+        # UnivA's terms are M, h and h: a left-to-right sum stays at M, their
+        # exact sum is past the float range
+        big, half = int(sys.float_info.max), int(sys.float_info.max * 2**-54)
+        pubs, medians = tmp_path / "pubs.csv", tmp_path / "medians.csv"
+        with open(lab_args[lab_args.index("--publications") + 1], encoding="utf-8") as fh:
+            header = fh.readline()
+        rows = [f"p{n},UnivA,TEST/01,2005,{c},CatA,1,1,0\n" for n, c in enumerate([big, half])]
+        pubs.write_text(header + rows[0] + rows[1] * 2)
+        medians.write_text("year,category,median\n2005,CatA,1\n")
+        lab_args[lab_args.index("--publications") + 1] = str(pubs)
+        lab_args[lab_args.index("--medians") + 1] = str(medians)
+        assert main(["assess", *lab_args, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "data error: pubs.csv line 4: scientific strength of ('UnivA', 'TEST/01') "
+            "overflows a float\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["validate", "--staff", str(tmp_path / "nope.csv")]) == 3
         assert "i/o error" in capsys.readouterr().err
@@ -318,6 +338,13 @@ class TestAssess:
         assert code == 1
         err = capsys.readouterr().err
         assert "data error: SDS ids 'A-01' and 'A/01' share the output file name slug" in err
+        assert not out.exists()
+
+    def test_empty_format_list_is_a_data_error(self, staff, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["assess", "--staff", staff, "--out", str(out), "--format", ","]) == 1
+        err = capsys.readouterr().err
+        assert err == "data error: no output formats; available: ['json', 'csv', 'svg']\n"
         assert not out.exists()
 
     def test_overflowing_institution_cost_is_a_data_error(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +45,7 @@ from bibdea import (
 )
 from bibdea import dea
 from bibdea.analytics import TIE_TOL
+from bibdea.cli import main
 from bibdea.report import EligibilityEntry
 
 from benchmarks import PHARM_CHEM
@@ -206,6 +208,39 @@ class TestIngest:
         assert str(err.value) == (
             "pubs.csv line 10: scientific strength of ('UnivA', 'TEST/01') overflows a float"
         )
+
+    def test_exact_sum_past_the_float_range_names_the_last_line(self, tmp_path, fixtures_dir):
+        # UnivA's terms are M, h and h. Added in file order they stay at M,
+        # since M + h rounds back to M, but their exact sum is past the
+        # float range. Its uncited last row contributes nothing.
+        big, half = sys.float_info.max, sys.float_info.max * 2**-54
+        assert big + half == big
+        rows = [
+            ["p1", "UnivA", "TEST/01", 2005, int(big), "CatA", 1, "1", 0],
+            ["p2", "UnivB", "TEST/01", 2005, 3, "CatA", 1, "1", 0],
+            ["p3", "UnivA", "TEST/01", 2005, int(half), "CatA", 1, "1", 0],
+            ["p4", "UnivA", "TEST/01", 2005, int(half), "CatA", 1, "1", 0],
+            ["p5", "UnivB", "TEST/01", 2005, 3, "CatA", 1, "1", 0],
+            ["p6", "UnivA", "TEST/01", 2005, 0, "CatA", 1, "1", 0],
+        ]
+        pubs = write_csv(tmp_path / "pubs.csv", PUB_HEADER, rows)
+        medians = tmp_path / "medians.csv"
+        medians.write_text("year,category,median,mean\n2005,CatA,1,\n")
+        staff = fixtures_dir / "lab_staff.csv"
+        message = "pubs.csv line 5: scientific strength of ('UnivA', 'TEST/01') overflows a float"
+        with pytest.raises(DataError) as err:
+            ingest(staff, pubs, medians)
+        assert str(err.value) == message
+        assert _both_outcomes(staff, pubs, medians) == (("error", message),) * 2
+
+    @pytest.mark.parametrize("cell", ["CatA;CatA", "CatA;CatB;CatA"])
+    def test_repeated_category_names_the_row(self, tmp_path, fixtures_dir, cell):
+        rows = [["p1", "UnivA", "TEST/01", 2005, 3, "CatA", 1, "1", 0],
+                ["p2", "UnivA", "TEST/01", 2005, 3, cell, 1, "1", 0]]
+        pubs = write_csv(tmp_path / "pubs.csv", PUB_HEADER, rows)
+        with pytest.raises(DataError) as err:
+            ingest(fixtures_dir / "lab_staff.csv", pubs, fixtures_dir / "lab_medians.csv")
+        assert str(err.value) == "pubs.csv line 3: p2: duplicate subject categories"
 
     def test_parse_error_carries_line_number(self, tmp_path):
         staff = write_csv(
@@ -655,7 +690,7 @@ class TestColumnarIngestOracle:
         "dmu_id": ["Ghost", "U7"],
         "year": ["2006", "20x5", "", "2004", "2_004"],
         "citations": ["0", "5", "-3", "x", "", "40", "4_0"],
-        "categories": ["", "C1;C9", "C0;C0", ";C1", "C4;C3"],
+        "categories": ["", "C1;C9", "C0;C0", ";C1", "C4;C3", "C1;C1"],
         "total_authors": ["0", "1", "2", "20", "x", "\u0662"],
         "dmu_positions": ["", "1;1", "9", "0", "2;1", "x", "1;\u0661"],
         "life_science": ["1", "0", "2", ""],
@@ -731,6 +766,98 @@ class TestColumnarIngestOracle:
                 assert columnar == reference, edits
                 errors += columnar[0] == "error"
         assert errors >= 3 * len(self.CORRUPTION_PAIRS)
+
+
+def _shuffled_copy(rng, path, out):
+    """A copy of the CSV file at ``path`` under ``out``, its rows shuffled
+    and, in a publications file, the categories of each cell permuted."""
+    header, *rows = path.read_text().splitlines()
+    rng.shuffle(rows)
+    columns = header.split(",")
+    if "categories" in columns:
+        i = columns.index("categories")
+        for n, row in enumerate(rows):
+            cells = row.split(",")
+            categories = cells[i].split(";")
+            cells[i] = ";".join(rng.sample(categories, len(categories)))
+            rows[n] = ",".join(cells)
+    (out / path.name).write_text("\n".join([header, *rows]) + "\n")
+    return out / path.name
+
+
+def _assess_files(files, out):
+    """The bytes of each file that ``bibdea assess`` writes for ``files``."""
+    staff, pubs, medians = map(str, files)
+    argv = ["assess", "--staff", staff, "--publications", pubs, "--medians", medians,
+            "--no-filter", "--format", "json,csv,svg", "--out", str(out)]
+    assert main(argv) == 0
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+class TestOrderIndependence:
+    """Each SS is an exactly rounded sum, so no order of the input rows or
+    of a cell's categories moves a score."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_census_writes_the_same_files(self, tmp_path, seed):
+        rng = random.Random(f"shuffle:{seed}")
+        for name in ("in", "shuffled"):
+            (tmp_path / name).mkdir()
+        files = _synthetic_census(rng, tmp_path / "in")
+        shuffled = [_shuffled_copy(rng, path, tmp_path / "shuffled") for path in files]
+        pubs = files[1].read_text().splitlines()
+        moved = shuffled[1].read_text().splitlines()
+        assert sorted(pubs) != sorted(moved)  # some cell's categories were permuted
+        expected = _assess_files(files, tmp_path / "out")
+        assert len(expected) == 13  # report.json, 4 CSVs, 8 SVGs
+        assert _assess_files(shuffled, tmp_path / "shuffled_out") == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_ingest_ss_is_scientific_strength_in_any_order(self, data):
+        table = MedianTable(
+            entries={(2005, "A"): 0.1, (2005, "B"): 0.3, (2005, "C"): 0.7, (2005, "Z"): 0.0},
+            means={(2005, "Z"): 2.3},
+        )
+        units = ["U0", "U1", "U2"]
+        records = {}
+        for n in range(data.draw(st.integers(1, 24), label="publications")):
+            authors = data.draw(st.integers(1, 6))
+            record = PublicationRecord(
+                pub_id=f"P{n}",
+                year=2005,
+                citations=data.draw(st.integers(0, 50)),
+                categories=data.draw(st.lists(st.sampled_from("ABCZ"), min_size=1, max_size=3,
+                                              unique=True)),
+                total_authors=authors,
+                dmu_author_positions=data.draw(st.lists(st.integers(1, authors), unique=True)),
+                life_science=data.draw(st.booleans()),
+            )
+            records[record] = data.draw(st.sampled_from(units))
+        rows = [
+            [r.pub_id, unit, "S", r.year, r.citations, ";".join(r.categories), r.total_authors,
+             ";".join(map(str, r.dmu_author_positions)), int(r.life_science)]
+            for r, unit in data.draw(st.permutations(list(records.items())), label="file order")
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            staff = write_csv(tmp / "staff.csv", STAFF_HEADER, [[u, "S", 1, 0, 0] for u in units])
+            medians = write_csv(
+                tmp / "medians.csv",
+                ["year", "category", "median", "mean"],
+                [[y, c, m, table.means.get((y, c), "")] for (y, c), m in table.entries.items()],
+            )
+            pubs = write_csv(tmp / "pubs.csv", PUB_HEADER, rows)
+            dataset = ingest(staff, pubs, medians)
+        ss = dict(zip(dataset.units, dataset.ss.tolist()))
+        for unit in units:
+            mine = [r for r, u in records.items() if u == unit]
+            order = data.draw(st.permutations(mine), label=f"{unit} order")
+            permuted = [
+                dataclasses.replace(r, categories=data.draw(st.permutations(r.categories)))
+                for r in order
+            ]
+            assert ss[unit, "S"].hex() == scientific_strength(permuted, table).hex()
 
 
 class TestMedianTableBuilder:
@@ -1271,6 +1398,11 @@ class TestEmit:
     def test_unknown_format_rejected(self, report, tmp_path):
         with pytest.raises(DataError):
             emit(report, ["pdf"], tmp_path)
+
+    def test_no_format_is_rejected_before_the_directory_is_made(self, report, tmp_path):
+        with pytest.raises(DataError, match=r"^no output formats; available: \['json'"):
+            emit(report, [], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_out_dir_created(self, report, tmp_path):
         target = tmp_path / "deep" / "nested"

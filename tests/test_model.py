@@ -21,7 +21,7 @@ from bibdea import (
     staff_cost,
 )
 
-from bibdea.model import MAX_AUTHORS
+from bibdea.model import MAX_AUTHORS, NO_CATEGORIES, categories_problem
 
 from benchmarks import COST_RECONSTRUCTIONS
 from oracles import integer_cost_triples
@@ -99,6 +99,16 @@ class TestDomainTypes:
     def test_publication_needs_category(self):
         with pytest.raises(DataError):
             PublicationRecord("p", 2005, 3, (), total_authors=1)
+
+    @pytest.mark.parametrize(
+        "categories, problem",
+        [((), NO_CATEGORIES), (("A", "A"), "duplicate subject categories"),
+         (("A", "B", "A"), "duplicate subject categories"), (("A", "B"), None)],
+    )
+    def test_categories_problem(self, categories, problem):
+        # a repeated category would count its median twice in the divisor
+        assert categories_problem(categories) == problem
+        assert categories_problem(list(categories)) == problem
 
     def test_publication_negative_citations(self):
         with pytest.raises(DataError):
