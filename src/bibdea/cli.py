@@ -72,12 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> tuple:
-    dataset = io.ingest(args.staff, args.publications, args.medians)
-    return dataset, io.load_config(args.config)
+    # The config first, so that its faults show whatever the input files hold
+    return io.load_config(args.config), io.ingest(args.staff, args.publications, args.medians)
 
 
 def _assess(args) -> AssessmentReport:
-    dataset, config = _load(args)
+    config, dataset = _load(args)
     return run_assessment(dataset, config, apply_filter=not args.no_filter)
 
 
@@ -101,13 +101,13 @@ def _print_rows(rows: tuple[ScoreRow, ...], precision: int) -> None:
 
 
 def _cmd_assess(args) -> int:
+    formats = io.check_formats(f for f in args.format.split(",") if f)
     report = _assess(args)
     for entry in report.eligibility:
         status = "included" if entry.included else (
             "excluded (" + ", ".join(entry.failed_criteria) + ")"
         )
         print(f"{entry.sds_id}: {entry.universities_active} universities, {status}")
-    formats = [f for f in args.format.split(",") if f]
     written = io.emit(report, formats, args.out)
     for path in written:
         print(f"wrote {path}")
@@ -160,7 +160,7 @@ def _cmd_institution_report(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    dataset, _ = _load(args)
+    _, dataset = _load(args)
     dmu_ids, sds_ids = map(set, zip(*dataset.units))
     print(
         f"ok: {len(dmu_ids)} universities, {len(sds_ids)} SDSs, "

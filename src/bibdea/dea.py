@@ -44,7 +44,7 @@ from .model import (
     _staff_costs,
 )
 
-# Intensity weights below this are reported as zero.
+# A peer's share of a unit's output up to this is rounding noise: weight 0.
 _WEIGHT_TOL = 1e-9
 # Relative slack of a supporting plane below its offset, of an optimal facet
 # below a unit's best ratio, and of a peer coefficient below zero; rounding
@@ -154,9 +154,9 @@ def _peers(
     """Peers of every scaled point: up to three indices into ``z`` per row
     with their intensity weights (zero where a slot is unused).
 
-    ``y`` and ``te`` hold the points' outputs and scores. A peer whose
-    output is so much smaller than the unit's that its weight passes the
-    float range gets weight ``inf``.
+    ``y`` and ``te`` hold the points' outputs and scores. A peer making at
+    most ``_WEIGHT_TOL`` of the unit's output gets weight 0, and one whose
+    weight passes the float range (far less output than the unit) ``inf``.
     """
     gens, v, c, triples = facets
     # A triple of an optimal facet whose coefficients for the contracted
@@ -185,15 +185,16 @@ def _peers(
         head = order[np.diff(u[order], prepend=-1) != 0]
         head = head[low[head] > best_low[u[head]]]
         best_low[u[head]], coef[u[head]], triple[u[head]] = low[head], w[head], t[head]
-    # Rays are not units: their slots keep weight 0 and point at any unit.
+    # coef holds each peer's share of the unit's output. Rays are not units:
+    # their slots keep weight 0 and point at any unit.
     peer = np.append(front, [0] * 3)[triple]
-    coef[triple >= len(front)] = 0.0
+    coef[(triple >= len(front)) | (coef <= _WEIGHT_TOL)] = 0.0
     # A frontier unit whose optimal facets have no solvable triple, all of
     # them near singular, is its own peer.
     alone = np.flatnonzero((best_low == -np.inf) & (te == 1.0))
     peer[alone], coef[alone] = alone[:, None], (1.0, 0.0, 0.0)
     with np.errstate(over="ignore"):
-        return peer, coef.clip(0.0) * y[:, None] / y[peer]
+        return peer, coef * y[:, None] / y[peer]
 
 
 def _scores(
@@ -312,7 +313,7 @@ def evaluate_sds(
         pos, y, z, front, ratio, facets = frontier
         peer, weight = _peers(y, z, front, te[pos], ratio, facets)
         for i, peers, row in zip(pos.tolist(), pos[peer].tolist(), weight.tolist()):
-            weights[i] = {ids[j]: w for j, w in zip(peers, row) if w > _WEIGHT_TOL}
+            weights[i] = {ids[j]: w for j, w in zip(peers, row) if w > 0}
     return {
         dmu_id: EfficiencyScores(te=t, ae=a, ce=c, reference_weights=w)
         for dmu_id, t, a, c, w in zip(ids, te.tolist(), ae.tolist(), ce.tolist(), weights)

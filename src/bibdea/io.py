@@ -31,6 +31,9 @@ own, once, on the first row that has it: the checks yield the cell's
 divisor, the byline's fractional count and the citation count, or what is
 wrong with the field. No ``PublicationRecord`` is built for any row; a bad
 row raises, at its own line, the error that a record built from it would.
+Faults that only the whole file shows are raised after the pass, the first
+in this order: unknown staff keys, uncovered (year, category) pairs, the
+first cited row without a usable divisor, an SS past the float range.
 
 Emission is deterministic: identical inputs produce byte-identical output.
 """
@@ -208,25 +211,18 @@ def _scan_publications(
 
     Returns the row count and each staff row's SS, in ``index`` order: the
     ``math.fsum`` of its rows' contributions, 0.0 for a row without any.
-    Each distinct raw cell, byline and citations cell is checked once, as
-    the module docstring says; a row with a :class:`_Problem` raises the
-    first of its problems. The contributions are also added up in file
-    order, so that the row which takes that running sum past the float
-    range is an error naming its line; a unit whose exact sum alone is
-    past it is an error naming its last contributing line. After the file,
-    keys without a staff row and (year, category) pairs the medians do not
-    cover are an error naming each one's first line.
+    Checks and faults are as the module docstring says; a row with a
+    :class:`_Problem` raises the first of its problems. Unknown keys and
+    uncovered pairs are named with their first lines, the cited row by its
+    line, an SS past the float range by its staff row's last cited line.
     """
     cells: dict[tuple[str, str], tuple | _Problem] = {}  # -> (divisor, year, categories)
     bylines: dict[tuple[str, str, str], float | _Problem] = {}  # -> fractional count
     counts: dict[str, int | _Problem] = {}  # raw citations -> count
     orphans: dict[tuple[str, str], int] = {}  # -> first line
     missing: dict[tuple[int, str], int] = {}  # -> first line
-    # Once a row is orphaned or uncovered, ingest fails with that error
-    # after the file, so scoring stops.
-    scoring = True
+    undivided = None  # (line, citations, cell) of the first cited row without a divisor
     count = 0
-    running = [0.0] * len(index)
     terms = [array("d") for _ in index]  # 8 bytes a term, where a float object takes 24
     last = [0] * len(index)  # each staff row's last contributing line
     with _open_csv(path, _PUB_COLUMNS) as (reader, column):
@@ -244,7 +240,6 @@ def _scan_publications(
             cell = cells.get((year, cat))
             if cell is None:
                 cell = cells[year, cat] = _cell_entry(year, cat, medians, missing, reader.line_num)
-                scoring = scoring and not missing
             share = bylines.get((authors, pos, life))
             if share is None:
                 share = bylines[authors, pos, life] = _byline_share(authors, pos, life)
@@ -255,26 +250,14 @@ def _scan_publications(
                 rank, text = min(p for p in (cell, share, citations) if type(p) is _Problem)
                 named = f"{pub_id}: " if rank >= 6 else ""
                 raise DataError(f"{path.name} line {reader.line_num}: {named}{text}")
-            key = (dmu, sds)
-            if (i := index.get(key)) is None:
-                orphans.setdefault(key, reader.line_num)
-                scoring = False
-                continue
-            # An uncited row adds +0.0, which moves no sum.
-            if citations and scoring:
-                divisor = cell[0]
-                if not divisor:  # None, or a zero mean fallback: raises, naming the cell
-                    try:
-                        divide_citations(citations, *cell)
-                    except DataError as exc:
-                        raise DataError(f"{path.name} line {reader.line_num}: {exc}") from None
-                term = citations / divisor * share
-                total = running[i] + term
-                if not total < math.inf:
-                    raise _overflow_error(path, reader.line_num, key)
-                running[i] = total
-                terms[i].append(term)
-                last[i] = reader.line_num
+            if (i := index.get((dmu, sds))) is None:
+                orphans.setdefault((dmu, sds), reader.line_num)
+            elif citations:  # an uncited row adds +0.0, which moves no sum
+                if divisor := cell[0]:
+                    terms[i].append(citations / divisor * share)
+                    last[i] = reader.line_num
+                elif undivided is None:  # None, or a zero mean fallback
+                    undivided = reader.line_num, citations, cell
     for found, message in (
         (orphans, "publications reference unknown staff rows"),
         (missing, "median table does not cover"),
@@ -282,17 +265,24 @@ def _scan_publications(
         if found:
             located = (f"{key} at {path.name} line {line}" for key, line in sorted(found.items()))
             raise DataError(f"{message}: {'; '.join(located)}")
+    if undivided is not None:
+        line, citations, cell = undivided
+        try:
+            divide_citations(citations, *cell)
+        except DataError as exc:  # always: the error names the cell
+            raise DataError(f"{path.name} line {line}: {exc}") from None
     ss = []
     for key, unit_terms, line in zip(index, terms, last):
         try:
-            ss.append(math.fsum(unit_terms))
+            total = math.fsum(unit_terms)
         except OverflowError:  # finite terms whose exact sum rounds past the float range
-            raise _overflow_error(path, line, key) from None
+            total = math.inf
+        if not total < math.inf:  # a term is inf, or nan: an inf quotient times a 0 share
+            raise DataError(
+                f"{path.name} line {line}: scientific strength of {key} overflows a float"
+            )
+        ss.append(total)
     return count, ss
-
-
-def _overflow_error(path: Path, line: int, key: tuple[str, str]) -> DataError:
-    return DataError(f"{path.name} line {line}: scientific strength of {key} overflows a float")
 
 
 def _cell_entry(
@@ -462,6 +452,17 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", name)
 
 
+def check_formats(formats: Iterable[str]) -> list[str]:
+    """``formats`` as a list; none, or one not in ``FORMATS``, is a data error."""
+    formats = list(formats)
+    if not formats:
+        raise DataError(f"no output formats; available: {list(FORMATS)}")
+    unknown = sorted(set(formats) - set(FORMATS))
+    if unknown:
+        raise DataError(f"unknown output formats {unknown}; available: {list(FORMATS)}")
+    return formats
+
+
 def emit(
     report: AssessmentReport,
     formats: Iterable[str],
@@ -470,17 +471,12 @@ def emit(
     """Write the report to ``out_dir``; returns the files written.
 
     Score tables apply the configured reporting precision; the JSON report
-    keeps full precision so it can be re-ingested losslessly. No formats,
-    an unknown format, and two SDSs whose ids share a file name slug when
-    csv or svg is written, are data errors raised before ``out_dir`` is
-    made.
+    keeps full precision so it can be re-ingested losslessly. Formats that
+    :func:`check_formats` rejects, and two SDSs whose ids share a file name
+    slug when csv or svg is written, are data errors raised before
+    ``out_dir`` is made.
     """
-    formats = list(formats)
-    if not formats:
-        raise DataError(f"no output formats; available: {list(FORMATS)}")
-    unknown = sorted(set(formats) - set(FORMATS))
-    if unknown:
-        raise DataError(f"unknown output formats {unknown}; available: {list(FORMATS)}")
+    formats = check_formats(formats)
     if {"csv", "svg"} & set(formats):
         slugs: dict[str, str] = {}
         for sds_id in sorted(report.sds_results):

@@ -309,17 +309,17 @@ def reference_ingest_ss(staff_keys, publications_path, medians):
     Every row becomes a validated ``PublicationRecord``, and each staff
     row's SS is the ``math.fsum`` of its records'
     ``scientific_strength((record,), medians)``. Raises the same
-    ``DataError`` as ingest on the first bad row or on the row that takes
-    a unit's sum in file order past the float range, then for unknown staff
-    rows and uncovered (year, category) pairs, each named with the first
-    line that has it, then for a unit whose exact sum overflows, named with
-    its last cited row.
+    ``DataError`` as ingest on the first bad row; after the file, for
+    unknown staff rows and uncovered (year, category) pairs, each named
+    with the first line that has it, then for the first row whose record
+    ``scientific_strength`` rejects, then for the first staff key whose SS
+    is past the float range, named with its last cited row.
     """
     path = Path(publications_path)
-    running = dict.fromkeys(staff_keys, 0.0)
     terms = {key: [] for key in staff_keys}
     last = {}
     orphans, missing = {}, {}
+    unscored = None
     count = 0
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -351,23 +351,17 @@ def reference_ingest_ss(staff_keys, publications_path, medians):
                 raise DataError(f"{path.name} line {line}: {exc}") from None
             count += 1
             key = (row["dmu_id"], row["sds_id"])
-            if key not in running:
+            uncovered = [(year, c) for c in categories if not medians.covers(year, c)]
+            for pair in uncovered:
+                missing.setdefault(pair, line)
+            if key not in terms:
                 orphans.setdefault(key, line)
-            for c in record.categories:
-                if not medians.covers(record.year, c):
-                    missing.setdefault((record.year, c), line)
-            if not (orphans or missing):
+            elif not uncovered:
                 try:
-                    term = scientific_strength((record,), medians)
+                    terms[key].append(scientific_strength((record,), medians))
                 except DataError as exc:
-                    raise DataError(f"{path.name} line {line}: {exc}") from None
-                running[key] += term
-                if not math.isfinite(running[key]):
-                    raise DataError(
-                        f"{path.name} line {line}: scientific strength of {key} "
-                        "overflows a float"
-                    )
-                terms[key].append(term)
+                    unscored = unscored or f"{path.name} line {line}: {exc}"
+                    continue
                 if record.citations:  # an uncited row contributes nothing
                     last[key] = line
     for found, message in (
@@ -377,14 +371,18 @@ def reference_ingest_ss(staff_keys, publications_path, medians):
         if found:
             located = [f"{key} at {path.name} line {line}" for key, line in sorted(found.items())]
             raise DataError(f"{message}: {'; '.join(located)}")
+    if unscored:
+        raise DataError(unscored)
     ss = {}
     for key, unit_terms in terms.items():
         try:
             ss[key] = math.fsum(unit_terms)
         except OverflowError:
+            ss[key] = math.inf
+        if not math.isfinite(ss[key]):
             raise DataError(
                 f"{path.name} line {last[key]}: scientific strength of {key} overflows a float"
-            ) from None
+            )
     return ss, count
 
 

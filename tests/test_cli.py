@@ -216,6 +216,18 @@ class TestAssess:
         payload = json.loads((out / "report.json").read_text())
         assert payload["sds"]["CHIM/08"]["quadrants"]["both_high"] == 28
 
+    @pytest.mark.parametrize("verb", ["assess", "validate"])
+    def test_bad_config_is_named_before_a_bad_input_path(self, tmp_path, capsys, verb):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"quadrant_threshold": "high"}')
+        staff = tmp_path / "staff.csv"
+        staff.write_text("dmu_id,sds_id,fp_years,ap_years,rf_years\nU,S,1,0,0\n")
+        missing = str(tmp_path / "missing.csv")
+        args = ["--staff", str(staff), "--publications", missing, "--medians", missing]
+        out = ["--out", str(tmp_path / "out")] if verb == "assess" else []
+        assert main([verb, *args, "--config", str(cfg), *out]) == 1
+        assert capsys.readouterr().err.startswith("data error: cfg.json: ")
+
     def test_config_env_var_is_not_read(self, staff, tmp_path):
         # BIBDEA_CONFIG used to name a config file when --config was absent
         bad = tmp_path / "bad.json"
@@ -343,8 +355,19 @@ class TestAssess:
     def test_empty_format_list_is_a_data_error(self, staff, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["assess", "--staff", staff, "--out", str(out), "--format", ","]) == 1
-        err = capsys.readouterr().err
-        assert err == "data error: no output formats; available: ['json', 'csv', 'svg']\n"
+        captured = capsys.readouterr()
+        assert captured.err == "data error: no output formats; available: ['json', 'csv', 'svg']\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_unknown_format_is_a_data_error_before_any_input(self, lab_args, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["assess", *lab_args, "--out", str(out), "--format", "pdf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "data error: unknown output formats ['pdf']; available: ['json', 'csv', 'svg']\n"
+        )
+        assert captured.out == ""
         assert not out.exists()
 
     def test_overflowing_institution_cost_is_a_data_error(self, tmp_path, capsys):

@@ -294,6 +294,15 @@ class TestEvaluateSds:
 
     @settings(max_examples=150, deadline=None)
     @given(unit_lists, st.integers(0, 3), st.integers(-300, 300))
+    # Cramer's rule gave D3, which has no fp staff-years, a weight of 3e-18
+    # on D2, whose fp staff-years are 4e8 once scaled: rounding noise
+    @example(
+        units=[((0, 0, 1), 0, "new", 0, 1), ((0, 0, 1), 0, "new", 0, 1),
+               ((4, 0, 1.5), 12, "new", 0, 1), ((0, 1, 0.1), 1, "new", 0, 1),
+               ((1, 0, 1.5), 5.5, "new", 0, 1)],
+        column=0,
+        exponent=8,
+    )
     def test_every_te_is_certified_by_lp_duality(self, units, column, exponent):
         # one input column, or (column 3) the outputs, scaled near the float limits
         inputs, outputs = units_sds(units)
@@ -311,6 +320,16 @@ class TestEvaluateSds:
         inputs = [[1e-300, 3.0, 1e300], [1e305, 0.0, 1e300], [1e305, 1e300, 5e-324]]
         scores = evaluate_sds(dataset(inputs, [1e300, 1e308, 1.0]))
         assert [s.te for s in scores.values()] == [1.0, 1.0, 1.0]
+
+    def test_a_peer_with_a_tiny_weight_and_half_the_output_is_kept(self):
+        # D2 needs both peers: D1 alone uses 1.5 fp staff-years per unit of
+        # output against D2's 1.0. D0 makes half of D2's output at a weight
+        # of 1e-12, as D0's output is 1e12.
+        inputs = np.array([[0.5e12, 1.5e12, 1e12], [1.5, 0.5, 1.0], [2.0, 2.0, 2.2]])
+        outputs = np.array([1e12, 1.0, 2.0])
+        scores = evaluate_sds(dataset(inputs.tolist(), outputs.tolist()))
+        assert scores["D2"].reference_weights == pytest.approx({"D0": 1e-12, "D1": 1.0})
+        check_peers(scores, inputs, outputs)
 
     def test_frontier_unit_without_a_solvable_triple_is_its_own_peer(self):
         # every triple of D0's optimal facets fails the determinant test

@@ -200,13 +200,14 @@ class TestIngest:
         assert str(err.value) == "median table does not cover: (-1, 'CatA') at pubs.csv line 2"
 
     def test_overflowing_ss_names_the_row(self, tmp_path, fixtures_dir):
-        # each row adds 1e308 / 5 to UnivA, and the ninth overflows a float
+        # each row adds 1e308 / 5 to UnivA, and twelve of them overflow a
+        # float; the error names UnivA's last contributing line
         row = ["p", "UnivA", "TEST/01", 2005, "1" + "0" * 308, "CatA", 1, "1", 0]
         pubs = write_csv(tmp_path / "pubs.csv", PUB_HEADER, [row] * 12)
         with pytest.raises(DataError) as err:
             ingest(fixtures_dir / "lab_staff.csv", pubs, fixtures_dir / "lab_medians.csv")
         assert str(err.value) == (
-            "pubs.csv line 10: scientific strength of ('UnivA', 'TEST/01') overflows a float"
+            "pubs.csv line 13: scientific strength of ('UnivA', 'TEST/01') overflows a float"
         )
 
     def test_exact_sum_past_the_float_range_names_the_last_line(self, tmp_path, fixtures_dir):
@@ -228,6 +229,44 @@ class TestIngest:
         medians.write_text("year,category,median,mean\n2005,CatA,1,\n")
         staff = fixtures_dir / "lab_staff.csv"
         message = "pubs.csv line 5: scientific strength of ('UnivA', 'TEST/01') overflows a float"
+        with pytest.raises(DataError) as err:
+            ingest(staff, pubs, medians)
+        assert str(err.value) == message
+        assert _both_outcomes(staff, pubs, medians) == (("error", message),) * 2
+
+    # A row's own fault is raised at its row; a fault that only the whole
+    # file shows, after the pass: unknown keys, then uncovered pairs, then a
+    # cited row without a divisor, then an SS past the float range.
+    @pytest.mark.parametrize(
+        "at, fault, message",
+        [
+            (
+                3,
+                ["p5", "UnivA", "TEST/01", 2005, 3, "CatA", 0, "1", 0],
+                "pubs.csv line 5: p5: total_authors must be >= 1",
+            ),
+            (
+                2,
+                ["p5", "Ghost", "TEST/01", 2005, 3, "CatA", 1, "1", 0],
+                "publications reference unknown staff rows: ('Ghost', 'TEST/01') at pubs.csv line 4",
+            ),
+        ],
+        ids=["bad_total_authors", "unknown_key"],
+    )
+    def test_faults_come_before_a_missing_divisor(self, tmp_path, fixtures_dir, at, fault, message):
+        rows = [
+            ["p1", "UnivA", "TEST/01", 2006, 3, "CatA", 1, "1", 0],  # zero median, no mean
+            ["p2", "UnivA", "TEST/01", 2005, 3, "CatA", 1, "1", 0],
+            ["p3", "UnivB", "TEST/01", 2005, 3, "CatA", 1, "1", 0],
+            ["p4", "UnivB", "TEST/01", 2005, 3, "CatA", 1, "1", 0],
+        ]
+        pubs = write_csv(tmp_path / "pubs.csv", PUB_HEADER, rows)
+        medians = tmp_path / "medians.csv"
+        medians.write_text("year,category,median,mean\n2005,CatA,1,\n2006,CatA,0,\n")
+        staff = fixtures_dir / "lab_staff.csv"
+        with pytest.raises(DataError, match="^pubs.csv line 2: zero median divisor for year 2006"):
+            ingest(staff, pubs, medians)
+        pubs = write_csv(pubs, PUB_HEADER, rows[:at] + [fault] + rows[at + 1 :])
         with pytest.raises(DataError) as err:
             ingest(staff, pubs, medians)
         assert str(err.value) == message
