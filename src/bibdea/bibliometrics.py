@@ -163,12 +163,14 @@ def scientific_strength(
     publications: Iterable[PublicationRecord], medians: MedianTable
 ) -> float:
     """Output indicator of one unit: sum of standardized, fractioned
-    citations, ``inf`` when that sum is past the float range."""
-    terms = [
-        standardize_citations(p.citations, p.year, p.categories, medians)
-        * fractional_count(p.total_authors, p.dmu_author_positions, p.life_science)
-        for p in publications
-    ]
+    citations, ``inf`` when that sum is past the float range. A publication
+    in which the unit holds no byline position adds nothing, even when its
+    standardized citations are past the float range."""
+    terms = []
+    for p in publications:
+        standardized = standardize_citations(p.citations, p.year, p.categories, medians)
+        if share := fractional_count(p.total_authors, p.dmu_author_positions, p.life_science):
+            terms.append(standardized * share)
     try:
         return math.fsum(terms)
     except OverflowError:  # finite terms whose exact sum rounds past the float range

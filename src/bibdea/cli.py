@@ -17,7 +17,7 @@ import sys
 
 from . import io
 from .model import DataError, SolverError
-from .report import AssessmentReport, ScoreRow, run_assessment
+from .report import AssessmentReport, run_assessment
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -81,23 +81,19 @@ def _assess(args) -> AssessmentReport:
     return run_assessment(dataset, config, apply_filter=not args.no_filter)
 
 
-def _print_rows(rows: tuple[ScoreRow, ...], precision: int) -> None:
-    def cell(value, width=9):
-        if value is None:
-            return " " * width
-        return f"{value:>{width}.{precision}f}"
+def _cell(value: float | None, precision: int) -> str:
+    """A table cell: ``value`` to ``precision`` decimals, blank for None."""
+    return "" if value is None else f"{value:.{precision}f}"
 
-    name_w = max(12, max(len(r.dmu_id) for r in rows))
-    print(
-        f"{'dmu_id':<{name_w}} {'ss':>9} {'fp':>7} {'ap':>7} {'rf':>7} "
-        f"{'te':>9} {'ae':>9} {'ce':>9} {'te%':>9} {'ae%':>9} {'ce%':>9}"
-    )
-    for r in rows:
-        print(
-            f"{r.dmu_id:<{name_w}} {cell(r.ss)} {r.fp_years:>7.1f} {r.ap_years:>7.1f} "
-            f"{r.rf_years:>7.1f} {cell(r.te)} {cell(r.ae)} {cell(r.ce)} "
-            f"{cell(r.te_pct)} {cell(r.ae_pct)} {cell(r.ce_pct)}"
-        )
+
+def _print_table(header: tuple, rows: list[tuple], widths: tuple[int, ...]) -> None:
+    """Print ``header`` and ``rows``, tuples of string cells, in columns one
+    space apart: the first left-aligned, the others right-aligned, each as
+    wide as the larger of its ``widths`` entry and its widest cell."""
+    lines = [header, *rows]
+    widths = [max(w, *map(len, column)) for w, column in zip(widths, zip(*lines))]
+    for first, *rest in lines:
+        print(first.ljust(widths[0]), *map(str.rjust, rest, widths[1:]))
 
 
 def _cmd_assess(args) -> int:
@@ -120,7 +116,17 @@ def _cmd_sds_report(args) -> int:
     if result is None:
         known = sorted(report.sds_results)
         raise DataError(f"SDS {args.sds_id!r} not assessed; assessed SDSs: {known}")
-    _print_rows(result.rows, report.reporting_precision)
+    p = report.reporting_precision
+    _print_table(
+        ("dmu_id", "ss", "fp", "ap", "rf", "te", "ae", "ce", "te%", "ae%", "ce%"),
+        [
+            (r.dmu_id, _cell(r.ss, p),
+             *(_cell(v, 1) for v in (r.fp_years, r.ap_years, r.rf_years)),
+             *(_cell(v, p) for v in (r.te, r.ae, r.ce, r.te_pct, r.ae_pct, r.ce_pct)))
+            for r in result.rows
+        ],
+        (12, 9, 7, 7, 7, 9, 9, 9, 9, 9, 9),
+    )
     q = result.quadrants
     print(
         f"quadrants @ {report.quadrant_threshold}: both-low {q.both_low}, "
@@ -129,32 +135,22 @@ def _cmd_sds_report(args) -> int:
     )
     for measure in ("te", "ae", "ce"):
         hist = result.histograms[measure]
-        print(f"{measure} median {hist.median:.{report.reporting_precision}f} "
-              f"bins {list(hist.counts)}")
+        print(f"{measure} median {hist.median:.{p}f} bins {list(hist.counts)}")
     return EXIT_OK
 
 
 def _cmd_institution_report(args) -> int:
     report = _assess(args)
     inst = report.institution(args.dmu_id)
-    precision = report.reporting_precision
-
-    def pct(value):
-        return "" if value is None else f"{value:.0f}"
-
-    print(f"{'sds_id':<12} {'cost k€':>12} {'te':>8} {'te%':>5} {'ae':>8} {'ae%':>5} "
-          f"{'ce':>8} {'ce%':>5}")
-    for r in inst.rows:
-        print(
-            f"{r.sds_id:<12} {r.staff_cost:>12.{precision}f} {r.te:>8.{precision}f} "
-            f"{pct(r.te_pct):>5} {r.ae:>8.{precision}f} {pct(r.ae_pct):>5} "
-            f"{r.ce:>8.{precision}f} {pct(r.ce_pct):>5}"
-        )
-    agg = inst.aggregate
-    print(
-        f"{'total/average':<12} {agg.total_weight:>12.{precision}f} "
-        f"{agg.te:>8.{precision}f} {pct(agg.te_pct):>5} {agg.ae:>8.{precision}f} "
-        f"{pct(agg.ae_pct):>5} {agg.ce:>8.{precision}f} {pct(agg.ce_pct):>5}"
+    agg, p = inst.aggregate, report.reporting_precision
+    lines = [(r.sds_id, r.staff_cost, r.te, r.te_pct, r.ae, r.ae_pct, r.ce, r.ce_pct)
+             for r in inst.rows]
+    lines.append(("total/average", agg.total_weight, agg.te, agg.te_pct, agg.ae, agg.ae_pct,
+                  agg.ce, agg.ce_pct))
+    _print_table(
+        ("sds_id", "cost k€", "te", "te%", "ae", "ae%", "ce", "ce%"),
+        [(name, *map(_cell, values, (p, p, 0, p, 0, p, 0))) for name, *values in lines],
+        (12, 12, 8, 5, 8, 5, 8, 5),
     )
     return EXIT_OK
 

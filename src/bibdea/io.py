@@ -16,13 +16,14 @@ file is the one input file and a publications or medians file is an
 error; otherwise both are required, and each publication's contribution
 is kept with its staff row as it is read. A staff row's SS is the
 ``math.fsum`` of its contributions, exactly rounded, so it depends on
-neither the order of the publication rows nor the Python version. The
-optional ``mean`` column feeds the zero-median fallback. Unknown extra
-columns and cells past the header's width are ignored, which lets
-emitted score tables be re-ingested; blank lines are skipped. A row with
-fewer cells than the header, bytes that are not UTF-8 and a cell over
-the csv module's field limit (131,072 characters) are data errors naming
-the file and line.
+neither the order of the publication rows nor the Python version; a row in
+which the unit holds no byline position contributes nothing, however large
+its standardized citations. The optional ``mean`` column feeds the
+zero-median fallback. Unknown extra columns and cells past the header's
+width are ignored, which lets emitted score tables be re-ingested; blank
+lines are skipped. A row with fewer cells than the header, bytes that are
+not UTF-8 and a cell over the csv module's field limit (131,072
+characters) are data errors naming the file and line.
 
 The publications file is read in one ``csv.reader`` pass, and no cell is
 parsed per row. Each distinct raw (year, categories) cell, (total_authors,
@@ -224,7 +225,7 @@ def _scan_publications(
     undivided = None  # (line, citations, cell) of the first cited row without a divisor
     count = 0
     terms = [array("d") for _ in index]  # 8 bytes a term, where a float object takes 24
-    last = [0] * len(index)  # each staff row's last contributing line
+    last = [0] * len(index)  # each staff row's last cited line
     with _open_csv(path, _PUB_COLUMNS) as (reader, column):
         width = max(column.values()) + 1
         # Fetching the last cell too makes a short row an IndexError.
@@ -254,7 +255,8 @@ def _scan_publications(
                 orphans.setdefault((dmu, sds), reader.line_num)
             elif citations:  # an uncited row adds +0.0, which moves no sum
                 if divisor := cell[0]:
-                    terms[i].append(citations / divisor * share)
+                    if share:  # no byline position adds nothing, even over a tiny divisor
+                        terms[i].append(citations / divisor * share)
                     last[i] = reader.line_num
                 elif undivided is None:  # None, or a zero mean fallback
                     undivided = reader.line_num, citations, cell
@@ -277,7 +279,7 @@ def _scan_publications(
             total = math.fsum(unit_terms)
         except OverflowError:  # finite terms whose exact sum rounds past the float range
             total = math.inf
-        if not total < math.inf:  # a term is inf, or nan: an inf quotient times a 0 share
+        if not total < math.inf:  # a term is inf: a quotient past the float range
             raise DataError(
                 f"{path.name} line {line}: scientific strength of {key} overflows a float"
             )
@@ -503,8 +505,10 @@ def emit(
 def _report_json(report: AssessmentReport) -> str:
     """The text of report.json. Without ``indent``, ``json.dumps`` runs the
     stdlib's C encoder; the document is freed before the newline is added,
-    so that it and two copies of the text are never held at once."""
-    return json.dumps(_report_document(report), sort_keys=True) + "\n"
+    so that it and two copies of the text are never held at once. A value
+    that is not finite raises, never becomes a token that strict JSON
+    readers reject."""
+    return json.dumps(_report_document(report), sort_keys=True, allow_nan=False) + "\n"
 
 
 def _report_document(report: AssessmentReport) -> dict:

@@ -167,6 +167,10 @@ def run_assessment(
     histograms = [analytics._histograms(v[scored], group) for v in scores]
     quadrants = analytics._quadrant_counts(*scores[:2, scored], group, config.quadrant_threshold)
 
+    per_staff_year = analytics._per_staff_year(y, x)
+    if (over := np.flatnonzero(scored & ~(per_staff_year < np.inf))).size:
+        sds_id = dataset.units[over[0]][1]
+        raise DataError(f"{sds_id}/{dmu_ids[over[0]]}: output per staff-year overflows a float")
     # one column per ScoreRow field, in field order
     columns = (
         dmu_ids,
@@ -175,7 +179,7 @@ def run_assessment(
         *x.T.tolist(),
         *scores.tolist(),
         cost.tolist(),
-        analytics._per_staff_year(y, x).tolist(),
+        per_staff_year.tolist(),
         *pct.tolist(),
     )
     # ScoreRow._make without its length check, in half the time

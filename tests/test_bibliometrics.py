@@ -254,6 +254,14 @@ class TestScientificStrength:
         pub = PublicationRecord("p", 2005, 10, ("A",), 6, (1, 6), life_science=True)
         assert scientific_strength([pub], table) == pytest.approx(2.0 * 0.80)
 
+    def test_publication_without_a_byline_position_adds_nothing(self):
+        # 1000 citations over a median of 1e-306 are past the float range,
+        # and inf * 0.0 would be nan
+        table = MedianTable(entries={(2005, "A"): 1e-306})
+        pub = PublicationRecord("p1", 2005, 1000, ("A",), 2, ())
+        assert standardize_citations(1000, 2005, ("A",), table) == math.inf
+        assert scientific_strength([pub], table) == 0.0
+
     def test_contribution_is_exact_product(self):
         table = MedianTable(entries={(2005, "A"): 3.0})
         pub = PublicationRecord("p", 2005, 7, ("A",), 3, (1, 2))

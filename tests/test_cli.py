@@ -34,6 +34,17 @@ from oracles import certify_te_by_duality, reference_report_json
 STAFF = "tests/fixtures/pharm_chem_staff.csv"
 
 
+def _read_report(out: Path, **kwargs) -> dict:
+    """The report.json that ``assess`` wrote into ``out``, read strictly:
+    a ``NaN``, ``Infinity`` or ``-Infinity`` in it fails the test."""
+
+    def reject(token):
+        raise ValueError(f"report.json holds {token}, which strict JSON readers reject")
+
+    text = (out / "report.json").read_text(encoding="utf-8")
+    return json.loads(text, parse_constant=reject, **kwargs)
+
+
 @pytest.fixture
 def staff(fixtures_dir):
     return str(fixtures_dir / "pharm_chem_staff.csv")
@@ -125,6 +136,25 @@ class TestValidate:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_row_without_a_byline_position_adds_nothing(self, tmp_path, capsys):
+        # p1's 1000 citations over a median of 1e-306 are past the float
+        # range, but UnivA holds none of its byline positions
+        staff, pubs, medians = (tmp_path / n for n in ("staff.csv", "pubs.csv", "medians.csv"))
+        staff.write_text(
+            "dmu_id,sds_id,fp_years,ap_years,rf_years\nUnivA,TEST/01,1,1,1\nUnivB,TEST/01,1,1,1\n"
+        )
+        pubs.write_text(
+            "pub_id,dmu_id,sds_id,year,citations,categories,total_authors,dmu_positions,"
+            "life_science\np1,UnivA,TEST/01,2005,1000,CatA,2,,0\n"
+            "p2,UnivB,TEST/01,2005,3,CatA,2,1,0\n"
+        )
+        medians.write_text("year,category,median\n2005,CatA,1e-306\n")
+        args = ["--staff", str(staff), "--publications", str(pubs), "--medians", str(medians)]
+        assert main(["validate", *args]) == 0
+        assert capsys.readouterr().out.startswith("ok: 2 universities")
+        dataset = ingest(staff, pubs, medians)
+        assert dataset.ss[dataset.units.index(("UnivA", "TEST/01"))] == 0.0
+
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["validate", "--staff", str(tmp_path / "nope.csv")]) == 3
         assert "i/o error" in capsys.readouterr().err
@@ -185,7 +215,7 @@ class TestAssess:
             ["assess", "--staff", staff, "--out", str(out), "--format", "json,csv,svg"]
         )
         assert code == 0
-        assert (out / "report.json").exists()
+        assert "CHIM/08" in _read_report(out)["sds"]
         assert (out / "scores_CHIM_08.csv").exists()
         assert (out / "matrix_CHIM_08.svg").exists()
         assert "CHIM/08: 28 universities, included" in capsys.readouterr().out
@@ -194,18 +224,20 @@ class TestAssess:
         a, b = tmp_path / "a", tmp_path / "b"
         main(["assess", "--staff", staff, "--out", str(a)])
         main(["assess", "--staff", staff, "--out", str(b)])
+        _read_report(a)
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
     def test_no_filter_flag(self, lab_args, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["assess", *lab_args, "--no-filter", "--out", str(out)])
         assert code == 0
-        payload = json.loads((out / "report.json").read_text())
+        payload = _read_report(out)
         assert "TEST/01" in payload["sds"]
 
     def test_filtered_sds_reported_excluded(self, lab_args, tmp_path, capsys):
         code = main(["assess", *lab_args, "--out", str(tmp_path / "out")])
         assert code == 0
+        assert _read_report(tmp_path / "out")["sds"] == {}
         assert "excluded (robustness)" in capsys.readouterr().out
 
     def test_quadrant_threshold_from_the_config_file(self, staff, tmp_path):
@@ -213,7 +245,7 @@ class TestAssess:
         cfg.write_text('{"quadrant_threshold": 0}')
         out = tmp_path / "out"
         assert main(["assess", "--staff", staff, "--config", str(cfg), "--out", str(out)]) == 0
-        payload = json.loads((out / "report.json").read_text())
+        payload = _read_report(out)
         assert payload["sds"]["CHIM/08"]["quadrants"]["both_high"] == 28
 
     @pytest.mark.parametrize("verb", ["assess", "validate"])
@@ -244,6 +276,7 @@ class TestAssess:
                 cwd=tmp_path,
             )
             assert result.returncode == 0, result.stderr
+            _read_report(out)
             files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             runs.append((result.stdout.replace(bytes(out), b"OUT"), result.stderr, files))
         assert runs[0] == runs[1]
@@ -256,24 +289,45 @@ class TestAssess:
         monkeypatch.setenv("BIBDEA_CONFIG", str(env_cfg))
         out = tmp_path / "out"
         main(["assess", "--staff", staff, "--config", str(flag_cfg), "--out", str(out)])
-        payload = json.loads((out / "report.json").read_text())
+        payload = _read_report(out)
         assert payload["census_date"] == "from-flag"
 
     @staticmethod
-    def _assess_staff(tmp_path, rows):
+    def _assess_staff(tmp_path, rows, no_filter=True):
         staff = tmp_path / "staff.csv"
         staff.write_text(
             "dmu_id,sds_id,fp_years,ap_years,rf_years,ss\n" + "".join(f"{r}\n" for r in rows)
         )
         out = tmp_path / "out"
-        return main(["assess", "--staff", str(staff), "--no-filter", "--out", str(out)]), out
+        flags = ["--no-filter"] if no_filter else []
+        code = main(["assess", "--staff", str(staff), *flags, "--out", str(out)])
+        if code == 0:
+            _read_report(out)
+        return code, out
 
     def test_staff_years_near_the_float_minimum_score_as_the_lp(self, tmp_path, capsys):
         # U1's input per unit of output, scaled by U2's, lies past the float range
         code, out = self._assess_staff(tmp_path, ["U1,S/01,0,1,1,1", "U2,S/01,0,1e-308,1,2"])
         assert code == 0
-        rows = json.loads((out / "report.json").read_text())["sds"]["S/01"]["rows"]
+        rows = _read_report(out)["sds"]["S/01"]["rows"]
         assert {r["dmu_id"]: r["te"] for r in rows} == {"U1": 0.5, "U2": 1.0}
+
+    def test_output_per_staff_year_past_the_float_range_is_a_data_error(self, tmp_path, capsys):
+        # U1's SS of 1 over 1e-310 staff-years would be written as inf
+        rows = ["U1,S1,1e-310,0,0,1", "U2,S1,1,2,3,4", "U3,S1,2,1,3,5"]
+        code, out = self._assess_staff(tmp_path, rows)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "data error: S1/U1: output per staff-year overflows a float\n"
+        )
+        assert not out.exists()
+
+    def test_output_per_staff_year_of_an_excluded_sds_is_not_checked(self, tmp_path, capsys):
+        rows = ["U1,S1,1e-310,0,0,1", "U2,S1,1,2,3,4", "U3,S1,2,1,3,5"]
+        code, out = self._assess_staff(tmp_path, rows, no_filter=False)
+        assert code == 0
+        assert "S1: 3 universities, excluded (robustness)" in capsys.readouterr().out
+        assert _read_report(out)["sds"] == {}
 
     def test_input_per_output_underflow_is_a_data_error(self, tmp_path, capsys):
         code, _ = self._assess_staff(tmp_path, ["U1,S/01,0,1,1,1", "U2,S/01,0,5e-324,5e-324,2"])
@@ -288,7 +342,7 @@ class TestAssess:
             cells = [cell for row in csv.reader(fh) for cell in row]
         assert "-0.000" not in cells and "0.000" in cells
         floats = []
-        json.loads((out / "report.json").read_text(), parse_float=lambda t: floats.append(t))
+        _read_report(out, parse_float=floats.append)
         assert "0.0" in floats and "-0.0" not in floats
 
     def test_ce_above_te_exits_2_naming_the_unit(self, staff, tmp_path, monkeypatch, capsys):
@@ -313,7 +367,7 @@ class TestAssess:
         # range, so it scores as a zero-output unit in te and in ce alike
         code, out = self._assess_staff(tmp_path, ["U0,S/01,1,3,1,1e-308", "U1,S/01,0,1e305,3,1"])
         assert code == 0
-        rows = json.loads((out / "report.json").read_text())["sds"]["S/01"]["rows"]
+        rows = _read_report(out)["sds"]["S/01"]["rows"]
         scores = {r["dmu_id"]: (r["te"], r["ae"], r["ce"]) for r in rows}
         assert scores == {"U0": (0.0, 0.0, 0.0), "U1": (1.0, 1.0, 1.0)}
 
@@ -380,12 +434,75 @@ class TestAssess:
         assert not (out / "report.json").exists()
 
 
+# The SDS's rows, in the widths that each cell fits, then its quadrant
+# counts and its histograms.
+CHIM_08_REPORT = """\
+dmu_id                             ss      fp      ap      rf        te        ae        ce       te%       ae%       ce%
+Bari                           43.205    42.0    67.0    62.0     0.288     0.928     0.267    14.815    66.667    22.222
+Bologna                       151.659    47.0    65.0    53.0     1.000     0.945     0.945    90.741    74.074    92.593
+Cagliari                       16.012    10.0    15.0    22.0     0.396     0.951     0.377    37.037    85.185    40.741
+Calabria                        4.180    10.0     5.0     4.0     0.303     0.663     0.201    18.519    14.815    14.815
+Camerino                       23.703    40.0    27.0    11.0     0.502     0.546     0.274    55.556     3.704    25.926
+Catania                        16.047    22.0    50.0    25.0     0.225     0.759     0.171     7.407    29.630    11.111
+Ferrara                        64.026    25.0    18.0    20.0     1.000     1.000     1.000    90.741   100.000   100.000
+Firenze                        46.893    34.0    50.0    45.0     0.404     0.941     0.380    40.741    70.370    44.444
+Gabriele D'Annunzio             6.323    13.0     5.0    27.0     0.325     0.482     0.157    25.926     0.000     0.000
+Genova                         16.147    30.0    42.0    22.0     0.217     0.786     0.170     3.704    40.741     7.407
+Messina                        41.627    24.0    30.0     8.0     1.000     0.631     0.631    90.741    11.111    70.370
+Milano                         77.785    50.0    20.0    46.0     1.000     0.666     0.666    90.741    18.519    77.778
+Modena e Reggio Emilia         23.199     9.0    35.0    23.0     0.553     0.689     0.381    59.259    22.222    48.148
+Napoli "Federico II"           53.332    29.0    43.0    53.0     0.484     0.955     0.462    51.852    88.889    59.259
+Padova                         62.036    40.0    45.0    22.0     0.729     0.766     0.558    62.963    33.333    66.667
+Palermo                        19.871    40.0    40.0    48.0     0.164     0.979     0.160     0.000    96.296     3.704
+Parma                          29.019    20.0    31.0    24.0     0.437     0.918     0.401    44.444    62.963    55.556
+Pavia                          40.293    10.0    29.0    17.0     1.000     0.768     0.768    90.741    37.037    85.185
+Perugia                        42.115    17.0    29.0    19.0     0.772     0.864     0.667    66.667    48.148    81.481
+Piemonte Orientale Avogadro    24.970     5.0    10.0    15.0     1.000     0.948     0.948    90.741    77.778    96.296
+Pisa                           38.584    32.0    39.0    35.0     0.389     0.957     0.373    33.333    92.593    37.037
+Roma "La Sapienza"             80.585    22.0    69.0    41.0     0.882     0.744     0.656    70.370    25.926    74.074
+Salerno                        11.998    10.0    15.0    17.0     0.322     0.951     0.307    22.222    81.481    33.333
+Sassari                        18.698    19.0    25.0    43.0     0.266     0.897     0.239    11.111    55.556    18.519
+Siena                          57.508    25.0    24.0    19.0     0.918     0.907     0.833    77.778    59.259    88.889
+Torino                         27.728    20.0    40.0    39.0     0.341     0.893     0.304    29.630    51.852    29.630
+Trieste                        21.015    13.0    27.0    17.0     0.465     0.829     0.385    48.148    44.444    51.852
+Urbino "Carlo Bo"              22.055     5.0    21.0    23.0     0.883     0.591     0.522    74.074     7.407    62.963
+quadrants @ 0.5: both-low 1, high-AE/low-TE 14, both-high 13, high-TE/low-AE 0
+te median 0.474 bins [1, 10, 6, 2, 9]
+ae median 0.878 bins [0, 0, 3, 9, 16]
+ce median 0.383 bins [4, 11, 4, 5, 4]
+"""
+
+
+def _column_ends(lines: list[str], header: tuple[str, ...]) -> set[tuple[int, ...]]:
+    """The offsets at which the columns after the first end, one tuple for
+    each line of a printed table: ``header`` is its first line's cells, and
+    in the other lines no cell after the first holds a blank."""
+    ends = set()
+    cells = [header, *(line.rsplit(maxsplit=len(header) - 1) for line in lines[1:])]
+    for line, row in zip(lines, cells):
+        at, offsets = 0, []
+        for cell in row:
+            at = line.index(cell, at) + len(cell)
+            offsets.append(at)
+        ends.add(tuple(offsets[1:]))
+    return ends
+
+
 class TestSdsReport:
     def test_prints_table(self, staff, capsys):
         assert main(["sds-report", "CHIM/08", "--staff", staff]) == 0
-        out = capsys.readouterr().out
-        assert "Ferrara" in out
-        assert "quadrants @ 0.5" in out
+        assert capsys.readouterr().out == CHIM_08_REPORT
+
+    def test_columns_widen_to_fit_their_widest_cell(self, staff, tmp_path, capsys):
+        # at 8 decimals an SS of 151.65900000 and a percentile of
+        # 100.00000000 are wider than their columns' 9 characters
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"reporting_precision": 8}')
+        assert main(["sds-report", "CHIM/08", "--staff", staff, "--config", str(cfg)]) == 0
+        table = capsys.readouterr().out.splitlines()[:29]
+        assert "151.65900000" in table[2] and "100.00000000" in table[7]
+        header = ("dmu_id", "ss", "fp", "ap", "rf", "te", "ae", "ce", "te%", "ae%", "ce%")
+        assert len(_column_ends(table, header)) == 1
 
     def test_unknown_sds_exits_1(self, staff, capsys):
         assert main(["sds-report", "NOPE/00", "--staff", staff]) == 1
@@ -419,6 +536,20 @@ class TestInstitutionReport:
         assert code == 0
         out = capsys.readouterr().out
         assert "A/01" in out and "B/01" in out and "total/average" in out
+
+    def test_columns_line_up_with_long_sds_ids_and_the_total(self, tmp_path, capsys):
+        staff = tmp_path / "staff.csv"
+        staff.write_text(
+            "dmu_id,sds_id,fp_years,ap_years,rf_years,ss\n"
+            "U1,A/01,0,5,0,2.0\nU2,A/01,1,0,0,1.0\n"
+            "U1,LONG-SDS-ID/0001,1,0,0,1.0\nU2,LONG-SDS-ID/0001,0,0,5,1.0\n"
+        )
+        assert main(["institution-report", "U1", "--staff", str(staff), "--no-filter"]) == 0
+        table = capsys.readouterr().out.splitlines()
+        names = [line.split()[0] for line in table[1:]]
+        assert names == ["A/01", "LONG-SDS-ID/0001", "total/average"]
+        header = ("sds_id", "cost k€", "te", "te%", "ae", "ae%", "ce", "ce%")
+        assert len(_column_ends(table, header)) == 1
 
     def test_unknown_institution_exits_1(self, staff, capsys):
         assert main(["institution-report", "Nowhere", "--staff", staff]) == 1
@@ -478,6 +609,7 @@ def test_deterministic_across_processes(fixtures_dir, tmp_path):
             env=env,
         )
         assert result.returncode == 0
+        _read_report(out)
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outputs[0] == outputs[1]
 
@@ -501,6 +633,7 @@ def test_report_is_the_same_under_any_blas_kernel(fixtures_dir, tmp_path):
             [sys.executable, "-m", "bibdea.cli", *args], capture_output=True, env=env
         )
         assert result.returncode == 0, result.stderr
+        _read_report(out)
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
 
@@ -735,6 +868,7 @@ def test_whole_report_agrees_with_the_bench_oracle(bench, tmp_path, workload, se
     for role, path in files.items():
         argv += [f"--{role}", str(path)]
     assert main(argv) == 0
+    _read_report(tmp_path / "out")
     expected = oracle.expected(files)
     mismatched, problems, report = oracle.check(tmp_path / "out", expected)
     assert (mismatched, problems) == (0, [])

@@ -210,6 +210,21 @@ class TestIngest:
             "pubs.csv line 13: scientific strength of ('UnivA', 'TEST/01') overflows a float"
         )
 
+    def test_row_without_a_byline_position_adds_nothing(self, tmp_path):
+        # p1's 1000 citations over a median of 1e-306 are past the float
+        # range, but UnivA holds none of its byline positions
+        units = [["UnivA", "TEST/01", 1, 1, 1], ["UnivB", "TEST/01", 1, 1, 1]]
+        staff = write_csv(tmp_path / "staff.csv", STAFF_HEADER, units)
+        rows = [
+            ["p1", "UnivA", "TEST/01", 2005, 1000, "CatA", 2, "", 0],
+            ["p2", "UnivB", "TEST/01", 2005, 3, "CatA", 2, "1", 0],
+        ]
+        pubs = write_csv(tmp_path / "pubs.csv", PUB_HEADER, rows)
+        medians = tmp_path / "medians.csv"
+        medians.write_text("year,category,median,mean\n2005,CatA,1e-306,\n")
+        ss = {("UnivA", "TEST/01"): (0.0).hex(), ("UnivB", "TEST/01"): (3 / 1e-306 / 2).hex()}
+        assert _both_outcomes(staff, pubs, medians) == (("ok", ss, 2),) * 2
+
     def test_exact_sum_past_the_float_range_names_the_last_line(self, tmp_path, fixtures_dir):
         # UnivA's terms are M, h and h. Added in file order they stay at M,
         # since M + h rounds back to M, but their exact sum is past the
@@ -1549,10 +1564,11 @@ def _odd_census(path):
     return write_csv(path, STAFF_HEADER + ["ss"], rows)
 
 
-# Values a hand-built report may hold where the pipeline writes a float.
+# Finite values a hand-built report may hold where the pipeline writes a
+# float; the non-finite ones raise (TestReportJson's explicit cases).
 _ODD_NUMBERS = st.one_of(
-    st.floats(),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, sys.float_info.max]),
     st.integers(-(10**20), 10**20),
     st.booleans(),
 )
@@ -1658,7 +1674,9 @@ def _hand_row(dmu_id, sds_id):
 
 class TestReportJson:
     """``emit``'s report.json, byte for byte against the standard library's
-    compact, key-sorted encoding of the report's fields."""
+    compact, key-sorted encoding of the report's fields; a report holding a
+    non-finite float is a ``ValueError`` instead, since strict JSON readers
+    reject ``NaN`` and ``Infinity``."""
 
     @settings(max_examples=100, deadline=None)
     @given(report=_odd_reports())
@@ -1667,8 +1685,15 @@ class TestReportJson:
 
     @staticmethod
     def assert_matches_reference(report, out):
-        emit(report, ["json"], out)
-        assert (out / "report.json").read_bytes() == reference_report_json(report).encode()
+        reference = reference_report_json(report)
+        non_finite = []  # the reference's NaN, Infinity and -Infinity tokens
+        json.loads(reference, parse_constant=non_finite.append)
+        if non_finite:
+            with pytest.raises(ValueError, match="^Out of range float values"):
+                emit(report, ["json"], out)
+        else:
+            emit(report, ["json"], out)
+            assert (out / "report.json").read_bytes() == reference.encode()
 
     @pytest.mark.parametrize("config", [None, "config.json"])
     def test_benchmark_fixture(self, fixtures_dir, tmp_path, config):
@@ -1692,20 +1717,20 @@ class TestReportJson:
         self.assert_matches_reference(single, tmp_path)
 
     def test_values_the_pipeline_never_writes(self, fixtures_dir, tmp_path):
-        # integers, booleans and non-finite floats are written as json.dumps
-        # writes them
+        # integers and booleans are written as json.dumps writes them, and
+        # non-finite floats raise
         report = run_assessment(ingest(fixtures_dir / "pharm_chem_staff.csv"))
         result = report.sds_results["CHIM/08"]
         first = result.rows[0]._replace(
-            fp_years=2, ap_years=True, ss=math.inf, ce=-math.inf, te=math.nan,
-            ss_per_staff_year=(0.5, {"b": [], "a": [None, "x"]}),
+            fp_years=2, ap_years=True, ss_per_staff_year=(0.5, {"b": [], "a": [None, "x"]})
         )
-        odd = dataclasses.replace(
-            report,
-            quadrant_threshold=1,
-            sds_results={"CHIM/08": dataclasses.replace(result, rows=(first, *result.rows[1:]))},
-        )
-        self.assert_matches_reference(odd, tmp_path)
+        for row in first, first._replace(ss=math.inf, ce=-math.inf, te=math.nan):
+            odd = dataclasses.replace(
+                report,
+                quadrant_threshold=1,
+                sds_results={"CHIM/08": dataclasses.replace(result, rows=(row, *result.rows[1:]))},
+            )
+            self.assert_matches_reference(odd, tmp_path)
 
     def test_single_unit_sds_has_no_percentiles(self, tmp_path):
         rows = [
