@@ -28,10 +28,12 @@ characters) are data errors naming the file and line.
 The publications file is read in one ``csv.reader`` pass, and no cell is
 parsed per row. Each distinct raw (year, categories) cell, (total_authors,
 dmu_positions, life_science) byline and citations cell is checked on its
-own, once, on the first row that has it: the checks yield the cell's
-divisor, the byline's fractional count and the citation count, or what is
-wrong with the field. No ``PublicationRecord`` is built for any row; a bad
-row raises, at its own line, the error that a record built from it would.
+own, once, on the first row that has it, and only a valid one is kept: the
+cell's divisor, the byline's fractional count or the citation count. A bad
+row raises at its own line: its first malformed number cell, in the order
+dmu_positions, life_science, year, citations, total_authors; otherwise the
+``DataError`` of the ``PublicationRecord`` built from it. No record is
+built for a valid row.
 Faults that only the whole file shows are raised after the pass, the first
 in this order: unknown staff keys, uncovered (year, category) pairs, the
 first cited row without a usable divisor, an SS past the float range.
@@ -51,7 +53,7 @@ import re
 import statistics
 from array import array
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,6 +63,7 @@ from .model import (
     CostVector,
     DataError,
     MedianTable,
+    PublicationRecord,
     categories_problem,
     citations_problem,
     staff_years_problems,
@@ -191,20 +194,6 @@ def _read_staff(path: Path):
     return index, years, (ss if i_ss is not None else None)
 
 
-class _Problem(NamedTuple):
-    """What is wrong with a field of a publications row. A bad row raises
-    its problem of lowest ``rank``, the place of the check in the order a
-    row is checked in: dmu_positions (1), life_science (2), year (3),
-    citations (4) and total_authors (5) are parsed, then the publication's
-    citations (6), categories (7) and byline (8) are checked by the rules
-    the API applies (``citations_problem``, ``categories_problem`` and the
-    ``DataError`` of ``fractional_count``), and its problems, from rank 6
-    on, name its pub_id."""
-
-    rank: int
-    text: str
-
-
 def _scan_publications(
     path: Path, index: dict[tuple[str, str], int], medians: MedianTable
 ) -> tuple[int, list[float]]:
@@ -212,14 +201,15 @@ def _scan_publications(
 
     Returns the row count and each staff row's SS, in ``index`` order: the
     ``math.fsum`` of its rows' contributions, 0.0 for a row without any.
-    Checks and faults are as the module docstring says; a row with a
-    :class:`_Problem` raises the first of its problems. Unknown keys and
+    Checks and faults are as the module docstring says. The caches hold valid
+    entries only: a row whose key its entry function rejects raises
+    :func:`_row_fault`, which builds the row's record. Unknown keys and
     uncovered pairs are named with their first lines, the cited row by its
     line, an SS past the float range by its staff row's last cited line.
     """
-    cells: dict[tuple[str, str], tuple | _Problem] = {}  # -> (divisor, year, categories)
-    bylines: dict[tuple[str, str, str], float | _Problem] = {}  # -> fractional count
-    counts: dict[str, int | _Problem] = {}  # raw citations -> count
+    cells: dict[tuple[str, str], tuple] = {}  # -> (divisor, year, categories)
+    bylines: dict[tuple[str, str, str], float] = {}  # -> fractional count
+    counts: dict[str, int] = {}  # raw citations -> count
     orphans: dict[tuple[str, str], int] = {}  # -> first line
     missing: dict[tuple[int, str], int] = {}  # -> first line
     undivided = None  # (line, citations, cell) of the first cited row without a divisor
@@ -238,19 +228,18 @@ def _scan_publications(
                     continue
                 raise _width_error(path, reader.line_num, row, width) from None
             count += 1
-            cell = cells.get((year, cat))
-            if cell is None:
-                cell = cells[year, cat] = _cell_entry(year, cat, medians, missing, reader.line_num)
-            share = bylines.get((authors, pos, life))
-            if share is None:
-                share = bylines[authors, pos, life] = _byline_share(authors, pos, life)
-            citations = counts.get(cit)
-            if citations is None:
-                citations = counts[cit] = _citation_count(cit)
-            if type(cell) is _Problem or type(share) is _Problem or type(citations) is _Problem:
-                rank, text = min(p for p in (cell, share, citations) if type(p) is _Problem)
-                named = f"{pub_id}: " if rank >= 6 else ""
-                raise DataError(f"{path.name} line {reader.line_num}: {named}{text}")
+            if (cell := cells.get((year, cat))) is None:
+                if (cell := _cell_entry(year, cat, medians, missing, reader.line_num)) is None:
+                    raise _row_fault(path, reader.line_num, fields(row))
+                cells[year, cat] = cell
+            if (share := bylines.get((authors, pos, life))) is None:
+                if (share := _byline_share(authors, pos, life)) is None:
+                    raise _row_fault(path, reader.line_num, fields(row))
+                bylines[authors, pos, life] = share
+            if (citations := counts.get(cit)) is None:
+                if (citations := _citation_count(cit)) is None:
+                    raise _row_fault(path, reader.line_num, fields(row))
+                counts[cit] = citations
             if (i := index.get((dmu, sds))) is None:
                 orphans.setdefault((dmu, sds), reader.line_num)
             elif citations:  # an uncited row adds +0.0, which moves no sum
@@ -289,15 +278,13 @@ def _scan_publications(
 
 def _cell_entry(
     year: str, categories: str, medians: MedianTable, missing: dict, line: int
-) -> tuple | _Problem:
+) -> tuple | None:
     """``(divisor, year, categories)`` of a raw (year, categories) cell, or
-    its first problem; notes its uncovered pairs in ``missing`` at ``line``
-    unless seen before."""
-    if (value := _number(int, year)) is None:
-        return _Problem(3, f"bad year value {year!r}")
-    year, categories = value, tuple(c for c in categories.split(";") if c)
-    if (problem := categories_problem(categories)) is not None:
-        return _Problem(7, problem)
+    None if a row with it is bad; notes its uncovered pairs in ``missing``
+    at ``line`` unless seen before."""
+    year, categories = _number(int, year), tuple(c for c in categories.split(";") if c)
+    if year is None or categories_problem(categories):
+        return None
     uncovered = [(year, c) for c in categories if not medians.covers(year, c)]
     for pair in uncovered:
         missing.setdefault(pair, line)
@@ -305,31 +292,43 @@ def _cell_entry(
     return divisor, year, categories
 
 
-def _byline_share(total_authors: str, positions: str, life_science: str) -> float | _Problem:
-    """Fractional count of a raw byline, or its first problem."""
-    held = []
-    for p in positions.split(";"):
-        if p:
-            if (position := _number(int, p)) is None:
-                return _Problem(1, f"bad dmu_positions value {p!r}")
-            held.append(position)
+def _byline_share(total_authors: str, positions: str, life_science: str) -> float | None:
+    """Fractional count of a raw byline, or None if a row with it is bad."""
+    held = [_number(int, p) for p in positions.split(";") if p]
     flag = life_science.strip()
-    if flag not in ("0", "1"):
-        return _Problem(2, "life_science must be 0 or 1")
-    if (total := _number(int, total_authors)) is None:
-        return _Problem(5, f"bad total_authors value {total_authors!r}")
+    total = _number(int, total_authors)
+    if None in held or flag not in ("0", "1") or total is None:
+        return None
     try:
         return fractional_count(total, held, flag == "1")
+    except DataError:
+        return None
+
+
+def _citation_count(citations: str) -> int | None:
+    """The count of a raw citations cell, or None if a row with it is bad."""
+    count = _number(int, citations)
+    return None if count is None or citations_problem(count) else count
+
+
+def _row_fault(path: Path, line: int, cells: tuple[str, ...]) -> DataError:
+    """The error of a bad publications row, from the cells that ``fields``
+    picks, by the rule of the module docstring: a malformed number cell
+    raises here; the record's error is returned with the line prefixed."""
+    pub_id, _, _, year, citations, categories, total_authors, positions, life_science, _ = cells
+    held = [_parse(int, p, path, line, "dmu_positions") for p in positions.split(";") if p]
+    flag = life_science.strip()
+    if flag not in ("0", "1"):
+        raise DataError(f"{path.name} line {line}: life_science must be 0 or 1")
+    year = _parse(int, year, path, line, "year")
+    citations = _parse(int, citations, path, line, "citations")
+    total = _parse(int, total_authors, path, line, "total_authors")
+    categories = [c for c in categories.split(";") if c]
+    try:
+        PublicationRecord(pub_id, year, citations, categories, total, held, flag == "1")
     except DataError as exc:
-        return _Problem(8, str(exc))
-
-
-def _citation_count(citations: str) -> int | _Problem:
-    """The count of a raw citations cell, or its first problem."""
-    if (count := _number(int, citations)) is None:
-        return _Problem(4, f"bad citations value {citations!r}")
-    problem = citations_problem(count)
-    return count if problem is None else _Problem(6, problem)
+        return DataError(f"{path.name} line {line}: {exc}")
+    raise AssertionError(f"{path.name} line {line}: an entry check rejected a valid record")
 
 
 def _read_medians(path: Path) -> MedianTable:

@@ -725,7 +725,8 @@ class TestColumnarIngestOracle:
         assert built == []
 
         # A later row whose cell and byline are known, given bad citations or
-        # a bad byline, raises the row-by-row message without a record.
+        # a bad byline, raises the row-by-row message of the one record built:
+        # its own, which names its pub_id.
         later = next(
             i for i in range(200, len(rows)) if cells[i] in cells[:i] and bylines[i] in bylines[:i]
         )
@@ -735,7 +736,7 @@ class TestColumnarIngestOracle:
             built.clear()
             with pytest.raises(DataError, match=f"line {later + 2}: {rows[later]['pub_id']}: "):
                 ingest(staff, pubs, medians)
-            assert built == []
+            assert built == [rows[later]["pub_id"]]
             columnar, reference = _both_outcomes(staff, pubs, medians)
             assert columnar == reference
 
@@ -794,6 +795,14 @@ class TestColumnarIngestOracle:
         (("dmu_id", "Ghost"), ("total_authors", "x")),
         (("dmu_id", "Ghost"), ("citations", "-3")),
     ]
+    # A fault for each of a row's three cached keys: byline, (year,
+    # categories) cell and citations. Where no number cell is malformed, the
+    # record's own order picks citations over categories over the byline.
+    CORRUPTION_TRIPLES = [
+        *itertools.product(*FIELD_FAULTS),
+        (("dmu_positions", "x"), ("citations", "-3"), ("categories", "C1;C1")),
+        (("citations", "-3"), ("categories", "C1;C1"), ("total_authors", "0")),
+    ]
 
     @pytest.mark.parametrize("seed", range(2))
     def test_two_corruptions_fail_alike(self, tmp_path, seed):
@@ -807,19 +816,20 @@ class TestColumnarIngestOracle:
             for _ in range(20)
         ]
         errors = 0
-        for first, second in self.CORRUPTION_PAIRS + drawn:
+        faulty = self.CORRUPTION_PAIRS + drawn + self.CORRUPTION_TRIPLES
+        for first, *rest in faulty:
             row = rng.randrange(1, rows)
             later = rng.randrange(row + 1, rows + 1)
             for edits in (
-                [(row, *first), (row, *second)],
-                [(row, *first), (later, *second)],
-                [(row, *second), (later, *first)],
+                [(row, *first), *((row, *fault) for fault in rest)],
+                [(row, *first), *((later, *fault) for fault in rest)],
+                [*((row, *fault) for fault in rest), (later, *first)],
             ):
                 pubs.write_text(_corrupted(clean, edits))
                 columnar, reference = _both_outcomes(staff, pubs, medians)
                 assert columnar == reference, edits
                 errors += columnar[0] == "error"
-        assert errors >= 3 * len(self.CORRUPTION_PAIRS)
+        assert errors >= 3 * (len(self.CORRUPTION_PAIRS) + len(self.CORRUPTION_TRIPLES))
 
 
 def _shuffled_copy(rng, path, out):
