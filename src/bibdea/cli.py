@@ -99,12 +99,13 @@ def _print_table(header: tuple, rows: list[tuple], widths: tuple[int, ...]) -> N
 def _cmd_assess(args) -> int:
     formats = io.check_formats(f for f in args.format.split(",") if f)
     report = _assess(args)
+    # Nothing is printed until the files are written, so a failed run prints nothing.
+    written = io.emit(report, formats, args.out)
     for entry in report.eligibility:
         status = "included" if entry.included else (
             "excluded (" + ", ".join(entry.failed_criteria) + ")"
         )
         print(f"{entry.sds_id}: {entry.universities_active} universities, {status}")
-    written = io.emit(report, formats, args.out)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

@@ -19,11 +19,16 @@ is kept with its staff row as it is read. A staff row's SS is the
 neither the order of the publication rows nor the Python version; a row in
 which the unit holds no byline position contributes nothing, however large
 its standardized citations. The optional ``mean`` column feeds the
-zero-median fallback. Unknown extra columns and cells past the header's
-width are ignored, which lets emitted score tables be re-ingested; blank
-lines are skipped. A row with fewer cells than the header, bytes that are
-not UTF-8 and a cell over the csv module's field limit (131,072
-characters) are data errors naming the file and line.
+zero-median fallback.
+
+One function, ``_csv_rows``, holds the shape rule of all three files. A
+column that is read (a listed one, or the optional ``ss`` or ``mean``)
+must be named once in the header: a repeated one is a data error naming
+the file. Unknown extra columns, repeated or not, and cells past the
+header's width are ignored, which lets emitted score tables be
+re-ingested; blank lines are skipped. A row with fewer cells than the
+header, bytes that are not UTF-8 and a cell over the csv module's field
+limit (131,072 characters) are data errors naming the file and line.
 
 The publications file is read in one ``csv.reader`` pass, and no cell is
 parsed per row. Each distinct raw (year, categories) cell, (total_authors,
@@ -72,7 +77,8 @@ from .model import (
 )
 from .report import AssessmentConfig, AssessmentReport, ScoreRow, SdsResult
 
-_STAFF_COLUMNS = ("dmu_id", "sds_id", "fp_years", "ap_years", "rf_years")
+_YEARS = ("fp_years", "ap_years", "rf_years")
+_STAFF_COLUMNS = ("dmu_id", "sds_id", *_YEARS)
 _PUB_COLUMNS = (
     "pub_id",
     "dmu_id",
@@ -88,13 +94,12 @@ _MEDIAN_COLUMNS = ("year", "category", "median")
 
 
 @contextlib.contextmanager
-def _open_csv(path: Path, required: tuple[str, ...]):
-    """Open a CSV file, check its header and yield ``(reader, column)``.
-
-    ``column`` maps each header name to its cell index; a repeated name maps
-    to its last cell. A leading byte order mark is dropped. Bytes that are
-    not UTF-8 and cells over the csv module's field limit are data errors
-    naming the file and the line.
+def _csv_rows(path: Path, required: tuple[str, ...], optional: str | None = None):
+    """Open the CSV file at ``path`` and yield its rows, checked by the one
+    shape rule of the module docstring: the header names each ``required``
+    column, and each column read (those and ``optional``, if present) once.
+    A row is ``(line, cells)``: the cells of the required columns, then
+    that of ``optional`` if the header has it.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -103,13 +108,26 @@ def _open_csv(path: Path, required: tuple[str, ...]):
             missing = [c for c in required if c not in header]
             if missing:
                 raise DataError(f"{path.name}: missing columns {missing}")
-            yield reader, {name: i for i, name in enumerate(header)}
+            read = (*required, optional) if optional in header else required
+            repeated = [c for c in read if header.count(c) > 1]
+            if repeated:
+                raise DataError(f"{path.name}: repeated columns {repeated}")
+            yield _cells(reader, path, operator.itemgetter(*map(header.index, read)), len(header))
         except UnicodeDecodeError as exc:
             raise DataError(
                 f"{path.name} line {_undecodable_line(path)}: not UTF-8 ({exc.reason})"
             ) from None
         except csv.Error as exc:
             raise DataError(f"{path.name} line {reader.line_num}: {exc}") from None
+
+
+def _cells(reader, path: Path, fields, width: int):
+    for row in reader:
+        if len(row) >= width:
+            yield reader.line_num, fields(row)
+        elif row:
+            line = reader.line_num
+            raise DataError(f"{path.name} line {line}: {len(row)} cells, header has {width}")
 
 
 def _undecodable_line(path: Path) -> int:
@@ -120,25 +138,6 @@ def _undecodable_line(path: Path) -> int:
     except UnicodeDecodeError as exc:
         return data.count(b"\n", 0, exc.start) + 1
     return 0
-
-
-def _rows(reader, column: dict[str, int], path: Path):
-    """Yield ``(line, cells)`` per row of a CSV file opened by :func:`_open_csv`.
-
-    Blank lines are skipped. A row with fewer cells than the header is a
-    data error, so every column index is safe to use.
-    """
-    width = max(column.values()) + 1
-    for row in reader:
-        if len(row) < width:
-            if not row:
-                continue
-            raise _width_error(path, reader.line_num, row, width)
-        yield reader.line_num, row
-
-
-def _width_error(path: Path, line: int, row: list[str], width: int) -> DataError:
-    return DataError(f"{path.name} line {line}: {len(row)} cells, header has {width}")
 
 
 def _number(kind: type, raw: str) -> int | float | None:
@@ -165,23 +164,20 @@ def _read_staff(path: Path):
     """Each key's row in file order, the staff-years array and the ss column or None."""
     index: dict[tuple[str, str], int] = {}
     years, ss, lines = [], [], []
-    with _open_csv(path, _STAFF_COLUMNS) as (reader, column):
-        i_dmu, i_sds = column["dmu_id"], column["sds_id"]
-        year_cells = [(column[c], c) for c in _STAFF_COLUMNS[2:]]
-        i_ss = column.get("ss")
-        for line, row in _rows(reader, column, path):
-            key = (row[i_dmu], row[i_sds])
+    with _csv_rows(path, _STAFF_COLUMNS, "ss") as rows:
+        for line, (dmu, sds, fp, ap, rf, *ss_cell) in rows:
+            key = (dmu, sds)
             if problem := unit_key_problem(key):
                 raise DataError(f"{path.name} line {line}: {problem}")
             if key in index:
                 raise DataError(f"{path.name} line {line}: duplicate staff row for {key}")
             index[key] = len(lines)
             lines.append(line)
-            years.append([_parse(float, row[i], path, line, c) for i, c in year_cells])
-            if i_ss is not None:
-                if not row[i_ss].strip():
+            years.append([_parse(float, v, path, line, c) for c, v in zip(_YEARS, (fp, ap, rf))])
+            for raw in ss_cell:  # one cell if the header has the ss column, else none
+                if not raw.strip():
                     raise DataError(f"{path.name} line {line}: ss column present but value missing")
-                value = _parse(float, row[i_ss], path, line, "ss")
+                value = _parse(float, raw, path, line, "ss")
                 if value < 0:
                     raise DataError(f"{path.name} line {line}: negative ss {value}")
                 ss.append(value)
@@ -191,7 +187,7 @@ def _read_staff(path: Path):
     if problems := staff_years_problems(years):
         i, problem = problems[0]
         raise DataError(f"{path.name} line {lines[i]}: {'/'.join(list(index)[i])}: {problem}")
-    return index, years, (ss if i_ss is not None else None)
+    return index, years, ss or None  # every row has an ss cell, or none has
 
 
 def _scan_publications(
@@ -216,39 +212,31 @@ def _scan_publications(
     count = 0
     terms = [array("d") for _ in index]  # 8 bytes a term, where a float object takes 24
     last = [0] * len(index)  # each staff row's last cited line
-    with _open_csv(path, _PUB_COLUMNS) as (reader, column):
-        width = max(column.values()) + 1
-        # Fetching the last cell too makes a short row an IndexError.
-        fields = operator.itemgetter(*(column[c] for c in _PUB_COLUMNS), width - 1)
-        for row in reader:
-            try:
-                pub_id, dmu, sds, year, cit, cat, authors, pos, life, _ = fields(row)
-            except IndexError:
-                if not row:
-                    continue
-                raise _width_error(path, reader.line_num, row, width) from None
+    with _csv_rows(path, _PUB_COLUMNS) as rows:
+        for line, row in rows:
+            _, dmu, sds, year, cit, cat, authors, pos, life = row
             count += 1
             if (cell := cells.get((year, cat))) is None:
-                if (cell := _cell_entry(year, cat, medians, missing, reader.line_num)) is None:
-                    raise _row_fault(path, reader.line_num, fields(row))
+                if (cell := _cell_entry(year, cat, medians, missing, line)) is None:
+                    raise _row_fault(path, line, row)
                 cells[year, cat] = cell
             if (share := bylines.get((authors, pos, life))) is None:
                 if (share := _byline_share(authors, pos, life)) is None:
-                    raise _row_fault(path, reader.line_num, fields(row))
+                    raise _row_fault(path, line, row)
                 bylines[authors, pos, life] = share
             if (citations := counts.get(cit)) is None:
                 if (citations := _citation_count(cit)) is None:
-                    raise _row_fault(path, reader.line_num, fields(row))
+                    raise _row_fault(path, line, row)
                 counts[cit] = citations
             if (i := index.get((dmu, sds))) is None:
-                orphans.setdefault((dmu, sds), reader.line_num)
+                orphans.setdefault((dmu, sds), line)
             elif citations:  # an uncited row adds +0.0, which moves no sum
                 if divisor := cell[0]:
                     if share:  # no byline position adds nothing, even over a tiny divisor
                         terms[i].append(citations / divisor * share)
-                    last[i] = reader.line_num
+                    last[i] = line
                 elif undivided is None:  # None, or a zero mean fallback
-                    undivided = reader.line_num, citations, cell
+                    undivided = line, citations, cell
     for found, message in (
         (orphans, "publications reference unknown staff rows"),
         (missing, "median table does not cover"),
@@ -312,10 +300,11 @@ def _citation_count(citations: str) -> int | None:
 
 
 def _row_fault(path: Path, line: int, cells: tuple[str, ...]) -> DataError:
-    """The error of a bad publications row, from the cells that ``fields``
-    picks, by the rule of the module docstring: a malformed number cell
-    raises here; the record's error is returned with the line prefixed."""
-    pub_id, _, _, year, citations, categories, total_authors, positions, life_science, _ = cells
+    """The error of a bad publications row, from its cells as
+    :func:`_csv_rows` yields them, by the rule of the module docstring: a
+    malformed number cell raises here; the record's error is returned with
+    the line prefixed."""
+    pub_id, _, _, year, citations, categories, total_authors, positions, life_science = cells
     held = [_parse(int, p, path, line, "dmu_positions") for p in positions.split(";") if p]
     flag = life_science.strip()
     if flag not in ("0", "1"):
@@ -334,16 +323,15 @@ def _row_fault(path: Path, line: int, cells: tuple[str, ...]) -> DataError:
 def _read_medians(path: Path) -> MedianTable:
     entries: dict[tuple[int, str], float] = {}
     means: dict[tuple[int, str], float] = {}
-    with _open_csv(path, _MEDIAN_COLUMNS) as (reader, column):
-        i_year, i_category, i_median = (column[c] for c in _MEDIAN_COLUMNS)
-        i_mean = column.get("mean")
-        for line, row in _rows(reader, column, path):
-            key = (_parse(int, row[i_year], path, line, "year"), row[i_category])
+    with _csv_rows(path, _MEDIAN_COLUMNS, "mean") as rows:
+        for line, (year, category, median, *mean) in rows:
+            key = (_parse(int, year, path, line, "year"), category)
             if key in entries:
                 raise DataError(f"{path.name} line {line}: duplicate median for {key}")
-            entries[key] = _parse(float, row[i_median], path, line, "median")
-            if i_mean is not None and row[i_mean].strip():
-                means[key] = _parse(float, row[i_mean], path, line, "mean")
+            entries[key] = _parse(float, median, path, line, "median")
+            for raw in mean:  # one cell if the header has the mean column, else none
+                if raw.strip():
+                    means[key] = _parse(float, raw, path, line, "mean")
             if entries[key] < 0 or means.get(key, 0.0) < 0:
                 label = "median" if entries[key] < 0 else "mean"
                 raise DataError(f"{path.name} line {line}: negative reference {label} for {key}")

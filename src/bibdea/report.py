@@ -124,8 +124,17 @@ def run_assessment(
     config: AssessmentConfig | None = None,
     apply_filter: bool = True,
 ) -> AssessmentReport:
-    """Run the full pipeline over every SDS of the ingested dataset."""
-    config = config or AssessmentConfig()
+    """Run the full pipeline over every SDS of the ingested dataset.
+
+    ``config`` is an :class:`AssessmentConfig`, or None for the defaults, and
+    ``apply_filter`` a bool; any other value is a :class:`DataError`.
+    """
+    if config is None:
+        config = AssessmentConfig()
+    elif not isinstance(config, AssessmentConfig):
+        raise DataError(f"config must be an AssessmentConfig or None, not {config!r}")
+    if not isinstance(apply_filter, bool):
+        raise DataError(f"apply_filter must be a bool, not {apply_filter!r}")
     if not dataset.units:
         raise DataError("cannot assess an empty dataset")
 

@@ -86,6 +86,18 @@ class TestValidate:
         assert "bad year value '20x5'" in err
         assert err.count("p.csv line 2:") == 1
 
+    def test_repeated_staff_column_is_a_data_error(self, tmp_path, capsys):
+        # the first fp_years cells, -5 and x, would fail if they were read
+        staff = tmp_path / "staff.csv"
+        staff.write_text(
+            "dmu_id,sds_id,fp_years,ap_years,rf_years,fp_years,ss\n"
+            "U,S,-5,1,1,1,2\nV,S,x,1,1,1,3\n"
+        )
+        assert main(["validate", "--staff", str(staff)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "data error: staff.csv: repeated columns ['fp_years']\n"
+        assert captured.out == ""
+
     def test_zero_median_without_means_is_a_located_data_error(
         self, lab_args, tmp_path, capsys
     ):
@@ -402,8 +414,11 @@ class TestAssess:
         rows = [f"U{u},{sds},{u},1,1,1" for sds in ("A/01", "A-01") for u in (1, 2)]
         code, out = self._assess_staff(tmp_path, rows)
         assert code == 1
-        err = capsys.readouterr().err
-        assert "data error: SDS ids 'A-01' and 'A/01' share the output file name slug" in err
+        captured = capsys.readouterr()
+        assert "data error: SDS ids 'A-01' and 'A/01' share the output file name slug" in (
+            captured.err
+        )
+        assert captured.out == ""
         assert not out.exists()
 
     def test_empty_format_list_is_a_data_error(self, staff, tmp_path, capsys):

@@ -477,12 +477,16 @@ class TestMalformedCsv:
             ingest(fixtures_dir / "lab_staff.csv", pubs, fixtures_dir / "lab_medians.csv")
         assert str(err.value) == f"{fixture} line {len(lines)}: 9 cells, header has 10"
 
-    def test_extra_cells_and_blank_lines_are_ignored(self, tmp_path, fixtures_dir):
-        rows = "\n".join(
-            ["p4,UnivB,TEST/01,2005,1,CatA,1,1,0,extra", "", "p5,UnivB,TEST/01,2005,0,CatA,1,1,0"]
-        )
-        dataset = self._ingest(tmp_path, fixtures_dir, "publications", rows.encode() + b"\n")
-        assert dataset.publication_count == 5
+    @pytest.mark.parametrize("role", sorted(FILES))
+    def test_extra_cells_and_blank_lines_are_ignored(self, tmp_path, fixtures_dir, role):
+        # an unknown column, named twice; a cell past the header's width; a blank line
+        paths = {name: fixtures_dir / fixture for name, (fixture, _) in self.FILES.items()}
+        expected = _fields(ingest(*paths.values()))
+        header, first, *rest = paths[role].read_text().splitlines()
+        lines = [header + ",note,note", first + ",a,b,extra", "", *(r + ",a,b" for r in rest)]
+        paths[role] = tmp_path / paths[role].name
+        paths[role].write_text("\n".join(lines) + "\n")
+        assert _fields(ingest(*paths.values())) == expected
 
     def test_byte_order_marks_are_dropped(self, tmp_path, fixtures_dir):
         # as a spreadsheet saves "CSV UTF-8"
@@ -547,12 +551,30 @@ class TestMalformedCsv:
             ingest(staff, pubs, medians)
         assert str(err.value) == f"medians.csv line 2: bad mean value {raw!r}"
 
-    def test_repeated_column_name_reads_the_last_cell(self, tmp_path):
-        staff = tmp_path / "staff.csv"
-        staff.write_text(
-            "dmu_id,sds_id,fp_years,ap_years,rf_years,ss,ss\nU,S,1,0,0,bad,2.5\n"
-        )
-        assert ingest(staff).ss.tolist() == [2.5]
+    # A column that is read, listed or optional, is named once: no cell of
+    # it is silently left unread.
+    @pytest.mark.parametrize(
+        "role, column",
+        [
+            ("staff", "fp_years"),
+            ("staff", "ss"),
+            ("publications", "citations"),
+            ("medians", "median"),
+            ("medians", "mean"),
+        ],
+    )
+    def test_repeated_read_column_is_a_data_error(self, tmp_path, fixtures_dir, role, column):
+        fixture = self.FILES[role][0]
+        header, *rows = (fixtures_dir / fixture).read_text().splitlines()
+        names = header.split(",")
+        added = [column] * (2 - names.count(column)) + ["note", "note"]
+        lines = [",".join([*names, *added]), *(row + ",x" * len(added) for row in rows)]
+        paths = {name: fixtures_dir / f for name, (f, _) in self.FILES.items()}
+        paths[role] = tmp_path / fixture
+        paths[role].write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as err:
+            ingest(*paths.values())
+        assert str(err.value) == f"{fixture}: repeated columns [{column!r}]"
 
 
 @settings(max_examples=100, deadline=None)
@@ -1255,6 +1277,26 @@ class TestRunAssessment:
         staff = write_csv(tmp_path / "staff.csv", STAFF_HEADER + ["ss"], rows)
         with pytest.raises(DataError, match="A/01/U1: staff cost overflows"):
             run_assessment(ingest(staff), apply_filter=False)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"apply_filter": 0}, "apply_filter must be a bool, not 0"),
+            ({"apply_filter": "no"}, "apply_filter must be a bool, not 'no'"),
+            ({"apply_filter": np.False_}, "apply_filter must be a bool, not np.False_"),
+            ({"config": {}}, "config must be an AssessmentConfig or None, not {}"),
+            (
+                {"config": {"quadrant_threshold": 0.4}},
+                "config must be an AssessmentConfig or None, not {'quadrant_threshold': 0.4}",
+            ),
+        ],
+        ids=["zero", "string", "numpy_bool", "empty_dict", "dict"],
+    )
+    def test_arguments_of_another_type_are_data_errors(self, fixtures_dir, kwargs, message):
+        dataset = ingest(fixtures_dir / "pharm_chem_staff.csv")
+        with pytest.raises(DataError) as err:
+            run_assessment(dataset, **kwargs)
+        assert str(err.value) == message
 
     def test_empty_dataset_errors(self):
         with pytest.raises(DataError):
