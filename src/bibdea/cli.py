@@ -117,7 +117,7 @@ def _cmd_sds_report(args) -> int:
     if result is None:
         known = sorted(report.sds_results)
         raise DataError(f"SDS {args.sds_id!r} not assessed; assessed SDSs: {known}")
-    p = report.reporting_precision
+    p = io._TABLE_DECIMALS
     _print_table(
         ("dmu_id", "ss", "fp", "ap", "rf", "te", "ae", "ce", "te%", "ae%", "ce%"),
         [
@@ -143,7 +143,7 @@ def _cmd_sds_report(args) -> int:
 def _cmd_institution_report(args) -> int:
     report = _assess(args)
     inst = report.institution(args.dmu_id)
-    agg, p = inst.aggregate, report.reporting_precision
+    agg, p = inst.aggregate, io._TABLE_DECIMALS
     lines = [(r.sds_id, r.staff_cost, r.te, r.te_pct, r.ae, r.ae_pct, r.ce, r.ce_pct)
              for r in inst.rows]
     lines.append(("total/average", agg.total_weight, agg.te, agg.te_pct, agg.ae, agg.ae_pct,

@@ -186,7 +186,8 @@ def _read_staff(path: Path):
     years = np.array(years)
     if problems := staff_years_problems(years):
         i, problem = problems[0]
-        raise DataError(f"{path.name} line {lines[i]}: {'/'.join(list(index)[i])}: {problem}")
+        dmu_id, sds_id = list(index)[i]
+        raise DataError(f"{path.name} line {lines[i]}: {sds_id}/{dmu_id}: {problem}")
     return index, years, ss or None  # every row has an ss cell, or none has
 
 
@@ -435,6 +436,8 @@ def load_config(path: str | os.PathLike | None = None) -> AssessmentConfig:
 # --- emission ---
 
 FORMATS = ("json", "csv", "svg")
+# Decimals of a score in the CSV tables and the CLI's; report.json keeps full precision.
+_TABLE_DECIMALS = 3
 
 
 def _slug(name: str) -> str:
@@ -459,8 +462,8 @@ def emit(
 ) -> list[Path]:
     """Write the report to ``out_dir``; returns the files written.
 
-    Score tables apply the configured reporting precision; the JSON report
-    keeps full precision so it can be re-ingested losslessly. Formats that
+    Score tables print floats to 3 decimals; the JSON report keeps full
+    precision so it can be re-ingested losslessly. Formats that
     :func:`check_formats` rejects, and two SDSs whose ids share a file name
     slug when csv or svg is written, are data errors raised before
     ``out_dir`` is made.
@@ -502,7 +505,6 @@ def _report_document(report: AssessmentReport) -> dict:
     """The report's fields, with each score row under its SDS and an
     institution's rows as references ``{"sds_id": ...}`` to them."""
     return {
-        "census_date": report.census_date,
         "eligibility": list(map(vars, report.eligibility)),
         "institutions": [
             {
@@ -513,7 +515,6 @@ def _report_document(report: AssessmentReport) -> dict:
             for inst in report.institutions
         ],
         "quadrant_threshold": report.quadrant_threshold,
-        "reporting_precision": report.reporting_precision,
         "sds": {
             sds_id: {
                 "histograms": {key: vars(h) for key, h in res.histograms.items()},
@@ -593,10 +594,10 @@ def _csv_tables(report: AssessmentReport):
     ]
 
 
-def _csv_column(values: Sequence, precision: int) -> list[str]:
-    """The cell of each value: None is empty, a float has ``precision``
+def _csv_column(values: Sequence) -> list[str]:
+    """The cell of each value: None is empty, a float has ``_TABLE_DECIMALS``
     decimals and anything else is ``str``; a column of floats at once."""
-    spec = f".{precision}f"
+    spec = f".{_TABLE_DECIMALS}f"
     if set(map(type, values)) == {float}:
         return list(map(format, values, itertools.repeat(spec)))
     return [
@@ -608,7 +609,7 @@ def _emit_csv(report: AssessmentReport, out: Path) -> list[Path]:
     written = []
     for name, header, columns in _csv_tables(report):
         path = out / name
-        cells = [_csv_column(values, report.reporting_precision) for values in columns]
+        cells = list(map(_csv_column, columns))
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)

@@ -207,7 +207,7 @@ class DmuInput:
     def __post_init__(self):
         x = [_as_float(v) for v in (self.fp_years, self.ap_years, self.rf_years)]
         if problems := staff_years_problems(np.array([x])):
-            raise DataError(f"{self.dmu_id}/{self.sds_id}: {problems[0][1]}")
+            raise DataError(f"{self.sds_id}/{self.dmu_id}: {problems[0][1]}")
 
 
 def _as_float(value) -> float:

@@ -1,11 +1,9 @@
 """Assessment configuration, the report structure, and the pipeline driver."""
 
-import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -22,11 +20,6 @@ from .model import (
     fraction_problem,
 )
 
-# A double carries at most 17 significant digits, and report.json keeps full
-# precision; a larger precision would only pad the tables (or, past 2**31,
-# fail in the formatter).
-MAX_REPORTING_PRECISION = 17
-
 
 @dataclass(frozen=True)
 class AssessmentConfig:
@@ -34,8 +27,6 @@ class AssessmentConfig:
     quadrant_threshold: float = 0.5
     min_active_universities: int = 24
     min_fraction_publishing: float = 0.5
-    reporting_precision: int = 3
-    census_date: str = ""  # metadata only, echoed into reports
 
     def __post_init__(self):
         if not isinstance(self.costs, CostVector):
@@ -47,15 +38,6 @@ class AssessmentConfig:
         ):
             if (problem := rule(getattr(self, name))) is not None:
                 raise DataError(f"{name} {problem}")
-        precision = self.reporting_precision
-        if not isinstance(precision, Integral) or isinstance(precision, bool):
-            raise DataError(f"reporting_precision must be an integer, not {precision!r}")
-        if not 1 <= precision <= MAX_REPORTING_PRECISION:
-            raise DataError(
-                f"reporting_precision must lie in 1..{MAX_REPORTING_PRECISION} decimals"
-            )
-        if not isinstance(self.census_date, str):
-            raise DataError(f"census_date must be a string, not {self.census_date!r}")
 
 
 class ScoreRow(NamedTuple):
@@ -105,9 +87,7 @@ class InstitutionResult:
 @dataclass(frozen=True)
 class AssessmentReport:
     ss_mode: str
-    census_date: str
     quadrant_threshold: float
-    reporting_precision: int
     eligibility: tuple[EligibilityEntry, ...]
     sds_results: dict[str, SdsResult]
     institutions: tuple[InstitutionResult, ...]
@@ -191,9 +171,7 @@ def run_assessment(
         per_staff_year.tolist(),
         *pct.tolist(),
     )
-    # ScoreRow._make without its length check, in half the time
-    make = functools.partial(tuple.__new__, ScoreRow)
-    rows = [tuple(map(make, zip(*(c[s] for c in columns)))) for s in spans.values()]
+    rows = [tuple(map(ScoreRow._make, zip(*(c[s] for c in columns)))) for s in spans.values()]
     sds_results = {
         sds_id: SdsResult(sds_id, r, {"te": te, "ae": ae, "ce": ce}, quadrant)
         for sds_id, r, te, ae, ce, quadrant in zip(spans, rows, *histograms, quadrants)
@@ -203,9 +181,7 @@ def run_assessment(
     )
     return AssessmentReport(
         ss_mode=dataset.ss_mode,
-        census_date=config.census_date,
         quadrant_threshold=config.quadrant_threshold,
-        reporting_precision=config.reporting_precision,
         eligibility=tuple(eligibility),
         sds_results=sds_results,
         institutions=institutions,

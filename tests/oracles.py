@@ -392,9 +392,7 @@ def reference_report_json(report) -> str:
     row under its SDS and an institution's rows as ``{"sds_id": ...}``."""
     document = {
         "ss_mode": report.ss_mode,
-        "census_date": report.census_date,
         "quadrant_threshold": report.quadrant_threshold,
-        "reporting_precision": report.reporting_precision,
         "eligibility": [dataclasses.asdict(e) for e in report.eligibility],
         "sds": {
             sds_id: {
@@ -438,15 +436,14 @@ _SCORE_COLUMNS = (
 
 def reference_csv_tables(report) -> dict[str, str]:
     """The text of every CSV table, keyed by file name, written row by row:
-    None as an empty cell, a float with the reporting precision, a flag as
-    1 or 0 and anything else through ``str``."""
-    p = report.reporting_precision
+    None as an empty cell, a float with 3 decimals, a flag as 1 or 0 and
+    anything else through ``str``."""
 
     def fmt(value) -> str:
         if value is None:
             return ""
         if isinstance(value, float):
-            return f"{value:.{p}f}"
+            return f"{value:.3f}"
         return str(value)
 
     def table(header, rows) -> str:

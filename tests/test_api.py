@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import inspect
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import bibdea
+from bibdea import AssessmentConfig
 from bibdea.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -42,6 +44,13 @@ def test_readme_flag_table_is_the_parser():
         for verb, parser in sub.choices.items()
     }
     assert documented == parsed
+
+
+def test_readme_config_keys_are_the_config_fields():
+    text = README.read_text(encoding="utf-8")
+    sentence = text.split("- config JSON keys (all optional):", 1)[1].split(". ", 1)[0]
+    documented = re.findall(r"`(\w+)`", sentence)
+    assert documented == [field.name for field in dataclasses.fields(AssessmentConfig)]
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])

@@ -295,14 +295,14 @@ class TestAssess:
 
     def test_config_flag_beats_env(self, staff, tmp_path, monkeypatch):
         env_cfg = tmp_path / "env.json"
-        env_cfg.write_text('{"census_date": "from-env"}')
+        env_cfg.write_text('{"quadrant_threshold": 0.25}')
         flag_cfg = tmp_path / "flag.json"
-        flag_cfg.write_text('{"census_date": "from-flag"}')
+        flag_cfg.write_text('{"quadrant_threshold": 0.75}')
         monkeypatch.setenv("BIBDEA_CONFIG", str(env_cfg))
         out = tmp_path / "out"
         main(["assess", "--staff", staff, "--config", str(flag_cfg), "--out", str(out)])
         payload = _read_report(out)
-        assert payload["census_date"] == "from-flag"
+        assert payload["quadrant_threshold"] == 0.75
 
     @staticmethod
     def _assess_staff(tmp_path, rows, no_filter=True):
@@ -508,14 +508,17 @@ class TestSdsReport:
         assert main(["sds-report", "CHIM/08", "--staff", staff]) == 0
         assert capsys.readouterr().out == CHIM_08_REPORT
 
-    def test_columns_widen_to_fit_their_widest_cell(self, staff, tmp_path, capsys):
-        # at 8 decimals an SS of 151.65900000 and a percentile of
-        # 100.00000000 are wider than their columns' 9 characters
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"reporting_precision": 8}')
-        assert main(["sds-report", "CHIM/08", "--staff", staff, "--config", str(cfg)]) == 0
-        table = capsys.readouterr().out.splitlines()[:29]
-        assert "151.65900000" in table[2] and "100.00000000" in table[7]
+    def test_columns_widen_to_fit_their_widest_cell(self, tmp_path, capsys):
+        # an SS of 123456789.000 and 12345678.5 staff-years are wider than
+        # their columns' 9 and 7 characters
+        staff = tmp_path / "staff.csv"
+        staff.write_text(
+            "dmu_id,sds_id,fp_years,ap_years,rf_years,ss\n"
+            "U1,A/01,12345678.5,0,0,123456789\nU2,A/01,1,1,0,1.0\nU3,A/01,0,1,1,2.0\n"
+        )
+        assert main(["sds-report", "A/01", "--staff", str(staff), "--no-filter"]) == 0
+        table = capsys.readouterr().out.splitlines()[:4]
+        assert "123456789.000" in table[1] and "12345678.5" in table[1]
         header = ("dmu_id", "ss", "fp", "ap", "rf", "te", "ae", "ce", "te%", "ae%", "ce%")
         assert len(_column_ends(table, header)) == 1
 
@@ -660,8 +663,10 @@ def test_report_is_the_same_under_any_blas_kernel(fixtures_dir, tmp_path):
         ("U1,S,1,1,0,inf", None, "staff.csv line 2"),
         ("U1,S,1,1,0,1.0", '{"costs": {"fp": NaN}}', "cfg.json"),
         ("U1,S,1,1,0,1.0", '{"costs": {"fp": "x"}}', "cfg.json"),
+        # no longer a setting, so an unknown key whatever its value
         ("U1,S,1,1,0,1.0", '{"reporting_precision": 2.5}', "cfg.json"),
         ("U1,S,1,1,0,1.0", '{"reporting_precision": true}', "cfg.json"),
+        ("U1,S,1,1,0,1.0", '{"census_date": "2009-06-30"}', "cfg.json: unknown config keys"),
     ],
 )
 def test_malformed_numbers_exit_1_naming_the_location(tmp_path, row, config, location):
@@ -756,8 +761,9 @@ _BAD_CONFIG = {
     "min_fraction_publishing": _WRONG_TYPE + ["NaN", "-0.1", "2", "1e400"],
     # a huge min_active_universities is a valid threshold that nothing meets
     "min_active_universities": _WRONG_TYPE + ["2.5", "-1", "1e400"],
-    "reporting_precision": _WRONG_TYPE + ["2.5", "0", "-3", "18", "1e400", _HUGE_INT],
-    "census_date": ["1", "true", "null", "[]", "{}"],
+    # no longer settings: any value, even a once valid one, is an unknown key
+    "reporting_precision": _WRONG_TYPE + ["3", "2.5", "0", "-3", "18", "1e400", _HUGE_INT],
+    "census_date": ['"2009-06-30"', "1", "true", "null", "[]", "{}"],
 }
 _CONFIG_BASE = {
     "fp": "111.7",
@@ -766,8 +772,6 @@ _CONFIG_BASE = {
     "quadrant_threshold": "0.5",
     "min_fraction_publishing": "0.5",
     "min_active_universities": "24",
-    "reporting_precision": "3",
-    "census_date": '"2009-06-30"',
 }
 
 

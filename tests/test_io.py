@@ -398,7 +398,7 @@ class TestIngest:
         staff.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError) as err:
             ingest(staff, fixtures_dir / "lab_pubs.csv", fixtures_dir / "lab_medians.csv")
-        assert str(err.value) == f"staff.csv line 5: UnivC/TEST/01: {problem}"
+        assert str(err.value) == f"staff.csv line 5: TEST/01/UnivC: {problem}"
 
     def test_ingest_and_assessment_build_no_dmu_input(self, fixtures_dir, monkeypatch):
         def refuse(*args, **kwargs):
@@ -990,9 +990,8 @@ class TestLoadConfig:
         assert config.min_active_universities == 24
 
     def test_fixture_file(self, fixtures_dir):
-        config = load_config(fixtures_dir / "config.json")
-        assert config.census_date == "2009-06-30"
-        assert config.reporting_precision == 3
+        # the fixture spells out every setting at its default
+        assert load_config(fixtures_dir / "config.json") == AssessmentConfig()
 
     def test_partial_override(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -1005,7 +1004,7 @@ class TestLoadConfig:
     def test_no_path_gives_the_defaults_whatever_the_env(self, tmp_path, monkeypatch):
         # load_config(None) used to fall back to the file BIBDEA_CONFIG named
         path = tmp_path / "cfg.json"
-        path.write_text('{"reporting_precision": 5}')
+        path.write_text('{"quadrant_threshold": 0.6}')
         monkeypatch.setenv("BIBDEA_CONFIG", str(path))
         assert load_config() == AssessmentConfig()
 
@@ -1046,22 +1045,31 @@ class TestLoadConfig:
         with pytest.raises(DataError):
             AssessmentConfig(quadrant_threshold=1.5)
 
-    def test_precision_floor(self):
-        with pytest.raises(DataError):
-            AssessmentConfig(reporting_precision=0)
-
-    @pytest.mark.parametrize("precision", [18, 2**31])
-    def test_precision_ceiling(self, precision):
-        # past 2**31 the formatter itself fails, in emit
-        with pytest.raises(DataError):
-            AssessmentConfig(reporting_precision=precision)
-        AssessmentConfig(reporting_precision=17)
+    # Tables print 3 decimals and reports carry no census date, so any value
+    # of these two former settings, valid or not, is an unknown key.
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("reporting_precision", 3),
+            ("reporting_precision", 0),
+            ("reporting_precision", -1),
+            ("reporting_precision", 18),
+            ("reporting_precision", 2**31),
+            ("census_date", "2009-06-30"),
+        ],
+    )
+    def test_removed_settings_are_unknown_keys(self, tmp_path, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value, "quadrant_threshold": 0.6}))
+        with pytest.raises(DataError) as err:
+            load_config(path)
+        assert str(err.value) == f"cfg.json: unknown config keys ['{key}']"
 
     @pytest.mark.parametrize(
         "content, message",
         [
-            (b'{"census_date": "\xff"}', "cfg.json line 1: not UTF-8"),
-            (b'{"reporting_precision": 1' + b"0" * 5000 + b"}", "cfg.json: invalid JSON"),
+            (b'{"quadrant_threshold": "\xff"}', "cfg.json line 1: not UTF-8"),
+            (b'{"min_active_universities": 1' + b"0" * 5000 + b"}", "cfg.json: invalid JSON"),
             (b"[" * 100_000, "cfg.json: invalid JSON"),
         ],
         ids=["undecodable", "past_int_digit_limit", "past_recursion_limit"],
@@ -1086,9 +1094,12 @@ class TestLoadConfig:
             ("census_date", 2009),
         ],
     )
-    def test_mistyped_field_rejected(self, field, value):
+    def test_mistyped_field_rejected(self, field, value, tmp_path):
+        # reporting_precision and census_date are no settings: unknown keys
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: value}))
         with pytest.raises(DataError) as err:
-            AssessmentConfig(**{field: value})
+            load_config(path)
         assert field in str(err.value)
 
     # analytics.efficiency_matrix and eligibility_filter apply the same rules
@@ -1100,8 +1111,6 @@ class TestLoadConfig:
             ("min_fraction_publishing", math.nan, "min_fraction_publishing must lie in [0, 1]"),
             ("min_active_universities", 2.0, "min_active_universities must be an integer, not 2.0"),
             ("min_active_universities", -1, "min_active_universities must be >= 0"),
-            ("reporting_precision", True, "reporting_precision must be an integer, not True"),
-            ("reporting_precision", -1, "reporting_precision must lie in 1..17 decimals"),
         ],
     )
     def test_field_messages(self, field, value, message):
@@ -1687,9 +1696,7 @@ def _odd_reports(draw):
     )
     return AssessmentReport(
         ss_mode=draw(st.sampled_from(["passthrough", "computed"])),
-        census_date=draw(_ODD_IDS),
         quadrant_threshold=draw(_ODD_NUMBERS),
-        reporting_precision=draw(st.integers(1, 17)),
         eligibility=tuple(draw(st.lists(_ELIGIBILITY, max_size=3))),
         sds_results=sds_results,
         institutions=tuple(draw(st.lists(institutions, max_size=3))),
@@ -1702,9 +1709,7 @@ def _hand_report(sds_rows, institution_rows):
     hist = Histogram((1, 0, 0, 0, 1), 0.5)
     return AssessmentReport(
         ss_mode="passthrough",
-        census_date="2004-12-31",
         quadrant_threshold=0.5,
-        reporting_precision=3,
         eligibility=(),
         sds_results={
             sds_id: SdsResult(

@@ -207,7 +207,7 @@ class TestStaffYearTypes:
     @pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400, 3)])
     def test_numbers_past_the_float_range_are_rejected(self, value):
         # run_assessment takes the years as floats
-        with pytest.raises(DataError, match="U/S: staff-years must be finite and >= 0"):
+        with pytest.raises(DataError, match="S/U: staff-years must be finite and >= 0"):
             DmuInput("U", "S", value, 1, 1)
 
 
