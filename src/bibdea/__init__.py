@@ -18,7 +18,6 @@ from .analytics import (
     efficiency_matrix,
     eligibility_filter,
     histogram,
-    percentile_rank,
     percentile_ranks,
     productivity_ratio,
     rank_divergence,
@@ -29,7 +28,7 @@ from .bibliometrics import (
     scientific_strength,
     standardize_citations,
 )
-from .dea import allocative_efficiency, cost_efficiency, evaluate_sds, technical_efficiency
+from .dea import allocative_efficiency, evaluate_sds
 from .io import build_median_table, emit, ingest, load_config
 from .model import (
     DEFAULT_COSTS,
@@ -82,7 +81,6 @@ __all__ = [
     "aggregate_weighted",
     "allocative_efficiency",
     "build_median_table",
-    "cost_efficiency",
     "efficiency_matrix",
     "eligibility_filter",
     "emit",
@@ -91,7 +89,6 @@ __all__ = [
     "histogram",
     "ingest",
     "load_config",
-    "percentile_rank",
     "percentile_ranks",
     "positional_weights",
     "productivity_ratio",
@@ -100,5 +97,4 @@ __all__ = [
     "scientific_strength",
     "staff_cost",
     "standardize_citations",
-    "technical_efficiency",
 ]

@@ -65,15 +65,6 @@ class EligibilityDecision:
     failed_criteria: tuple[str, ...] = ()
 
 
-def percentile_rank(scores: Sequence[float], target: float) -> float:
-    """Rank of ``target`` within ``scores``: its entry in
-    :func:`percentile_ranks`, the scores taken as floats."""
-    ranks = percentile_ranks(scores)
-    if target not in scores:
-        raise DataError(f"target score {target} not among the scores")
-    return ranks[list(scores).index(target)]
-
-
 def percentile_ranks(scores: Sequence[float]) -> list[float]:
     """Rank of each score within ``scores`` on a 0-100 scale, 100 best.
 

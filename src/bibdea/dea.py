@@ -20,15 +20,14 @@ is added left to right (:func:`_dot`), and the peer weights solve their
 3 x 3 systems by Cramer's rule, so the scores and the weights are the same
 floats whichever BLAS kernel numpy loads.
 
-:func:`evaluate_sds` scores an SDS and then searches each unit's peers
-(its reference set) on the facets already found: a triple of an optimal
-facet that combines into the contracted unit with nonnegative weights. It
-scores through :func:`_scores`, which takes the SDS as columns; the
-pipeline calls that directly and searches no peers. An ``SdsDataset`` and
-the columns of an ``AssessmentDataset`` are checked when they are built.
+:func:`evaluate_sds` scores every unit of an SDS in one call, and a unit's
+scores are read by its ``dmu_id``. It then searches each unit's peers (its
+reference set) on the facets already found: a triple of an optimal facet
+that combines into the contracted unit with nonnegative weights. It scores
+through :func:`_scores`, which takes the SDS as columns; the pipeline calls
+that directly and searches no peers. An ``SdsDataset`` and the columns of
+an ``AssessmentDataset`` are checked when they are built.
 """
-
-from numbers import Integral
 
 import numpy as np
 
@@ -245,36 +244,6 @@ def _scores(
     return (te, ae, te * ae), frontier
 
 
-def technical_efficiency(dmu0: int, ds: SdsDataset) -> tuple[float, dict[str, float]]:
-    """Radial input-contraction score of ``ds.members[dmu0]`` and its peers.
-
-    The peers are the intensity weights of units whose combination
-    produces at least the DMU's output from at most ``te`` times its inputs.
-    Each call scores the whole SDS through :func:`evaluate_sds`,
-    so to score every unit call that once instead.
-    """
-    scores = evaluate_sds(ds)[ds.members[_member(dmu0, ds)][0].dmu_id]
-    return scores.te, scores.reference_weights
-
-
-def cost_efficiency(dmu0: int, ds: SdsDataset, costs: CostVector = DEFAULT_COSTS) -> float:
-    """Minimum-cost-to-actual-cost ratio of ``ds.members[dmu0]``.
-
-    Each call scores the whole SDS through :func:`evaluate_sds`,
-    so to score every unit call that once instead.
-    """
-    dmu_id = ds.members[_member(dmu0, ds)][0].dmu_id
-    return evaluate_sds(ds, costs)[dmu_id].ce
-
-
-def _member(dmu0: int, ds: SdsDataset) -> int:
-    """``dmu0``, checked to be an int, not a bool, in ``0..len(ds) - 1``: an
-    index of ``ds.members``, counted from the front."""
-    if not isinstance(dmu0, Integral) or isinstance(dmu0, bool) or not 0 <= dmu0 < len(ds):
-        raise DataError(f"dmu0 must be an integer in 0..{len(ds) - 1}, not {dmu0!r}")
-    return int(dmu0)
-
-
 def allocative_efficiency(te, ce):
     """CE / TE, with the nil-output convention that te = 0 maps to 0.
 
@@ -300,9 +269,11 @@ def allocative_efficiency(te, ce):
 def evaluate_sds(
     ds: SdsDataset, costs: CostVector = DEFAULT_COSTS
 ) -> dict[str, EfficiencyScores]:
-    """Score every DMU of one SDS, with its peers.
+    """Score every DMU of one SDS, with its peers, keyed by ``dmu_id``.
 
-    DMUs with zero output score (0, 0, 0) by convention and have no peers.
+    Every score is relative to the whole SDS, so one call scores all its
+    units: ``evaluate_sds(ds)[dmu_id].te``. DMUs with zero output score
+    (0, 0, 0) by convention and have no peers.
     """
     ids = ds.dmu_ids()
     x = [(d.fp_years, d.ap_years, d.rf_years) for d, _ in ds.members]

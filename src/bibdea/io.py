@@ -49,7 +49,6 @@ Emission is deterministic: identical inputs produce byte-identical output.
 import contextlib
 import csv
 import dataclasses
-import itertools
 import json
 import math
 import operator
@@ -596,10 +595,8 @@ def _csv_tables(report: AssessmentReport):
 
 def _csv_column(values: Sequence) -> list[str]:
     """The cell of each value: None is empty, a float has ``_TABLE_DECIMALS``
-    decimals and anything else is ``str``; a column of floats at once."""
+    decimals and anything else is ``str``."""
     spec = f".{_TABLE_DECIMALS}f"
-    if set(map(type, values)) == {float}:
-        return list(map(format, values, itertools.repeat(spec)))
     return [
         "" if v is None else format(v, spec) if isinstance(v, float) else str(v) for v in values
     ]

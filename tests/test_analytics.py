@@ -18,7 +18,6 @@ from bibdea import (
     eligibility_filter,
     evaluate_sds,
     histogram,
-    percentile_rank,
     percentile_ranks,
     productivity_ratio,
     rank_divergence,
@@ -54,42 +53,30 @@ distinct_scores = st.lists(
 
 class TestPercentileRank:
     def test_unique_maximum_is_100(self):
-        scores = [0.1, 0.4, 0.9, 0.2]
-        assert percentile_rank(scores, 0.9) == 100.0
+        assert percentile_ranks([0.1, 0.4, 0.9, 0.2])[2] == 100.0
 
     def test_unique_minimum_is_0(self):
-        scores = [0.1, 0.4, 0.9, 0.2]
-        assert percentile_rank(scores, 0.1) == 0.0
+        assert percentile_ranks([0.1, 0.4, 0.9, 0.2])[0] == 0.0
 
     def test_midpoint(self):
-        assert percentile_rank([1.0, 2.0, 3.0], 2.0) == pytest.approx(50.0)
+        assert percentile_ranks([1.0, 2.0, 3.0])[1] == pytest.approx(50.0)
 
     def test_ties_get_half_credit(self):
-        assert percentile_rank([1.0, 2.0, 2.0, 3.0], 2.0) == pytest.approx(50.0)
+        assert percentile_ranks([1.0, 2.0, 2.0, 3.0])[1:3] == pytest.approx([50.0, 50.0])
 
     def test_singleton_is_undefined(self):
-        with pytest.raises(DataError):
-            percentile_rank([1.0], 1.0)
-
-    def test_target_must_be_present(self):
-        with pytest.raises(DataError):
-            percentile_rank([1.0, 2.0], 1.5)
+        with pytest.raises(DataError, match="^percentile rank is undefined for fewer than two"):
+            percentile_ranks([1.0])
 
     def test_nan_score_has_no_rank(self):
-        scores = [math.nan, 1.0, 0.5]
         with pytest.raises(DataError, match="undefined for a NaN score"):
-            percentile_ranks(scores)
-        with pytest.raises(DataError, match="undefined for a NaN score"):
-            percentile_rank(scores, 1.0)
+            percentile_ranks([math.nan, 1.0, 0.5])
 
     @settings(max_examples=150)
     @given(distinct_scores)
     def test_order_isomorphism(self, scores):
         transformed = [2.0 * s + 1.0 for s in scores]
-        for s, t in zip(scores, transformed):
-            assert percentile_rank(scores, s) == pytest.approx(
-                percentile_rank(transformed, t), abs=1e-9
-            )
+        assert percentile_ranks(scores) == pytest.approx(percentile_ranks(transformed), abs=1e-9)
 
     def test_percentile_ranks_rank_the_whole_list(self):
         assert percentile_ranks([0.2, 0.8, 0.5]) == [0.0, 100.0, 50.0]
@@ -102,7 +89,6 @@ class TestPercentileRank:
     def test_column_ranks_are_the_scalar_ranks(self, scores):
         expected = [reference_percentile_rank(scores, s).hex() for s in scores]
         assert [r.hex() for r in percentile_ranks(scores)] == expected
-        assert [percentile_rank(scores, s).hex() for s in scores] == expected
 
     # numpy's ValueError
     @pytest.mark.parametrize(
@@ -114,7 +100,7 @@ class TestPercentileRank:
 
     def test_column_ranks_need_two_scores(self):
         with pytest.raises(DataError):
-            percentile_ranks([0.5])
+            percentile_ranks([])
 
     def test_scores_within_the_tolerance_tie(self):
         near = 0.5 - TIE_TOL / 10
@@ -129,7 +115,6 @@ class TestPercentileRank:
     [
         (lambda: histogram(["0.5", "1"]), "histogram scores must lie in"),
         (lambda: percentile_ranks(["0.5", "0.7"]), "undefined for a NaN score"),
-        (lambda: percentile_rank(["0.5", "0.7"], "0.5"), "undefined for a NaN score"),
         (lambda: rank_divergence({"a": "1", "b": 0.5}, {"a": 1.0, "b": 0.5}), "NaN score"),
         (lambda: rank_divergence({"a": 1.0, "b": 0.5}, {"a": 1.0, "b": "1"}), "NaN score"),
         (lambda: aggregate_weighted([(("0.5", 0.5, 0.25), 1.0)]), "aggregated scores must"),

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import inspect
 import os
@@ -51,6 +52,25 @@ def test_readme_config_keys_are_the_config_fields():
     sentence = text.split("- config JSON keys (all optional):", 1)[1].split(". ", 1)[0]
     documented = re.findall(r"`(\w+)`", sentence)
     assert documented == [field.name for field in dataclasses.fields(AssessmentConfig)]
+
+
+def test_src_imports_are_used():
+    # __init__.py imports to re-export; every other module must use each
+    # name that its top-level imports bind.
+    unused = []
+    for path in sorted(Path(bibdea.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in bound if name not in used]
+    assert unused == []
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])

@@ -1,7 +1,6 @@
 import math
 import os
 import platform
-import re
 import subprocess
 import sys
 import time
@@ -22,11 +21,9 @@ from bibdea import (
     SdsDataset,
     SolverError,
     allocative_efficiency,
-    cost_efficiency,
     evaluate_sds,
     percentile_ranks,
     run_assessment,
-    technical_efficiency,
 )
 from bibdea import dea
 
@@ -101,16 +98,14 @@ def random_dataset(rng, n_dmus=None, n_inputs=None):
 
 class TestTechnicalEfficiency:
     def test_single_dmu_is_efficient(self):
-        ds = dataset([[1.0, 2.0, 0.5]], [3.0])
-        te, weights = technical_efficiency(0, ds)
-        assert te == pytest.approx(1.0, abs=1e-9)
-        assert weights == pytest.approx({"D0": 1.0})
+        scores = evaluate_sds(dataset([[1.0, 2.0, 0.5]], [3.0]))["D0"]
+        assert scores.te == pytest.approx(1.0, abs=1e-9)
+        assert scores.reference_weights == pytest.approx({"D0": 1.0})
 
     def test_double_input_halves_the_score(self):
-        ds = dataset([[1.0], [2.0]], [5.0, 5.0])
-        te, weights = technical_efficiency(1, ds)
-        assert te == pytest.approx(0.5, abs=1e-9)
-        assert set(weights) == {"D0"}
+        scores = evaluate_sds(dataset([[1.0], [2.0]], [5.0, 5.0]))["D1"]
+        assert scores.te == pytest.approx(0.5, abs=1e-9)
+        assert set(scores.reference_weights) == {"D0"}
 
     def test_benchmark_spot_values(self, pharm_chem_scores):
         assert pharm_chem_scores["Ferrara"].te == pytest.approx(1.000, abs=0.01)
@@ -122,25 +117,25 @@ class TestTechnicalEfficiency:
             n = int(rng.integers(2, 7))
             x = rng.uniform(0.1, 10.0, size=n)
             y = rng.uniform(0.1, 10.0, size=n)
-            ds = dataset([[v] for v in x], y.tolist())
+            scores = evaluate_sds(dataset([[v] for v in x], y.tolist()))
             for i in range(n):
-                te, _ = technical_efficiency(i, ds)
-                assert te == pytest.approx(
+                assert scores[f"D{i}"].te == pytest.approx(
                     te_single_input_closed_form(i, x, y), abs=1e-9
                 )
 
-    def test_reference_set_covers_the_output(self, pharm_chem):
-        te, weights = technical_efficiency(3, pharm_chem)  # an inefficient row
+    def test_reference_set_covers_the_output(self, pharm_chem, pharm_chem_scores):
+        unit, output = pharm_chem.members[3]  # an inefficient row
+        weights = pharm_chem_scores[unit.dmu_id].reference_weights
         combined = sum(
             weights.get(dmu.dmu_id, 0.0) * ss for dmu, ss in pharm_chem.members
         )
-        assert combined >= pharm_chem.members[3][1] - 1e-7
+        assert combined >= output - 1e-7
 
 
 class TestCostEfficiency:
     def test_single_dmu(self):
-        ds = dataset([[1.0, 2.0, 0.5]], [3.0])
-        assert cost_efficiency(0, ds) == pytest.approx(1.0, abs=1e-9)
+        scores = evaluate_sds(dataset([[1.0, 2.0, 0.5]], [3.0]))
+        assert scores["D0"].ce == pytest.approx(1.0, abs=1e-9)
 
     def test_benchmark_spot_values(self, pharm_chem_scores):
         assert pharm_chem_scores["Piemonte Orientale Avogadro"].ce == pytest.approx(
@@ -154,17 +149,17 @@ class TestCostEfficiency:
             ds, _, _ = random_dataset(rng, n_inputs=3)
             inputs = np.array([[d.fp_years, d.ap_years, d.rf_years] for d, _ in ds.members])
             outputs = np.array(ds.ss_values())
+            scores = evaluate_sds(ds)
             for i in range(len(ds)):
-                got = cost_efficiency(i, ds)
+                got = scores[f"D{i}"].ce
                 for oracle in (ce_closed_form, ce_by_enumeration):
                     assert got == pytest.approx(oracle(i, inputs, outputs, PRICES), abs=1e-9)
 
     def test_staff_cost_past_the_float_range_is_a_data_error(self):
         # te does not depend on the cost, so scoring D0 (0, 0, 0) would be wrong
         ds = dataset([[1e307, 1.0, 1.0], [1.0, 1.0, 1.0]], [1.0, 1.0])
-        for call in (lambda: cost_efficiency(0, ds), lambda: evaluate_sds(ds)):
-            with pytest.raises(DataError, match="^S/D0: staff cost overflows a float$"):
-                call()
+        with pytest.raises(DataError, match="^S/D0: staff cost overflows a float$"):
+            evaluate_sds(ds)
 
 
 class TestAllocativeEfficiency:
@@ -204,17 +199,6 @@ class TestAllocativeEfficiency:
     def test_scores_of_two_shapes(self, te, ce):
         with pytest.raises(DataError, match="^te and ce must have one shape"):
             allocative_efficiency(te, ce)
-
-
-# IndexError, TypeError, or the last unit scored for dmu0 = -1
-@pytest.mark.parametrize("dmu0", [2, 5, -1, True, "0", 1.0, None])
-@pytest.mark.parametrize("call", [technical_efficiency, cost_efficiency])
-def test_dmu0_is_an_index_of_the_members(call, dmu0):
-    ds = dataset([[1.0], [2.0]], [5.0, 5.0])
-    message = f"^dmu0 must be an integer in 0..1, not {re.escape(repr(dmu0))}$"
-    with pytest.raises(DataError, match=message):
-        call(dmu0, ds)
-    assert call(np.int64(1), ds) == call(1, ds)
 
 
 class TestEvaluateSds:
@@ -345,7 +329,7 @@ class TestInvariances:
     def test_unit_invariance_of_te(self):
         rng = np.random.default_rng(31)
         ds, inputs, outputs = random_dataset(rng, n_dmus=6, n_inputs=3)
-        before = [technical_efficiency(i, ds)[0] for i in range(len(ds))]
+        before = [scores.te for scores in evaluate_sds(ds).values()]
         for scale in ((4.0, 0.25, 10.0), (1e150, 1e-150, 1.0), (1e-200, 1e-200, 1e-200)):
             scaled = dataset(
                 [
@@ -354,7 +338,7 @@ class TestInvariances:
                 ],
                 list(outputs),
             )
-            after = [technical_efficiency(i, scaled)[0] for i in range(len(ds))]
+            after = [scores.te for scores in evaluate_sds(scaled).values()]
             assert after == pytest.approx(before, abs=1e-9), scale
 
     def test_cost_invariance_under_compensating_rescale(self):
@@ -373,24 +357,20 @@ class TestInvariances:
             ap_cost=DEFAULT_COSTS.ap_cost / scale[1],
             rf_cost=DEFAULT_COSTS.rf_cost / scale[2],
         )
-        for i in range(len(ds)):
-            assert cost_efficiency(i, scaled, costs) == pytest.approx(
-                cost_efficiency(i, ds, DEFAULT_COSTS), abs=1e-9
-            )
+        before = [scores.ce for scores in evaluate_sds(ds, DEFAULT_COSTS).values()]
+        after = [scores.ce for scores in evaluate_sds(scaled, costs).values()]
+        assert after == pytest.approx(before, abs=1e-9)
 
     def test_output_monotonicity(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
-            ds, _, outputs = random_dataset(rng)
-            i = int(rng.integers(0, len(ds)))
-            before, _ = technical_efficiency(i, ds)
-            bumped = list(outputs)
-            bumped[i] *= 1.0 + rng.uniform(0.05, 0.5)
-            ds2 = dataset(
-                [[d.fp_years, d.ap_years, d.rf_years] for d, _ in ds.members], bumped
-            )
-            after, _ = technical_efficiency(i, ds2)
-            assert after >= before - 1e-9
+            ds, inputs, outputs = random_dataset(rng)
+            before = evaluate_sds(ds)
+            for i in range(len(ds)):
+                bumped = list(outputs)
+                bumped[i] *= 1.0 + rng.uniform(0.05, 0.5)
+                after = evaluate_sds(dataset(inputs.tolist(), bumped))[f"D{i}"].te
+                assert after >= before[f"D{i}"].te - 1e-9, i
 
     def test_frontier_idempotence(self, pharm_chem, pharm_chem_scores):
         survivors = tuple(
@@ -406,11 +386,11 @@ class TestInvariances:
         rng = np.random.default_rng(43)
         for _ in range(25):
             ds, inputs, outputs = random_dataset(rng)
-            i = int(rng.integers(0, len(ds)))
-            te, _ = technical_efficiency(i, ds)
-            assert te == pytest.approx(
-                te_by_enumeration(i, np.asarray(inputs), np.asarray(outputs)), abs=1e-9
-            )
+            scores = evaluate_sds(ds)
+            for i in range(len(ds)):
+                assert scores[f"D{i}"].te == pytest.approx(
+                    te_by_enumeration(i, np.asarray(inputs), np.asarray(outputs)), abs=1e-9
+                )
 
 
 def test_large_sds_stays_fast_and_consistent():
